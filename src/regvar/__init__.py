@@ -19,6 +19,7 @@ from .errors import (
     InvalidConstruction,
     InvalidGain,
     MomentDivergence,
+    NonFiniteInput,
     RegvarError,
     SpecError,
     UnboundedGain,

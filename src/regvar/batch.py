@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import DegeneratePoint, NonFiniteInput
 from .sphere import angles_of
 
 
@@ -36,6 +36,8 @@ class SampleBatch:
                     zero_count: int = 0) -> "SampleBatch":
         """Build a batch from raw coordinates, recomputing the polar cache."""
         points = np.ascontiguousarray(points, dtype=float)
+        if not np.all(np.isfinite(points)):
+            raise NonFiniteInput("batch contains a NaN or infinite coordinate")
         norms = np.sqrt(np.sum(points * points, axis=0))
         if np.any(norms == 0.0):
             raise DegeneratePoint("batch contains the zero vector")

@@ -174,6 +174,13 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regvar",
@@ -184,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON (file or inline)")
     p.add_argument("-n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_sample)
 
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     p.add_argument("--n", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("-o", "--output", help="report JSON")
     p.set_defaults(fn=_cmd_verify)
 
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200_000,
                    help="sample size for the empirical fallback")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_scan)
     return parser
@@ -250,3 +257,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,10 @@ class DegeneratePoint(RegvarError):
     """Polar decomposition requested for the zero vector."""
 
 
+class NonFiniteInput(RegvarError):
+    """Sample coordinates contain NaN or infinity."""
+
+
 class DimensionMismatch(RegvarError):
     """Operation requires a different ambient dimension (usually d = 2)."""
 

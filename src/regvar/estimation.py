@@ -17,12 +17,22 @@ from .rng import BOOTSTRAP_STREAM, substream
 from .sphere import ArcSet, CapSet
 
 BOOTSTRAP_RESAMPLES = 200
+_TOP_FACTOR = 4  # the bootstrap's top M is _TOP_FACTOR * (k+1) norms
 
 
 def _top_indices(norms: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest norms; ties at the threshold norm are
-    resolved by original sample order."""
-    return np.argsort(-norms, kind="stable")[:k]
+    """Indices of the k largest norms, largest first; ties are resolved by
+    original sample order, exactly as argsort(-norms, kind="stable")[:k].
+
+    A partition finds the k-th largest norm; every index above it and the
+    earliest indices equal to it make up the top k, and only those k rows
+    are sorted.
+    """
+    threshold = np.partition(norms, norms.size - k)[norms.size - k]
+    above = np.flatnonzero(norms > threshold)
+    tied = np.flatnonzero(norms == threshold)[:k - above.size]
+    top = np.concatenate((above, tied))
+    return top[np.lexsort((top, -norms[top]))]
 
 
 def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
@@ -39,6 +49,17 @@ def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
                            weights=w, total_mass=1.0)
 
 
+def _mean_log_spacing(top: np.ndarray, threshold: float, k: int,
+                      counts=1) -> float:
+    """(1/k) sum_j counts_j ln(top_j / threshold), the Hill mean log-ratio.
+
+    counts_j copies of top_j make up the k order statistics above the
+    threshold R_(k+1). Ratios, not differences of logs, keep the statistic
+    exactly invariant under power-of-two scaling.
+    """
+    return float(np.sum(counts * np.log(top / threshold))) / k
+
+
 def hill_estimator(batch_or_norms, k: int) -> float:
     """Inverse mean log-ratio of the top order statistics.
 
@@ -53,10 +74,9 @@ def hill_estimator(batch_or_norms, k: int) -> float:
         raise ValueError("k must satisfy 1 <= k < sample size")
     part = np.partition(norms, n - k - 1)
     threshold = part[n - k - 1]
-    top = part[n - k:]
     if threshold <= 0:
         raise DegenerateTail("threshold order statistic is not positive")
-    mean_log = float(np.mean(np.log(top / threshold)))
+    mean_log = _mean_log_spacing(part[n - k:], threshold, k)
     if mean_log == 0.0:
         raise DegenerateTail("all top order statistics are equal")
     return 1.0 / mean_log
@@ -164,17 +184,42 @@ class EstimationReport:
         }
 
 
+def _bootstrap_hill(norms: np.ndarray, k: int, rng: np.random.Generator,
+                    resamples: int) -> np.ndarray:
+    """Hill statistics of `resamples` n-out-of-n resamples of the norms.
+
+    Only the top k+1 order statistics of a resample enter the statistic, so
+    each resample is drawn through the sorted top M = min(n, 4(k+1)) norms:
+    C ~ Binomial(n, M/n) of the n draws land there, spread uniformly over
+    the M positions. When C >= k+1 the resample's top k+1 lie among them.
+    Otherwise the other n - C draws are taken from the norms below the top
+    M as well. Both cases give the full resample's law exactly.
+    """
+    n = norms.size
+    m = min(n, _TOP_FACTOR * (k + 1))
+    part = np.partition(norms, n - m)
+    below = part[:n - m]
+    desc = np.sort(part[n - m:])[::-1]
+    stats = np.empty(resamples)
+    for b in range(resamples):
+        hits = int(rng.binomial(n, m / n))
+        counts = np.bincount(rng.integers(0, m, hits), minlength=m)
+        if hits >= k + 1:
+            j = int(np.searchsorted(np.cumsum(counts), k + 1))
+            mean_log = _mean_log_spacing(desc[:j], desc[j], k, counts[:j])
+        else:
+            res = np.concatenate((np.repeat(desc, counts),
+                                  below[rng.integers(0, n - m, n - hits)]))
+            res = np.partition(res, n - k - 1)
+            mean_log = _mean_log_spacing(res[n - k:], res[n - k - 1], k)
+        stats[b] = np.inf if mean_log == 0.0 else 1.0 / mean_log
+    return stats
+
+
 def bootstrap_alpha_ci(norms: np.ndarray, k: int, seed: int,
                        resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
     """Percentile bootstrap interval for the Hill estimate, seeded."""
-    rng = substream(seed, BOOTSTRAP_STREAM)
-    n = norms.size
-    stats = np.empty(resamples)
-    for b in range(resamples):
-        res = norms[rng.integers(0, n, n)]
-        part = np.partition(res, n - k - 1)
-        mean_log = np.mean(np.log(part[n - k:] / part[n - k - 1]))
-        stats[b] = np.inf if mean_log == 0.0 else 1.0 / mean_log
+    stats = _bootstrap_hill(norms, k, substream(seed, BOOTSTRAP_STREAM), resamples)
     lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
 

@@ -90,6 +90,7 @@ class SpectralMeasure:
         self.density_spec = density_spec
         self.singular_points = tuple(singular_points)
         self._cdf_cache = None
+        self._normalized = None
         if kind in ("discrete", "empirical"):
             if self.dim == 2:
                 angles = wrap_angle(np.asarray(angles, dtype=float))
@@ -309,7 +310,12 @@ class SpectralMeasure:
             return self.angles[idx]
         if self.density_spec and self.density_spec.get("name") == "uniform":
             return TWO_PI * rng.random(n)
-        return self.normalized().quantile(rng.random(n))
+        # The normalized measure, and with it its CDF table, is built once.
+        # Sampling threads may race to build it; each builds the same table
+        # and the assignment is atomic, so every draw sees identical values.
+        if self._normalized is None:
+            self._normalized = self.normalized()
+        return self._normalized.quantile(rng.random(n))
 
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(d, n) i.i.d. directions from the normalized measure."""
@@ -633,8 +639,8 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
     The result is a finite measure whose total mass carries the tail
     constant; callers normalize explicitly when comparing shapes.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     if sigma.is_discrete:
         if sigma.dim == 2:
             mult = h.at_angles(sigma.angles) ** alpha
@@ -669,8 +675,8 @@ def expected_gain_reweight(sigma: SpectralMeasure, z: RandomGainProcess,
     The multiplier uses the moment of order alpha of the random gain; for a
     degenerate process this reduces to reweighting by h^alpha.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     if sigma.is_discrete:
         if sigma.dim != 2:
             raise DimensionMismatch("random-gain reweighting is planar only")

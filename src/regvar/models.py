@@ -57,6 +57,8 @@ class RegVarModel:
         raise NotImplementedError
 
     def sample(self, n: int, seed: int, workers: int = 1) -> SampleBatch:
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
         sizes = chunk_sizes(n)
         if not sizes:
             empty = np.empty((self.dim, 0))
@@ -235,8 +237,8 @@ class Example2Model(RegVarModel):
     """
 
     def __init__(self, alpha: float, nu: float, beta: float):
-        if alpha <= 0 or nu <= 0:
-            raise ValueError("alpha and nu must be positive")
+        if not (0.0 < alpha < np.inf and 0.0 < nu < np.inf):
+            raise ValueError("alpha and nu must be positive and finite")
         if not (1.0 / alpha < beta < (1.0 + nu) / alpha):
             raise InvalidConstruction(
                 "gain exponent must satisfy 1/alpha < beta < (1+nu)/alpha")
@@ -408,8 +410,8 @@ class Example3Model(RegVarModel):
     """
 
     def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         self.alpha = float(alpha)
         self.spectral = SpectralMeasure.discrete([0.0], [1.0])
 

@@ -32,8 +32,8 @@ class ParetoLaw(RadialLaw):
     """P{R > r} = min(1, r^-alpha); support [1, infinity)."""
 
     def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         self.alpha = float(alpha)
 
     def tail(self, r):
@@ -60,8 +60,8 @@ class AtomPlusParetoLaw(RadialLaw):
     """
 
     def __init__(self, alpha: float, tail_coef: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 < tail_coef <= 1.0:
             raise ValueError("tail coefficient must lie in (0, 1]")
         self.alpha = float(alpha)
@@ -101,8 +101,8 @@ class OscillatingTailLaw(RadialLaw):
     GRID = 10_000
 
     def __init__(self, alpha: float, amplitude: float, sign: int = +1):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 < amplitude < 1.0:
             raise ValueError("amplitude must lie in (0, 1)")
         if sign not in (-1, +1):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
+from regvar import estimation
 from regvar.batch import SampleBatch
 from regvar.errors import DegenerateTail, EmptyInput
 from regvar.estimation import (
+    _bootstrap_hill,
+    _top_indices,
     empirical_spectral,
     estimate,
     hill_estimator,
@@ -85,6 +89,14 @@ def test_empirical_spectral_nested_exceedances():
     assert big.n_atoms >= small.n_atoms
 
 
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=80), st.data())
+def test_top_indices_equal_stable_argsort_under_ties(values, data):
+    norms = np.asarray(values, dtype=float)
+    k = data.draw(st.integers(1, norms.size))
+    np.testing.assert_array_equal(_top_indices(norms, k),
+                                  np.argsort(-norms, kind="stable")[:k])
+
+
 def test_empirical_spectral_empty_and_bounds():
     empty = SampleBatch(np.empty((2, 0)), np.empty(0), np.empty((2, 0)))
     with pytest.raises(EmptyInput):
@@ -132,9 +144,68 @@ def test_hill_scale_invariance_general(c):
     assert a == pytest.approx(b, rel=1e-9)
 
 
+@given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=2,
+                max_size=300), st.data())
+def test_hill_equals_partition_formula(values, data):
+    # the formula hill_estimator used before it shared the bootstrap kernel
+    norms = np.asarray(values)
+    n = norms.size
+    k = data.draw(st.integers(1, n - 1))
+    part = np.partition(norms, n - k - 1)
+    mean_log = np.mean(np.log(part[n - k:] / part[n - k - 1]))
+    if mean_log == 0.0:
+        with pytest.raises(DegenerateTail):
+            hill_estimator(norms, k)
+    else:
+        assert hill_estimator(norms, k) == 1.0 / mean_log
+
+
 def test_hill_degenerate_ties():
     with pytest.raises(DegenerateTail):
         hill_estimator(np.ones(10), 4)
+
+
+# ----------------------------------------------------------------------
+# bootstrap
+
+
+def full_resample_hill(norms, k, rng, resamples):
+    """Oracle: Hill statistics of complete n-out-of-n resamples."""
+    n = norms.size
+    out = np.empty(resamples)
+    for b in range(resamples):
+        res = np.sort(norms[rng.integers(0, n, n)])[::-1]
+        mean_log = np.mean(np.log(res[:k] / res[k]))
+        out[b] = np.inf if mean_log == 0.0 else 1.0 / mean_log
+    return out
+
+
+def test_bootstrap_law_matches_full_resample():
+    norms = ParetoLaw(1.5).sample(np.random.default_rng(1), 500)
+    fast = _bootstrap_hill(norms, 20, np.random.default_rng(2), 2000)
+    oracle = full_resample_hill(norms, 20, np.random.default_rng(3), 2000)
+    assert stats.ks_2samp(fast, oracle).pvalue > 0.01
+
+
+def test_bootstrap_fallback_below_top_m(monkeypatch):
+    # with M = k+1 = 2 sorted norms, fewer than two of the 30 draws land in
+    # the top M for about 39% of the resamples, so the exact fallback that
+    # draws the rest below the top M carries a large share of the law
+    monkeypatch.setattr(estimation, "_TOP_FACTOR", 1)
+    n = 30
+    assert stats.binom.cdf(1, n, 2 / n) > 0.35
+    norms = ParetoLaw(1.0).sample(np.random.default_rng(4), n)
+    fast = _bootstrap_hill(norms, 1, np.random.default_rng(5), 4000)
+    oracle = full_resample_hill(norms, 1, np.random.default_rng(6), 4000)
+    assert stats.ks_2samp(fast, oracle).pvalue > 0.01
+
+
+def test_bootstrap_top_m_covers_whole_sample():
+    # n <= 4(k+1): the top M is the whole sample and every draw lands in it
+    norms = ParetoLaw(1.0).sample(np.random.default_rng(7), 40)
+    fast = _bootstrap_hill(norms, 12, np.random.default_rng(8), 2000)
+    oracle = full_resample_hill(norms, 12, np.random.default_rng(9), 2000)
+    assert stats.ks_2samp(fast, oracle).pvalue > 0.01
 
 
 # ----------------------------------------------------------------------

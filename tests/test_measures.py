@@ -36,6 +36,8 @@ from regvar.measures import (
     step_gain,
     step_map,
 )
+from regvar.models import polar_independent
+from regvar.radial import ParetoLaw
 from regvar.sphere import TWO_PI, ArcSet
 
 HALF_PI = np.pi / 2
@@ -282,6 +284,25 @@ def test_cdf_quantile_galois(m):
     for theta in np.linspace(0.0, TWO_PI - 1e-9, 57):
         assert m.quantile(min(m.cdf(theta), 1.0 - 1e-12)) <= theta or \
             m.cdf(theta) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_sample_angles_cached_table_matches_fresh_quantile(scale):
+    m = SpectralMeasure.cosine_bump(0.5).scaled(scale)
+    for seed in (1, 2):  # the second draw reads the cached table
+        drawn = m.sample_angles(np.random.default_rng(seed), 5000)
+        fresh = m.normalized().quantile(np.random.default_rng(seed).random(5000))
+        np.testing.assert_array_equal(drawn, fresh)
+
+
+def test_sample_angles_cache_built_in_worker_threads():
+    def model():
+        return polar_independent(SpectralMeasure.cosine_bump(0.5), 1.0,
+                                 ParetoLaw(1.0))
+
+    a = model().sample(300_000, 3, workers=1)
+    b = model().sample(300_000, 3, workers=2)
+    np.testing.assert_array_equal(a.points, b.points)
 
 
 # ----------------------------------------------------------------------

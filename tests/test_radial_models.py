@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regvar.errors import InvalidConstruction, MomentDivergence
-from regvar.measures import SpectralMeasure
+from regvar.measures import SpectralMeasure, constant_gain, reweight
 from regvar.models import (
     example1_model,
     example2_gain,
@@ -132,6 +134,21 @@ def test_normalizing_sequence():
     assert np.all(np.diff(bs) > 0)
 
 
+@given(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                 st.floats(max_value=0.0)))
+def test_non_positive_or_non_finite_parameters_raise(bad):
+    for build in (lambda: ParetoLaw(bad),
+                  lambda: AtomPlusParetoLaw(bad, 0.5),
+                  lambda: OscillatingTailLaw(bad, 0.5),
+                  lambda: example2_model(bad, 0.5, 1.2),
+                  lambda: example2_model(1.0, bad, 1.2),
+                  lambda: example3_model(bad),
+                  lambda: reweight(SpectralMeasure.uniform(),
+                                   constant_gain(1.0), bad)):
+        with pytest.raises(ValueError):
+            build()
+
+
 # ----------------------------------------------------------------------
 # sample determinism
 
@@ -149,6 +166,12 @@ def test_same_seed_same_batch_any_workers(maker):
     np.testing.assert_array_equal(a.points, b.points)
     c = m.sample(150_000, 4, workers=1)
     np.testing.assert_array_equal(a.points, c.points)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sample_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError):
+        uniform_pareto(1.0).sample(10, 0, workers=workers)
 
 
 # ----------------------------------------------------------------------

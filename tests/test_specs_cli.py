@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regvar
 from regvar.batch import SampleBatch
 from regvar.cli import cli_main, read_csv, write_csv
 from regvar.errors import HypothesisViolation, SpecError
@@ -188,6 +193,37 @@ def test_cli_verify_exit_codes(tmp_path):
     assert cli_main(["verify", "--scenario", "not_a_scenario"]) == 2
     assert cli_main(["sample", "--model", "{broken", "-n", "5",
                      "-o", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_worker(workers, capsys):
+    assert cli_main(["verify", "--scenario", "example2",
+                     "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
+    src = tmp_path / "nan.csv"
+    src.write_text("x1,x2\n1.0,2.0\nnan,1.5\n3.0,0.5\n4.0,1.0\n")
+    rep = tmp_path / "rep.json"
+    assert cli_main(["estimate", "--input", str(src), "--top", "1",
+                     "-o", str(rep)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_cli_runs_as_module(tmp_path):
+    env = dict(os.environ)
+    src_dir = str(Path(regvar.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "regvar.cli", "sample", "--model",
+         '{"kind": "example3", "alpha": 1.0}', "-n", "1000", "--seed", "1",
+         "-o", "x.csv"], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 1001
 
 
 def test_cli_scan_exact_and_empirical(tmp_path):

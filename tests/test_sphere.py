@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regvar.errors import DegeneratePoint, DimensionMismatch
+from regvar.batch import SampleBatch
+from regvar.errors import DegeneratePoint, DimensionMismatch, NonFiniteInput
 from regvar.sphere import (
     TWO_PI,
     ArcSet,
@@ -41,6 +42,13 @@ def test_polar_zero_vector_raises():
         polar(np.zeros(2))
     with pytest.raises(DegeneratePoint):
         polar_many(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_coordinates(bad):
+    pts = np.array([[1.0, 2.0, bad], [1.0, 0.5, 3.0]])
+    with pytest.raises(NonFiniteInput):
+        SampleBatch.from_points(pts)
 
 
 def test_polar_recompose_many_dims():
