@@ -2,14 +2,16 @@
 
 Exit codes: 0 success (all checks pass), 1 a scenario or estimation check
 failed, 2 usage or configuration error. Sample CSVs carry a x1,...,xd
-header and 17-significant-digit floats, which round-trip doubles exactly,
-so piping stages through files reproduces in-memory results bit for bit.
+header and 17-significant-digit floats (%.17g), which round-trip doubles
+exactly, so piping stages through files reproduces in-memory results bit
+for bit. Rows are written a block at a time and read back as a stream. A
+malformed CSV, or a report holding a NaN or infinite value, exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import sys
 
 import numpy as np
@@ -27,6 +29,7 @@ from .specs import (
     measure_from_spec,
     model_from_spec,
     random_gain_from_spec,
+    report_json,
 )
 from .sphere import ArcSet
 from .transforms import (
@@ -36,27 +39,48 @@ from .transforms import (
     spherical_map_apply,
 )
 
+# rows formatted per write: bounds the block's text (~2.6 MB at d = 2)
+_CSV_BLOCK_ROWS = 65_536
+
 
 def write_csv(path: str, batch: SampleBatch) -> None:
+    """Write a x1,...,xd header and one %.17g row per point.
+
+    Rows are formatted a block at a time by one %-operation, which emits the
+    same bytes as formatting each value with f"{v:.17g}".
+    """
     d = batch.dim
+    row = ",".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for row in batch.points.T:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, batch.size, _CSV_BLOCK_ROWS):
+            block = batch.points[:, start:start + _CSV_BLOCK_ROWS].T
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path: str) -> SampleBatch:
+    """Parse a CSV written by write_csv; rows stream from the file to numpy.
+
+    A header-only or blank body gives an empty batch. Ragged rows, cells
+    that are not numbers and rows that do not match the header raise
+    RegvarError.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         cols = header.split(",") if header else []
         if not cols or not all(c.startswith("x") for c in cols):
             raise RegvarError(f"{path}: expected a x1,...,xd header")
         d = len(cols)
-        body = fh.read()
-    if body.strip():
-        data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
-    else:
-        data = np.empty((0, d))
+        for first in fh:
+            if first.strip():
+                break
+        else:
+            return SampleBatch.from_points(np.empty((d, 0)))
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                              ndmin=2)
+        except ValueError as e:
+            raise RegvarError(f"{path}: {e}") from e
     if data.shape[1] != d:
         raise RegvarError(f"{path}: rows do not match the header")
     return SampleBatch.from_points(data.T)
@@ -105,9 +129,9 @@ def _cmd_estimate(args) -> int:
     if args.target is not None:
         target = measure_from_spec(load_spec(args.target))
     report = estimate(batch, k, target=target, seed=args.seed)
+    text = report_json(report.to_dict())
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     print(f"alpha_hat={report.alpha_hat:.6g} "
           f"ci=[{report.alpha_ci[0]:.6g}, {report.alpha_ci[1]:.6g}] "
           f"k={report.k_used} -> {args.output}")

@@ -220,8 +220,14 @@ def bootstrap_alpha_ci(norms: np.ndarray, k: int, seed: int,
                        resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
     """Percentile bootstrap interval for the Hill estimate, seeded."""
     stats = _bootstrap_hill(norms, k, substream(seed, BOOTSTRAP_STREAM), resamples)
-    lo, hi = np.percentile(stats, [2.5, 97.5])
-    return float(lo), float(hi)
+    # Degenerate resamples have infinite statistics. Interpolating toward one
+    # computes inf - inf inside np.percentile; such an end is infinite. A
+    # NaN statistic, by contrast, is left to make both ends NaN.
+    with np.errstate(invalid="ignore"):
+        ends = np.percentile(stats, [2.5, 97.5])
+    if not np.isnan(stats).any():
+        ends[np.isnan(ends)] = np.inf
+    return float(ends[0]), float(ends[1])
 
 
 def estimate(batch: SampleBatch, k_top: int,

@@ -11,7 +11,6 @@ no empirical goldens are stored. A report is fully determined by
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from .specs import (
     map_from_spec,
     model_from_spec,
     random_gain_from_spec,
+    report_json,
 )
 from .transforms import (
     LimitMeasure,
@@ -141,7 +141,7 @@ class Report:
         return out
 
     def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_dict(include_runtime), indent=2) + "\n"
+        return report_json(self.to_dict(include_runtime))
 
 
 def _k_top(n: int, frac: float) -> int:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import RegvarError, SpecError
 from .measures import (
     RadialGain,
     RandomGainProcess,
@@ -231,3 +231,15 @@ def load_spec(text_or_path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise SpecError(f"cannot load spec from {text_or_path!r}: {e}") from e
+
+
+def report_json(data: dict) -> str:
+    """Indented JSON text of a report, newline-terminated.
+
+    A NaN or infinite number raises RegvarError: JSON has no such numbers,
+    and a report must not carry them as NaN or Infinity.
+    """
+    try:
+        return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise RegvarError(f"report holds a NaN or infinite value ({e})") from e

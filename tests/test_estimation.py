@@ -12,6 +12,7 @@ from regvar.errors import DegenerateTail, EmptyInput
 from regvar.estimation import (
     _bootstrap_hill,
     _top_indices,
+    bootstrap_alpha_ci,
     empirical_spectral,
     estimate,
     hill_estimator,
@@ -21,6 +22,7 @@ from regvar.estimation import (
 from regvar.measures import SpectralMeasure
 from regvar.models import example2_gain, example2_model, polar_independent
 from regvar.radial import ParetoLaw
+from regvar.rng import BOOTSTRAP_STREAM, substream
 from regvar.sphere import TWO_PI, ArcSet
 from regvar.transforms import TransformedModel
 
@@ -206,6 +208,21 @@ def test_bootstrap_top_m_covers_whole_sample():
     fast = _bootstrap_hill(norms, 12, np.random.default_rng(8), 2000)
     oracle = full_resample_hill(norms, 12, np.random.default_rng(9), 2000)
     assert stats.ks_2samp(fast, oracle).pvalue > 0.01
+
+
+def test_bootstrap_ci_is_the_percentile_interval():
+    norms = ParetoLaw(1.5).sample(np.random.default_rng(10), 2000)
+    stats_ = _bootstrap_hill(norms, 50, substream(3, BOOTSTRAP_STREAM), 200)
+    expected = np.percentile(stats_, [2.5, 97.5])
+    assert bootstrap_alpha_ci(norms, 50, 3) == (expected[0], expected[1])
+
+
+def test_bootstrap_ci_infinite_ends():
+    # every resample of equal norms is degenerate; with one larger norm and
+    # k = 1 a resample is finite only when it holds that norm exactly once
+    assert bootstrap_alpha_ci(np.ones(10), 1, 0) == (np.inf, np.inf)
+    lo, hi = bootstrap_alpha_ci(np.array([1.0] * 9 + [2.0]), 1, 0)
+    assert lo == 1.0 / np.log(2.0) and hi == np.inf
 
 
 # ----------------------------------------------------------------------

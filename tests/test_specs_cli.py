@@ -2,18 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import regvar
 from regvar.batch import SampleBatch
-from regvar.cli import cli_main, read_csv, write_csv
-from regvar.errors import HypothesisViolation, SpecError
+from regvar.cli import _CSV_BLOCK_ROWS, cli_main, read_csv, write_csv
+from regvar.errors import HypothesisViolation, RegvarError, SpecError
 from regvar.estimation import estimate
 from regvar.measures import SpectralMeasure
-from regvar.scenarios import Scenario, run_scenario
+from regvar.scenarios import Check, Report, Scenario, run_scenario
 from regvar.specs import (
     gain_from_spec,
     load_spec,
@@ -133,6 +136,93 @@ def test_csv_empty_batch(tmp_path):
     assert again.size == 0 and again.dim == 2
 
 
+MAX = np.finfo(float).max
+TINY = np.finfo(float).smallest_subnormal
+
+
+def reference_csv(points: np.ndarray) -> str:
+    """The per-value f-string formatting write_csv must reproduce byte for byte."""
+    lines = [",".join(f"x{i + 1}" for i in range(points.shape[0]))]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in points.T]
+    return "\n".join(lines) + "\n"
+
+
+def raw_batch(rows) -> SampleBatch:
+    """Batch holding exactly these coordinates; write_csv reads points only."""
+    points = np.array(rows, dtype=float).T
+    return SampleBatch(points, np.zeros(points.shape[1]), points)
+
+
+def rows_of(first, rest):
+    """1 to 40 rows of dimension 1 to 3."""
+    return st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(first, *[rest] * (d - 1)), min_size=1, max_size=40))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@example([(0.0, -0.0), (TINY, -TINY), (MAX, -MAX), (-MAX, 1e-310)])
+@given(rows_of(finite, finite))
+def test_write_csv_matches_reference_formatter(tmp_path_factory, rows):
+    batch = raw_batch(rows)
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    write_csv(str(path), batch)
+    assert path.read_text(encoding="utf-8") == reference_csv(batch.points)
+
+
+# a lead coordinate bounded away from 0 keeps every row nonzero, and magnitudes
+# up to 1e150 keep the squares in SampleBatch.from_points finite
+lead = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
+coordinate = st.floats(-1e150, 1e150)
+
+
+@example([(1.0, -0.0, TINY), (-1e-150, 1e150, -TINY)])
+@given(rows_of(lead, coordinate))
+def test_csv_roundtrip_property(tmp_path_factory, rows):
+    batch = raw_batch(rows)
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    write_csv(str(path), batch)
+    assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_block_boundary(tmp_path, offset):
+    n = _CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(offset + 1)
+    batch = SampleBatch.from_points(rng.standard_cauchy((2, n)))
+    path = tmp_path / "pts.csv"
+    write_csv(str(path), batch)
+    got = path.read_text(encoding="utf-8").splitlines()
+    want = reference_csv(batch.points).splitlines()
+    # a plain == on 65k-line texts makes pytest diff them for minutes
+    diff = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]
+    assert len(got) == len(want) and not diff, f"lines {diff[:3]} differ"
+    assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\n  \n\t\n"])
+def test_read_csv_blank_body_is_empty(tmp_path, body):
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,x2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = read_csv(str(path))
+    assert batch.points.shape == (2, 0)
+
+
+@pytest.mark.parametrize("body", ["1.0,2.0\n3.0,4.0,5.0\n", "1.0,abc\n"],
+                         ids=["ragged", "non-numeric"])
+def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2\n" + body)
+    with pytest.raises(RegvarError, match="bad.csv"):
+        read_csv(str(path))
+    assert cli_main(["estimate", "--input", str(path), "--top", "1",
+                     "-o", str(tmp_path / "rep.json")]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # CLI behavior
 
@@ -210,6 +300,36 @@ def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
                      "-o", str(rep)]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not rep.exists()
+
+
+def test_cli_estimate_rejects_non_finite_report(tmp_path, capsys):
+    # nine equal norms and one larger: with k = 1 most bootstrap resamples
+    # have equal top two norms, so the upper interval end is infinite
+    src = tmp_path / "ties.csv"
+    src.write_text("x1,x2\n" + "1.0,0.0\n" * 9 + "2.0,0.0\n")
+    rep = tmp_path / "rep.json"
+    assert cli_main(["estimate", "--input", str(src), "--top", "1",
+                     "-o", str(rep)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_scenario_report_rejects_non_finite_value():
+    report = Report("theorem1", {}, [Check("hill_alpha", float("nan"), None, "info")])
+    with pytest.raises(RegvarError, match="NaN or infinite"):
+        report.to_json()
+
+
+@pytest.mark.parametrize(
+    "name", ["theorem1", "corollary1", "theorem2", "theorem3", "corollary2"])
+def test_verify_tiny_n_runs_without_warnings(tmp_path, name):
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["verify", "--scenario", name, "--n", "10",
+                         "-o", str(rep)])
+    assert code in (0, 1)
+    assert json.loads(rep.read_text())["scenario"] == name
 
 
 def test_cli_runs_as_module(tmp_path):
