@@ -82,7 +82,6 @@ from .sphere import (
     ArcSet,
     CapSet,
     angle_of,
-    arc_contains,
     direction_of,
     polar,
     unit_vector,

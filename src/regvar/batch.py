@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePoint, NonFiniteInput
-from .sphere import angles_of
+from .errors import DegeneratePoint
+from .sphere import angles_of, norms_of
 
 
 class SampleBatch:
@@ -36,14 +36,11 @@ class SampleBatch:
                     zero_count: int = 0) -> "SampleBatch":
         """Build a batch from raw coordinates, recomputing the polar cache."""
         points = np.ascontiguousarray(points, dtype=float)
-        if not np.all(np.isfinite(points)):
-            raise NonFiniteInput("batch contains a NaN or infinite coordinate")
-        norms = np.sqrt(np.sum(points * points, axis=0))
+        norms = norms_of(points)
         if np.any(norms == 0.0):
             raise DegeneratePoint("batch contains the zero vector")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dirs = points / norms
-        return cls(points, norms, dirs, seed=seed, zero_count=zero_count)
+        return cls(points, norms, points / norms, seed=seed,
+                   zero_count=zero_count)
 
     @classmethod
     def from_polar(cls, norms: np.ndarray, dirs: np.ndarray,

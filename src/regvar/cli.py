@@ -58,12 +58,37 @@ def write_csv(path: str, batch: SampleBatch) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _bad_line(path: str, d: int, cause: str) -> RegvarError:
+    """Error naming the first file line that is not d numbers.
+
+    Read again only after numpy rejected the file; blank and comment lines
+    are skipped as np.loadtxt skips them. cause is numpy's own message, kept
+    for input that numpy rejects but this scan accepts.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0]
+            if lineno == 1 or not text.strip():
+                continue
+            cells = text.split(",")
+            if len(cells) != d:
+                return RegvarError(f"{path}, line {lineno}: expected {d} "
+                                   f"values, found {len(cells)}")
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError:
+                    return RegvarError(f"{path}, line {lineno}: "
+                                       f"{cell.strip()!r} is not a number")
+    return RegvarError(f"{path}: {cause}")
+
+
 def read_csv(path: str) -> SampleBatch:
     """Parse a CSV written by write_csv; rows stream from the file to numpy.
 
     A header-only or blank body gives an empty batch. Ragged rows, cells
     that are not numbers and rows that do not match the header raise
-    RegvarError.
+    RegvarError naming the file line.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -80,9 +105,9 @@ def read_csv(path: str) -> SampleBatch:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
                               ndmin=2)
         except ValueError as e:
-            raise RegvarError(f"{path}: {e}") from e
+            raise _bad_line(path, d, str(e)) from e
     if data.shape[1] != d:
-        raise RegvarError(f"{path}: rows do not match the header")
+        raise _bad_line(path, d, "rows do not match the header")
     return SampleBatch.from_points(data.T)
 
 

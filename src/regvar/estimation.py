@@ -20,7 +20,7 @@ BOOTSTRAP_RESAMPLES = 200
 _TOP_FACTOR = 4  # the bootstrap's top M is _TOP_FACTOR * (k+1) norms
 
 
-def _top_indices(norms: np.ndarray, k: int) -> np.ndarray:
+def top_indices(norms: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest norms, largest first; ties are resolved by
     original sample order, exactly as argsort(-norms, kind="stable")[:k].
 
@@ -41,7 +41,7 @@ def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
         raise EmptyInput("cannot estimate a spectral measure from no points")
     if not 1 <= k_top <= batch.size:
         raise ValueError("k_top must lie in [1, batch size]")
-    top = _top_indices(batch.norms, k_top)
+    top = top_indices(batch.norms, k_top)
     w = np.full(k_top, 1.0 / k_top)
     if batch.dim == 2:
         return SpectralMeasure.empirical(batch.angles()[top], w, total_mass=1.0)

@@ -48,6 +48,12 @@ def _quad_arc(fn, a: float, b: float, singular_points=()) -> float:
     return float(res[0])
 
 
+def arc_integral(fn, arcs, singular_points) -> float:
+    """Integral of fn over a union of arcs [(a, b), ...], each arc split at
+    the singular points inside it."""
+    return float(sum(_quad_arc(fn, a, b, singular_points) for a, b in arcs))
+
+
 def _merge_sorted_atoms(angles: np.ndarray, weights: np.ndarray, tol: float):
     """Merge atoms whose angles agree within tol; input need not be sorted.
 
@@ -222,8 +228,7 @@ class SpectralMeasure:
                 raise DimensionMismatch("arc evaluation needs d = 2")
             if self.is_discrete:
                 return float(np.sum(self.weights[sets.contains(self.angles)]))
-            return float(sum(_quad_arc(self.density_fn, a, b, self.singular_points)
-                             for a, b in sets.arcs))
+            return arc_integral(self.density_fn, sets.arcs, self.singular_points)
         if isinstance(sets, CapSet):
             if not self.is_discrete:
                 raise UnsupportedPair("cap evaluation needs a discrete measure")

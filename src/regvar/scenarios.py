@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolation, UnboundedGain
-from .estimation import empirical_spectral, estimate, qn_measure, tail_scan
+from .estimation import (
+    empirical_spectral,
+    estimate,
+    qn_measure,
+    tail_scan,
+    top_indices,
+)
 from .measures import (
+    RandomGainProcess,
     SpectralMeasure,
     SphereMap,
     distance_ks,
@@ -27,7 +34,6 @@ from .measures import (
     moment_condition,
     normalize,
     pushforward,
-    quantile_transform_map,
     reweight,
 )
 from .models import (
@@ -36,15 +42,14 @@ from .models import (
     example2_model,
     example2_moment,
     example3_model,
-    polar_independent,
 )
-from .radial import ParetoLaw
 from .rng import GAIN_STREAM, MOMENT_STREAM, substream
 from .sphere import TWO_PI, ArcSet
 from .specs import (
     gain_from_spec,
     is_random_gain_spec,
     map_from_spec,
+    measure_from_spec,
     model_from_spec,
     random_gain_from_spec,
     report_json,
@@ -148,8 +153,21 @@ def _k_top(n: int, frac: float) -> int:
     return max(1, int(round(frac * n)))
 
 
-def _uniform_pareto_model(alpha: float):
-    return polar_independent(SpectralMeasure.uniform(), alpha, ParetoLaw(alpha))
+def _uniform_pareto_spec(alpha: float) -> dict:
+    """Uniform directions with an independent Pareto(alpha) norm."""
+    return {"kind": "polar_independent", "alpha": alpha,
+            "sigma": {"kind": "density", "dim": 2,
+                      "density": {"name": "uniform"}},
+            "radial": {"kind": "pareto", "alpha": alpha}}
+
+
+def _estimate_transformed(s: Scenario, model, transform,
+                          target: SpectralMeasure):
+    """Sample, transform and estimate at the scenario's top fraction,
+    canonicalizing at each stage boundary as a file pipeline does."""
+    batch = model.sample(s.n, s.seed, s.workers).canonical()
+    return estimate(transform(batch).canonical(), _k_top(s.n, s.top_frac),
+                    target=target)
 
 
 def _mass_near(m: SpectralMeasure, theta: float, tol: float = 1e-6) -> float:
@@ -171,25 +189,21 @@ def run_scenario(s: Scenario) -> Report:
 
 
 def _run_theorem1(s: Scenario) -> Report:
-    model_spec = s.model_spec or {
-        "kind": "polar_independent", "alpha": 1.0,
-        "sigma": {"kind": "density", "dim": 2, "density": {"name": "uniform"}},
-        "radial": {"kind": "pareto", "alpha": 1.0}}
+    model_spec = s.model_spec or _uniform_pareto_spec(1.0)
     map_spec = s.map_spec or {"kind": "quadrant_snap"}
     model = model_from_spec(model_spec)
     fmap = map_from_spec(map_spec)
-    target = normalize(pushforward(model.sigma, fmap))
+    image = pushforward(model.sigma, fmap)
+    tol = {"spectral_tv": 0.05}
     config = {"model": model_spec, "map": map_spec, "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac, "tolerances": {"spectral_tv": 0.05}}
+              "top_frac": s.top_frac, "tolerances": tol}
 
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    moved = spherical_map_apply(batch, fmap).canonical()
-    k = _k_top(s.n, s.top_frac)
-    est = estimate(moved, k, target=target)
+    est = _estimate_transformed(
+        s, model, lambda b: spherical_map_apply(b, fmap), normalize(image))
 
-    mass_dev = abs(pushforward(model.sigma, fmap).total_mass - model.sigma.total_mass)
+    mass_dev = abs(image.total_mass - model.sigma.total_mass)
     checks = [
-        Check("spectral_tv", est.distances["tv"], 0.05),
+        Check("spectral_tv", est.distances["tv"], tol["spectral_tv"]),
         Check("pushforward_mass_conservation", mass_dev, 1e-12),
         Check("hill_alpha", est.alpha_hat, None, "info"),
     ]
@@ -198,36 +212,28 @@ def _run_theorem1(s: Scenario) -> Report:
 
 def _run_corollary1(s: Scenario) -> Report:
     half_pi = np.pi / 2.0
-    target = SpectralMeasure.discrete([half_pi, 3 * half_pi], [0.3, 0.7])
-    model = _uniform_pareto_model(1.0)
-    qmap = quantile_transform_map(target)
-    config = {"model": {"kind": "polar_independent", "alpha": 1.0,
-                        "sigma": {"kind": "density", "dim": 2,
-                                  "density": {"name": "uniform"}},
-                        "radial": {"kind": "pareto", "alpha": 1.0}},
-              "map": {"kind": "quantile_transform",
-                      "target": {"kind": "discrete", "dim": 2,
-                                 "atoms": [{"angle": half_pi, "weight": 0.3},
-                                           {"angle": 3 * half_pi, "weight": 0.7}]}},
-              "n": s.n, "seed": s.seed, "top_frac": s.top_frac,
-              "tolerances": {"exact_pushforward_ks": 1e-9, "weight_error": 0.03}}
+    model_spec = _uniform_pareto_spec(1.0)
+    target_spec = {"kind": "discrete", "dim": 2,
+                   "atoms": [{"angle": half_pi, "weight": 0.3},
+                             {"angle": 3 * half_pi, "weight": 0.7}]}
+    map_spec = {"kind": "quantile_transform", "target": target_spec}
+    model = model_from_spec(model_spec)
+    target = measure_from_spec(target_spec)
+    qmap = map_from_spec(map_spec)
+    tol = {"exact_pushforward_ks": 1e-9, "weight_error": 0.03}
+    config = {"model": model_spec, "map": map_spec, "n": s.n, "seed": s.seed,
+              "top_frac": s.top_frac, "tolerances": tol}
 
-    exact_image = pushforward(model.sigma, qmap)
-    exact_ks = distance_ks(exact_image, target)
+    exact_ks = distance_ks(pushforward(model.sigma, qmap), target)
+    est = _estimate_transformed(
+        s, model, lambda b: spherical_map_apply(b, qmap), target)
 
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    moved = spherical_map_apply(batch, qmap).canonical()
-    k = _k_top(s.n, s.top_frac)
-    est = estimate(moved, k, target=target)
-    w_first = _mass_near(est.spectral_hat, half_pi)
-    w_second = _mass_near(est.spectral_hat, 3 * half_pi)
-
-    checks = [
-        Check("exact_pushforward_ks", exact_ks, 1e-9),
-        Check("weight_error_first_atom", abs(w_first - 0.3), 0.03),
-        Check("weight_error_second_atom", abs(w_second - 0.7), 0.03),
-        Check("spectral_tv", est.distances["tv"], None, "info"),
-    ]
+    checks = [Check("exact_pushforward_ks", exact_ks, tol["exact_pushforward_ks"])]
+    for which, atom in zip(("first", "second"), target_spec["atoms"]):
+        weight = _mass_near(est.spectral_hat, atom["angle"])
+        checks.append(Check(f"weight_error_{which}_atom",
+                            abs(weight - atom["weight"]), tol["weight_error"]))
+    checks.append(Check("spectral_tv", est.distances["tv"], None, "info"))
     return Report("corollary1", config, checks)
 
 
@@ -253,20 +259,15 @@ def _run_theorem2(s: Scenario) -> Report:
         raise HypothesisViolation(
             "this scenario checks its analytic identity for cosine gains only")
     alpha = 2.0
-    model = _uniform_pareto_model(alpha)
-    config = {"model": {"kind": "polar_independent", "alpha": alpha,
-                        "sigma": {"kind": "density", "dim": 2,
-                                  "density": {"name": "uniform"}},
-                        "radial": {"kind": "pareto", "alpha": alpha}},
-              "gain": gain_spec, "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac,
-              "tolerances": {"exceedance_ks": 0.05, "eval_identity": 1e-12}}
+    model_spec = _uniform_pareto_spec(alpha)
+    model = model_from_spec(model_spec)
+    tol = {"exceedance_ks": 0.05, "eval_identity": 1e-12}
+    config = {"model": model_spec, "gain": gain_spec, "n": s.n,
+              "seed": s.seed, "top_frac": s.top_frac, "tolerances": tol}
 
     target = normalize(reweight(model.sigma, gain, alpha))
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    scaled = radial_scale_apply(batch, gain).canonical()
-    k = _k_top(s.n, s.top_frac)
-    est = estimate(scaled, k, target=target)
+    est = _estimate_transformed(
+        s, model, lambda b: radial_scale_apply(b, gain), target)
 
     # analytic identity: the reweighted limit measure evaluates rectangles
     # as (closed-form arc mass) * r^-alpha
@@ -285,8 +286,8 @@ def _run_theorem2(s: Scenario) -> Report:
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
 
     checks = [
-        Check("exceedance_ks", est.distances["ks"], 0.05),
-        Check("eval_identity_rel_err", worst, 1e-12),
+        Check("exceedance_ks", est.distances["ks"], tol["exceedance_ks"]),
+        Check("eval_identity_rel_err", worst, tol["eval_identity"]),
         Check("alpha_preserved", abs(limit.alpha - alpha), 0.0),
         Check("hill_alpha", est.alpha_hat, None, "info"),
     ]
@@ -294,10 +295,7 @@ def _run_theorem2(s: Scenario) -> Report:
 
 
 def _run_theorem3(s: Scenario) -> Report:
-    model_spec = s.model_spec or {
-        "kind": "polar_independent", "alpha": 1.0,
-        "sigma": {"kind": "density", "dim": 2, "density": {"name": "uniform"}},
-        "radial": {"kind": "pareto", "alpha": 1.0}}
+    model_spec = s.model_spec or _uniform_pareto_spec(1.0)
     if model_spec.get("kind") != "polar_independent":
         raise HypothesisViolation(
             "the moment-condition route needs independent polar parts")
@@ -309,9 +307,10 @@ def _run_theorem3(s: Scenario) -> Report:
     model = model_from_spec(model_spec)
     gain = gain_from_spec(gain_spec)
     alpha, eps = model.alpha, 0.5
+    tol = {"moment_abs_err": 1e-6, "exceedance_ks": 0.06}
     config = {"model": model_spec, "gain": gain_spec, "epsilon": eps,
               "n": s.n, "seed": s.seed, "top_frac": s.top_frac,
-              "tolerances": {"moment_abs_err": 1e-6, "exceedance_ks": 0.06}}
+              "tolerances": tol}
 
     moment = moment_condition(model.sigma, gain, alpha, eps)
     # hand value of the cusp integral against the uniform measure
@@ -325,13 +324,12 @@ def _run_theorem3(s: Scenario) -> Report:
         refused = 1.0
 
     target = normalize(reweight(model.sigma, gain, alpha))
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    scaled = radial_scale_apply(batch, gain).canonical()
-    est = estimate(scaled, _k_top(s.n, s.top_frac), target=target)
+    est = _estimate_transformed(
+        s, model, lambda b: radial_scale_apply(b, gain), target)
 
     checks = [
-        Check("moment_abs_err", abs(moment - closed), 1e-6),
-        Check("exceedance_ks", est.distances["ks"], 0.06),
+        Check("moment_abs_err", abs(moment - closed), tol["moment_abs_err"]),
+        Check("exceedance_ks", est.distances["ks"], tol["exceedance_ks"]),
         Check("unbounded_gain_refused_without_certificate", refused, 1.0, "ge"),
         Check("moment_value", moment, None, "info"),
     ]
@@ -344,35 +342,32 @@ def _run_corollary2(s: Scenario) -> Report:
         raise HypothesisViolation("the randomized scenario needs a random gain")
     process = random_gain_from_spec(gain_spec)
     alpha = 1.0
-    model = _uniform_pareto_model(alpha)
-    config = {"model": {"kind": "polar_independent", "alpha": alpha,
-                        "sigma": {"kind": "density", "dim": 2,
-                                  "density": {"name": "uniform"}},
-                        "radial": {"kind": "pareto", "alpha": alpha}},
-              "gain": gain_spec, "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac, "mc_budget": process.mc_budget,
-              "tolerances": {"exceedance_ks": 0.06, "moment_rel_err": 0.01,
-                             "moment_reading_alpha2": 0.3}}
+    model_spec = _uniform_pareto_spec(alpha)
+    model = model_from_spec(model_spec)
+    tol = {"exceedance_ks": 0.06, "moment_rel_err": 0.01,
+           "moment_reading_alpha2": 0.3}
+    config = {"model": model_spec, "gain": gain_spec, "n": s.n,
+              "seed": s.seed, "top_frac": s.top_frac,
+              "mc_budget": process.mc_budget, "tolerances": tol}
 
     target = normalize(expected_gain_reweight(model.sigma, process, alpha))
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    scaled = randomized_scale_apply(batch, process,
-                                    substream(s.seed, GAIN_STREAM)).canonical()
-    est = estimate(scaled, _k_top(s.n, s.top_frac), target=target)
+    est = _estimate_transformed(
+        s, model, lambda b: randomized_scale_apply(
+            b, process, substream(s.seed, GAIN_STREAM)), target)
 
-    # analytic moments against seeded Monte Carlo moments at 16 probes
+    # analytic moments against seeded Monte Carlo moments at 16 probes: the
+    # same sampler with its analytic moment withheld
     probes = (np.arange(16) + 0.5) * TWO_PI / 16.0
     analytic = process.moment(probes, alpha)
-    mc_process = exponential_gain_process(
-        lambda t: 1.0 + gain_spec.get("amplitude", 0.0) * np.cos(t),
-        moment_known=False, mc_budget=process.mc_budget)
+    mc_process = RandomGainProcess(process.sample_fn,
+                                   mc_budget=process.mc_budget)
     mc = mc_process.moment(probes, alpha, substream(s.seed, MOMENT_STREAM))
     moment_err = float(np.max(np.abs(mc - analytic) / analytic))
 
     # the multiplier is the moment of order alpha, not the alpha-th power
     # of the mean: with an exponential gain and alpha = 2 the normalized
     # exceedance count concentrates at E[Z^2] = 2, not (E Z)^2 = 1
-    model2 = _uniform_pareto_model(2.0)
+    model2 = model_from_spec(_uniform_pareto_spec(2.0))
     unit_exp = exponential_gain_process(lambda t: np.ones_like(t))
     batch2 = model2.sample(s.n, s.seed + 1, s.workers)
     scaled2 = randomized_scale_apply(batch2, unit_exp,
@@ -381,9 +376,10 @@ def _run_corollary2(s: Scenario) -> Report:
     reading = qn_measure(scaled2, 2.0, r_small, ArcSet.full_circle()) * r_small ** 2
 
     checks = [
-        Check("exceedance_ks", est.distances["ks"], 0.06),
-        Check("moment_rel_err", moment_err, 0.01),
-        Check("moment_reading_alpha2", abs(reading - 2.0), 0.3),
+        Check("exceedance_ks", est.distances["ks"], tol["exceedance_ks"]),
+        Check("moment_rel_err", moment_err, tol["moment_rel_err"]),
+        Check("moment_reading_alpha2", abs(reading - 2.0),
+              tol["moment_reading_alpha2"]),
         Check("moment_reading_value", reading, None, "info"),
     ]
     return Report("corollary2", config, checks)
@@ -397,12 +393,11 @@ def _run_example1(s: Scenario) -> Report:
     alpha, amplitude = 1.0, 0.5
     model = example1_model(alpha, amplitude)
     r_grid = np.exp(TWO_PI * np.arange(17) / 16.0)
+    tol = {"side_oscillation_range": 0.9, "mixture_constant_dev": 1e-12}
     config = {"model": {"kind": "example1", "alpha": alpha,
                         "amplitude": amplitude},
               "r_grid": [float(r) for r in r_grid], "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac,
-              "tolerances": {"side_oscillation_range": 0.9,
-                             "mixture_constant_dev": 1e-12}}
+              "top_frac": s.top_frac, "tolerances": tol}
 
     side_vals = r_grid ** alpha * model.side_law(+1).tail(r_grid)
     osc_range = float(np.max(side_vals) - np.min(side_vals))
@@ -423,8 +418,9 @@ def _run_example1(s: Scenario) -> Report:
     near_zero = hat.mass_on(ArcSet([(0.0, 0.1), (TWO_PI - 0.1, TWO_PI)]))
 
     checks = [
-        Check("side_oscillation_range", osc_range, 0.9, "ge"),
-        Check("mixture_constant_dev", mix_dev, 1e-12),
+        Check("side_oscillation_range", osc_range,
+              tol["side_oscillation_range"], "ge"),
+        Check("mixture_constant_dev", mix_dev, tol["mixture_constant_dev"]),
         Check("sign_map_fixes_sigma_ks", fixed, 1e-12),
         Check("sigma_recovery_mass_miss", 1.0 - near_zero, 0.01),
     ]
@@ -437,13 +433,12 @@ def _run_example2(s: Scenario) -> Report:
     gain = example2_gain(beta)
     transformed = TransformedModel(model, gain)
     r_probe = np.array([1e2, 1e3, 1e4])
+    tol = {"untransformed_constant_dev": 1e-9, "bound_margin": 0.0}
     config = {"model": {"kind": "example2", "alpha": alpha, "nu": nu,
                         "beta": beta},
               "gain": {"kind": "example2_gain", "beta": beta},
               "delta": delta, "r_probe": [float(r) for r in r_probe],
-              "n": s.n, "seed": s.seed,
-              "tolerances": {"untransformed_constant_dev": 1e-9,
-                             "bound_margin": 0.0}}
+              "n": s.n, "seed": s.seed, "tolerances": tol}
 
     full = ArcSet.full_circle()
     scan_t = tail_scan(transformed, alpha, [full], r_probe)
@@ -463,8 +458,10 @@ def _run_example2(s: Scenario) -> Report:
 
     checks = [
         Check("transformed_scan_min_increase", increase, 0.0, "ge"),
-        Check("transformed_scan_bound_margin", margin, 0.0, "ge"),
-        Check("untransformed_constant_dev", const_dev, 1e-9),
+        Check("transformed_scan_bound_margin", margin, tol["bound_margin"],
+              "ge"),
+        Check("untransformed_constant_dev", const_dev,
+              tol["untransformed_constant_dev"]),
         Check("moment_with_small_delta", moment, None, "finite"),
         Check("empirical_transformed_at_r100", emp, None, "info"),
     ]
@@ -481,16 +478,14 @@ def _run_example3(s: Scenario) -> Report:
     # far-out graph points onto the axis; a 10% exceedance window keeps the
     # threshold at 10, where the collapsed region holds under 1% of the mass
     surviving_frac = 0.10
+    tol = {"surviving_fraction_err": 0.03, "exact_tail_identity": 1e-12}
     config = {"model": {"kind": "example3", "alpha": alpha}, "gain": gain_spec,
               "n": s.n, "seed": s.seed, "top_frac": s.top_frac,
-              "surviving_top_frac": surviving_frac,
-              "tolerances": {"surviving_fraction_err": 0.03,
-                             "exact_tail_identity": 1e-12}}
+              "surviving_top_frac": surviving_frac, "tolerances": tol}
 
     batch = model.sample(s.n, s.seed, s.workers)
-    k = _k_top(s.n, surviving_frac)
-    order = np.argsort(-batch.norms, kind="stable")[:k]
-    top_gain = gain.at_angles(batch.angles()[order])
+    top = top_indices(batch.norms, _k_top(s.n, surviving_frac))
+    top_gain = gain.at_angles(batch.angles()[top])
     surviving = float(np.mean(top_gain > 0.0))
 
     scaled = radial_scale_apply(batch, gain)
@@ -506,8 +501,10 @@ def _run_example3(s: Scenario) -> Report:
     contrast = abs(limit_density_at_atom - gain_at_atom)
 
     checks = [
-        Check("surviving_fraction_err", abs(surviving - 0.5), 0.03),
-        Check("exact_tail_identity_dev", abs(identity - 1.0), 1e-12),
+        Check("surviving_fraction_err", abs(surviving - 0.5),
+              tol["surviving_fraction_err"]),
+        Check("exact_tail_identity_dev", abs(identity - 1.0),
+              tol["exact_tail_identity"]),
         Check("gain_vs_limit_density_contrast", contrast, 0.49, "ge"),
         Check("zero_count_fraction", removed_fraction, None, "info"),
     ]

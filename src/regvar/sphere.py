@@ -1,8 +1,11 @@
 """Geometry on the unit sphere: polar decomposition, angles, arcs and caps.
 
 Directions are unit numpy vectors; angles are floats in the canonical
-interval [0, 2*pi). Evaluation sets are finite unions of half-open arcs
-[a, b) on the circle, or spherical caps for d >= 3.
+interval [0, 2*pi). Euclidean norms come from one function, norms_of, which
+polar and SampleBatch.from_points share; it stays finite and positive for
+nonzero points whose squares underflow or overflow. Evaluation sets are
+finite unions of half-open arcs [a, b) on the circle (membership via
+ArcSet.contains), or spherical caps for d >= 3.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, DimensionMismatch
+from .errors import DegeneratePoint, DimensionMismatch, NonFiniteInput
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +42,34 @@ def unit_vector(v) -> np.ndarray:
     return v
 
 
+def norms_of(points: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a (d, n) array of finite points.
+
+    Columns whose sum of squares is a normal finite double get exactly
+    sqrt(sum(x*x)). Only columns where that sum underflows below the
+    smallest normal double or overflows are recomputed with max-abs scaling,
+    so tiny and huge points get their true norm. Zero columns keep norm 0.
+    A NaN or infinite coordinate, or a norm beyond the double range, raises
+    NonFiniteInput.
+    """
+    x = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("a coordinate is NaN or infinite")
+    with np.errstate(over="ignore"):
+        sq = np.sum(x * x, axis=0)
+    norms = np.sqrt(sq)
+    redo = (sq < np.finfo(float).tiny) | np.isinf(sq)
+    if np.any(redo):
+        cols = x[:, redo]
+        scale = np.max(np.abs(cols), axis=0)
+        unit = cols / np.where(scale > 0.0, scale, 1.0)
+        with np.errstate(over="ignore"):
+            norms[redo] = scale * np.sqrt(np.sum(unit * unit, axis=0))
+        if np.any(np.isinf(norms)):
+            raise NonFiniteInput("a norm exceeds the double range")
+    return norms
+
+
 def polar(point):
     """Split a nonzero point into (norm, direction).
 
@@ -47,19 +78,10 @@ def polar(point):
     p = np.asarray(point, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise DimensionMismatch("a point needs d >= 2 coordinates")
-    n = float(np.sqrt(np.sum(p * p)))
+    n = float(norms_of(p[:, None])[0])
     if n == 0.0:
         raise DegeneratePoint("cannot decompose the zero vector")
     return n, p / n
-
-
-def polar_many(points: np.ndarray):
-    """Vectorized polar decomposition of a (d, n) array of nonzero points."""
-    points = np.asarray(points, dtype=float)
-    norms = np.sqrt(np.sum(points * points, axis=0))
-    if np.any(norms == 0.0):
-        raise DegeneratePoint("batch contains the zero vector")
-    return norms, points / norms
 
 
 def angle_of(direction) -> float:
@@ -133,11 +155,6 @@ class ArcSet:
         if np.ndim(theta) == 0:
             return bool(hit)
         return hit
-
-
-def arc_contains(arcset: ArcSet, theta) -> bool:
-    """True iff the angle lies in some arc of the set."""
-    return arcset.contains(theta)
 
 
 @dataclass(frozen=True)

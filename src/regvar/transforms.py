@@ -22,7 +22,7 @@ from .measures import (
     RandomGainProcess,
     SpectralMeasure,
     SphereMap,
-    moment_condition,  # noqa: F401  (re-exported: the moment gate lives here)
+    arc_integral,
     pushforward,
     reweight,
 )
@@ -53,19 +53,23 @@ def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
                                   seed=batch.seed, zero_count=batch.zero_count)
 
 
-def radial_scale_apply(batch: SampleBatch, h: RadialGain) -> SampleBatch:
-    """Multiply each norm by the gain at its direction.
+def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
+    """Multiply each norm by its factor; directions are preserved exactly.
 
-    Points whose gain is zero collapse to the origin, where the polar
-    decomposition is undefined; they are removed and counted in
-    zero_count. Surviving directions are preserved exactly.
+    Points whose factor is zero collapse to the origin, where the polar
+    decomposition is undefined; they are removed and counted in zero_count.
     """
-    vals = h.at_dirs(batch.dirs)
     keep = vals > 0.0
     removed = int(batch.size - np.count_nonzero(keep))
     return SampleBatch.from_polar(batch.norms[keep] * vals[keep],
                                   batch.dirs[:, keep], seed=batch.seed,
                                   zero_count=batch.zero_count + removed)
+
+
+def radial_scale_apply(batch: SampleBatch, h: RadialGain) -> SampleBatch:
+    """Multiply each norm by the gain at its direction (zero gain removes
+    the point)."""
+    return _scale_by(batch, h.at_dirs(batch.dirs))
 
 
 def randomized_scale_apply(batch: SampleBatch, z: RandomGainProcess,
@@ -73,16 +77,12 @@ def randomized_scale_apply(batch: SampleBatch, z: RandomGainProcess,
     """Scale each norm by an independent draw of Z at the point's direction.
 
     One draw per point, i.i.d. across points; the generator must come from
-    a stream separate from the one that produced the batch.
+    a stream separate from the one that produced the batch. A zero draw
+    removes the point, as a zero gain does.
     """
     if batch.dim != 2:
         raise NotImplementedError("randomized gains are planar")
-    vals = z.sample(batch.angles(), rng)
-    keep = vals > 0.0
-    removed = int(batch.size - np.count_nonzero(keep))
-    return SampleBatch.from_polar(batch.norms[keep] * vals[keep],
-                                  batch.dirs[:, keep], seed=batch.seed,
-                                  zero_count=batch.zero_count + removed)
+    return _scale_by(batch, z.sample(batch.angles(), rng))
 
 
 def limit_pushforward_spherical(q: LimitMeasure, f: SphereMap) -> LimitMeasure:
@@ -142,7 +142,6 @@ class TransformedModel(RegVarModel):
                     return 0.0
                 tails = base.radial.tail(float(r) / vals[keep])
                 return float(np.sum(sigma.weights[keep] * tails))
-            from .measures import _quad_arc
 
             def integrand(t):
                 v = gain.at_angles(np.atleast_1d(t))
@@ -152,6 +151,5 @@ class TransformedModel(RegVarModel):
                 return (sigma.density_fn(np.atleast_1d(t)) * out)[0]
 
             hints = set(sigma.singular_points) | set(gain.singular_points)
-            return float(sum(_quad_arc(integrand, a, b, sorted(hints))
-                             for a, b in sets.arcs))
+            return arc_integral(integrand, sets.arcs, hints)
         return None

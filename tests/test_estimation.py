@@ -11,13 +11,13 @@ from regvar.batch import SampleBatch
 from regvar.errors import DegenerateTail, EmptyInput
 from regvar.estimation import (
     _bootstrap_hill,
-    _top_indices,
     bootstrap_alpha_ci,
     empirical_spectral,
     estimate,
     hill_estimator,
     qn_measure,
     tail_scan,
+    top_indices,
 )
 from regvar.measures import SpectralMeasure
 from regvar.models import example2_gain, example2_model, polar_independent
@@ -95,7 +95,7 @@ def test_empirical_spectral_nested_exceedances():
 def test_top_indices_equal_stable_argsort_under_ties(values, data):
     norms = np.asarray(values, dtype=float)
     k = data.draw(st.integers(1, norms.size))
-    np.testing.assert_array_equal(_top_indices(norms, k),
+    np.testing.assert_array_equal(top_indices(norms, k),
                                   np.argsort(-norms, kind="stable")[:k])
 
 

@@ -211,16 +211,35 @@ def test_read_csv_blank_body_is_empty(tmp_path, body):
     assert batch.points.shape == (2, 0)
 
 
-@pytest.mark.parametrize("body", ["1.0,2.0\n3.0,4.0,5.0\n", "1.0,abc\n"],
-                         ids=["ragged", "non-numeric"])
-def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body):
+@pytest.mark.parametrize("body, message", [
+    ("1.0,2.0\n3.0,4.0,5.0\n", "line 3: expected 2 values, found 3"),
+    ("1.0,abc\n", "line 2: 'abc' is not a number"),
+    ("1.0,2.0\n1.0,abc\n", "line 3: 'abc' is not a number"),
+    ("\n1.0,2.0\n1.0,2.0,3.0\n", "line 4: expected 2 values, found 3"),
+    ("1.0\n", "line 2: expected 2 values, found 1"),
+], ids=["ragged", "non-numeric", "non-numeric-later", "ragged-after-blank",
+        "short-rows"])
+def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body, message):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2\n" + body)
-    with pytest.raises(RegvarError, match="bad.csv"):
+    with pytest.raises(RegvarError) as info:
         read_csv(str(path))
+    assert str(info.value) == f"{path}, {message}"
     assert cli_main(["estimate", "--input", str(path), "--top", "1",
                      "-o", str(tmp_path / "rep.json")]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, norm", [("1e-170,0", 1e-170), ("1e200,1", 1e200)],
+                         ids=["tiny", "huge"])
+def test_read_csv_tiny_and_huge_rows(tmp_path, row, norm):
+    path = tmp_path / "edge.csv"
+    path.write_text("x1,x2\n" + row + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = read_csv(str(path))
+    assert batch.norms.tolist() == [norm]
+    assert batch.dirs[0, 0] == 1.0
 
 
 # ----------------------------------------------------------------------

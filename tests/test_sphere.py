@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,10 +13,9 @@ from regvar.sphere import (
     CapSet,
     angle_of,
     angles_of,
-    arc_contains,
     direction_of,
+    norms_of,
     polar,
-    polar_many,
     unit_vector,
     wrap_angle,
 )
@@ -41,7 +42,7 @@ def test_polar_zero_vector_raises():
     with pytest.raises(DegeneratePoint):
         polar(np.zeros(2))
     with pytest.raises(DegeneratePoint):
-        polar_many(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        SampleBatch.from_points(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -55,9 +56,50 @@ def test_polar_recompose_many_dims():
     rng = np.random.default_rng(1)
     for d in (2, 3, 5):
         pts = rng.standard_normal((d, 1_000_000 if d == 2 else 10_000))
-        norms, dirs = polar_many(pts)
+        batch = SampleBatch.from_points(pts)
+        norms, dirs = batch.norms, batch.dirs
         err = np.sqrt(np.sum((dirs * norms - pts) ** 2, axis=0))
         assert np.max(err / np.sqrt(np.sum(pts * pts, axis=0))) <= 1e-10
+
+
+def test_polar_tiny_and_huge_points():
+    norm, d = polar(np.array([1e-170, 0.0]))
+    assert norm == 1e-170
+    np.testing.assert_array_equal(d, [1.0, 0.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        norm, d = polar(np.array([1e200, 1.0]))
+    assert norm == 1e200
+    assert d[0] == 1.0 and 0.0 < d[1] < 1e-199
+
+
+def test_norms_of_zero_column_and_overflow():
+    np.testing.assert_array_equal(norms_of(np.array([[0.0, 3.0], [0.0, 4.0]])),
+                                  [0.0, 5.0])
+    with pytest.raises(NonFiniteInput):
+        norms_of(np.array([[1.5e308], [1.5e308]]))
+    with pytest.raises(NonFiniteInput):
+        polar(np.array([np.nan, 1.0]))
+
+
+_SCALED = st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+                    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999),
+                    st.integers(-300, 300))
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda d: st.lists(st.lists(_SCALED, min_size=d, max_size=d),
+                       min_size=1, max_size=20)))
+def test_norms_of_match_hypot_over_exponents(rows):
+    pts = np.array(rows).T
+    norms = norms_of(pts)
+    assert np.all(np.isfinite(norms)) and np.all(norms > 0.0)
+    for col, norm in zip(rows, norms):
+        exact = math.hypot(*col)
+        assert abs(norm - exact) <= 4 * math.ulp(exact)
+    with np.errstate(over="ignore"):
+        sq = np.sum(pts * pts, axis=0)
+    normal = (sq >= np.finfo(float).tiny) & np.isfinite(sq)
+    np.testing.assert_array_equal(norms[normal], np.sqrt(sq[normal]))
 
 
 def test_angle_direction_roundtrip_grid():
@@ -97,14 +139,14 @@ def test_wrap_angle_edges():
 
 def test_arc_membership_basics():
     half = ArcSet([(0.0, np.pi)])
-    assert arc_contains(half, np.pi / 2)
-    assert not arc_contains(half, np.pi)  # half-open at b
-    assert arc_contains(half, 0.0)  # closed at a
+    assert half.contains(np.pi / 2)
+    assert not half.contains(np.pi)  # half-open at b
+    assert half.contains(0.0)  # closed at a
 
     wrap = ArcSet([(3 * np.pi / 2, TWO_PI), (0.0, np.pi / 4)])
-    assert arc_contains(wrap, 0.1)
-    assert arc_contains(wrap, 3 * np.pi / 2)
-    assert not arc_contains(wrap, np.pi)
+    assert wrap.contains(0.1)
+    assert wrap.contains(3 * np.pi / 2)
+    assert not wrap.contains(np.pi)
 
 
 def test_arcset_validation():
@@ -125,7 +167,7 @@ def test_disjoint_arcs_partition(breaks, theta):
     bs = sorted(breaks)
     a = ArcSet([(bs[0], bs[1])])
     b = ArcSet([(bs[2], bs[3])])
-    assert not (arc_contains(a, theta) and arc_contains(b, theta))
+    assert not (a.contains(theta) and b.contains(theta))
 
 
 def test_capset_membership():

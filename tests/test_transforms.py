@@ -115,11 +115,16 @@ def test_radial_directions_preserved_exactly_for_survivors():
 
 def test_randomized_degenerate_equals_deterministic():
     b = small_batch()
-    h = step_gain([0.0, 2.0], [2.0, 3.0])
-    z = degenerate_gain_process(h)
-    out_z = randomized_scale_apply(b, z, np.random.default_rng(0))
-    out_h = radial_scale_apply(b, h)
-    np.testing.assert_array_equal(out_z.norms, out_h.norms)
+    # the second gain is zero on [2, 4), which holds the point at angle pi
+    for h in (step_gain([0.0, 2.0], [2.0, 3.0]),
+              step_gain([0.0, 2.0, 4.0], [2.0, 0.0, 3.0])):
+        z = degenerate_gain_process(h)
+        out_z = randomized_scale_apply(b, z, np.random.default_rng(0))
+        out_h = radial_scale_apply(b, h)
+        np.testing.assert_array_equal(out_z.norms, out_h.norms)
+        np.testing.assert_array_equal(out_z.dirs, out_h.dirs)
+        assert out_z.zero_count == out_h.zero_count
+    assert out_h.zero_count == 1 and out_h.size == b.size - 1
 
 
 def test_randomized_zero_process_empties_batch():
