@@ -58,26 +58,47 @@ def write_csv(path: str, batch: SampleBatch) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _bad_line(path: str, d: int, cause: str) -> RegvarError:
-    """Error naming the first file line that is not d numbers.
+def _text(line: str) -> str:
+    """The part of a file line that np.loadtxt parses: up to any '#'."""
+    return line.split("#", 1)[0].rstrip("\n")
 
-    Read again only after numpy rejected the file; blank and comment lines
-    are skipped as np.loadtxt skips them. cause is numpy's own message, kept
-    for input that numpy rejects but this scan accepts.
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads cell as a float.
+
+    numpy accepts Python's float syntax on the stripped text, but only in
+    ASCII and without digit-grouping underscores.
     """
-    with open(path, encoding="utf-8") as fh:
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
+    """Error naming the first line that numpy rejects.
+
+    Read again only after numpy rejected the file. The scan starts at file
+    line start, the first line read_csv handed to numpy, and splits, skips
+    and judges lines cell by cell as np.loadtxt does, so it finds the line
+    numpy failed on. cause, numpy's own message, is the fallback should the
+    file hold no such line.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0]
-            if lineno == 1 or not text.strip():
+            text = _text(line)
+            if lineno < start or not text:
                 continue
             cells = text.split(",")
             if len(cells) != d:
                 return RegvarError(f"{path}, line {lineno}: expected {d} "
                                    f"values, found {len(cells)}")
             for cell in cells:
-                try:
-                    float(cell)
-                except ValueError:
+                if not _is_number(cell):
                     return RegvarError(f"{path}, line {lineno}: "
                                        f"{cell.strip()!r} is not a number")
     return RegvarError(f"{path}: {cause}")
@@ -86,18 +107,19 @@ def _bad_line(path: str, d: int, cause: str) -> RegvarError:
 def read_csv(path: str) -> SampleBatch:
     """Parse a CSV written by write_csv; rows stream from the file to numpy.
 
-    A header-only or blank body gives an empty batch. Ragged rows, cells
-    that are not numbers and rows that do not match the header raise
-    RegvarError naming the file line.
+    A body of blank and comment lines gives an empty batch. Ragged rows,
+    cells that are not numbers and rows that do not match the header raise
+    RegvarError naming the file line. Bytes that are not UTF-8 decode to
+    U+FFFD, so a cell holding them is not a number.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         cols = header.split(",") if header else []
         if not cols or not all(c.startswith("x") for c in cols):
             raise RegvarError(f"{path}: expected a x1,...,xd header")
         d = len(cols)
-        for first in fh:
-            if first.strip():
+        for start, first in enumerate(fh, start=2):
+            if _text(first).strip():
                 break
         else:
             return SampleBatch.from_points(np.empty((d, 0)))
@@ -105,9 +127,9 @@ def read_csv(path: str) -> SampleBatch:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
                               ndmin=2)
         except ValueError as e:
-            raise _bad_line(path, d, str(e)) from e
+            raise _bad_line(path, d, start, str(e)) from e
     if data.shape[1] != d:
-        raise _bad_line(path, d, "rows do not match the header")
+        raise _bad_line(path, d, start, "rows do not match the header")
     return SampleBatch.from_points(data.T)
 
 

@@ -570,8 +570,7 @@ class RandomGainProcess:
         return out
 
 
-def exponential_gain_process(mean_fn, moment_known=True,
-                             mc_budget: int = 100_000) -> RandomGainProcess:
+def exponential_gain_process(mean_fn) -> RandomGainProcess:
     """Z(theta) exponential with direction-dependent mean m(theta).
 
     E[Z^p] = m(theta)^p * Gamma(1 + p).
@@ -580,12 +579,10 @@ def exponential_gain_process(mean_fn, moment_known=True,
     def sample(t, rng):
         return rng.exponential(scale=np.broadcast_to(mean_fn(t), t.shape))
 
-    moment = None
-    if moment_known:
-        def moment(t, p):
-            return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)
+    def moment(t, p):
+        return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)
 
-    return RandomGainProcess(sample, moment, mc_budget,
+    return RandomGainProcess(sample, moment,
                              note="exponential with direction-dependent mean")
 
 

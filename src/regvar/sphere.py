@@ -20,6 +20,9 @@ TWO_PI = 2.0 * np.pi
 
 UNIT_NORM_TOL = 1e-12
 
+# 2**-511, the square root of the smallest normal double
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
 
 def wrap_angle(theta):
     """Reduce angles to [0, 2*pi); scalar or array."""
@@ -56,10 +59,12 @@ def norms_of(points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("a coordinate is NaN or infinite")
     with np.errstate(over="ignore"):
-        sq = np.sum(x * x, axis=0)
-    norms = np.sqrt(sq)
-    redo = (sq < np.finfo(float).tiny) | np.isinf(sq)
-    if np.any(redo):
+        norms = np.sqrt(np.sum(x * x, axis=0))
+    # sqrt is monotone and exact at the smallest normal double, so a norm
+    # below _SQRT_TINY or infinite marks a sum of squares that underflowed or
+    # overflowed; two reductions rule both out without building a mask
+    if norms.size and not (norms.min() >= _SQRT_TINY and norms.max() < np.inf):
+        redo = (norms < _SQRT_TINY) | np.isinf(norms)
         cols = x[:, redo]
         scale = np.max(np.abs(cols), axis=0)
         unit = cols / np.where(scale > 0.0, scale, 1.0)

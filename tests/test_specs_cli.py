@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 import regvar
 from regvar.batch import SampleBatch
-from regvar.cli import _CSV_BLOCK_ROWS, cli_main, read_csv, write_csv
+from regvar.cli import (
+    _CSV_BLOCK_ROWS,
+    _bad_line,
+    _is_number,
+    cli_main,
+    read_csv,
+    write_csv,
+)
 from regvar.errors import HypothesisViolation, RegvarError, SpecError
 from regvar.estimation import estimate
 from regvar.measures import SpectralMeasure
@@ -201,7 +209,8 @@ def test_csv_block_boundary(tmp_path, offset):
     assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
 
 
-@pytest.mark.parametrize("body", ["", "\n\n", "\n  \n\t\n"])
+@pytest.mark.parametrize("body", ["", "\n\n", "\n  \n\t\n",
+                                  "# one\n\n  # two\n"])
 def test_read_csv_blank_body_is_empty(tmp_path, body):
     path = tmp_path / "blank.csv"
     path.write_text("x1,x2\n" + body)
@@ -217,8 +226,12 @@ def test_read_csv_blank_body_is_empty(tmp_path, body):
     ("1.0,2.0\n1.0,abc\n", "line 3: 'abc' is not a number"),
     ("\n1.0,2.0\n1.0,2.0,3.0\n", "line 4: expected 2 values, found 3"),
     ("1.0\n", "line 2: expected 2 values, found 1"),
+    # numpy skips whitespace-only lines only before the first row, and
+    # rejects the underscores that float() accepts
+    ("1.0,2.0\n  \n", "line 3: expected 2 values, found 1"),
+    ("  \n1.0,1_0\n", "line 3: '1_0' is not a number"),
 ], ids=["ragged", "non-numeric", "non-numeric-later", "ragged-after-blank",
-        "short-rows"])
+        "short-rows", "blank-after-data", "underscore"])
 def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body, message):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2\n" + body)
@@ -228,6 +241,53 @@ def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body, message):
     assert cli_main(["estimate", "--input", str(path), "--top", "1",
                      "-o", str(tmp_path / "rep.json")]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+def test_read_csv_names_line_of_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"x1,x2\n1.0,2.0\n1.0,\xff\n")
+    with pytest.raises(RegvarError) as info:
+        read_csv(str(path))
+    assert str(info.value) == f"{path}, line 3: '\ufffd' is not a number"
+
+
+def test_bad_line_falls_back_to_numpy_message(tmp_path):
+    path = tmp_path / "good.csv"
+    path.write_text("x1,x2\n1.0,2.0\n")
+    assert str(_bad_line(str(path), 2, 2, "cause")) == f"{path}: cause"
+
+
+def numpy_reads(cell: str) -> bool:
+    try:
+        np.loadtxt(io.StringIO("0," + cell + "\n"), delimiter=",", ndmin=2)
+    except ValueError:
+        return False
+    return True
+
+
+@example("1_0")
+@example("\u0661")
+@example("\x1c1")
+@example("infinity")
+@given(st.text().filter(lambda c: not set(c) & set(",#\n\r")))
+def test_is_number_matches_numpy(cell):
+    assert _is_number(cell) == numpy_reads(cell)
+
+
+csv_piece = st.sampled_from(list("0123456789.,eE+-_ #\t\n\r\x0c\x1c\xa0")
+                            + ["inf", "nan", "\u0661", "\ufffd", "1.5", "x"])
+
+
+@given(st.lists(csv_piece, max_size=25).map("".join))
+def test_read_csv_errors_name_a_line(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x1,x2\n" + body)
+    try:
+        read_csv(str(path))
+    except RegvarError as e:
+        # a rejected file names its line; numpy's fallback message is unused
+        assert not str(e).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("row, norm", [("1e-170,0", 1e-170), ("1e200,1", 1e200)],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from regvar.batch import SampleBatch
@@ -86,6 +86,9 @@ _SCALED = st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
                     st.integers(-300, 300))
 
 
+# sums of squares at, just below and just above the smallest normal double
+@example([[2.0 ** -511, 0.0], [math.nextafter(2.0 ** -511, 0.0), 0.0],
+          [math.nextafter(2.0 ** -511, 1.0), 0.0]])
 @given(st.integers(2, 3).flatmap(
     lambda d: st.lists(st.lists(_SCALED, min_size=d, max_size=d),
                        min_size=1, max_size=20)))
