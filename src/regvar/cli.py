@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import RegvarError
+from .errors import DegeneratePoint, NonFiniteInput, RegvarError
 from .estimation import estimate
 from .rng import GAIN_STREAM, substream
 from .scenarios import SCENARIO_NAMES, Scenario, run_scenario
@@ -104,13 +104,42 @@ def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
     return RegvarError(f"{path}: {cause}")
 
 
+def _rejected_row(path: str, start: int, data: np.ndarray) -> RegvarError:
+    """Error naming the first row of data that SampleBatch.from_points rejects.
+
+    Bisects on prefixes for the first rejected row and takes the cause from
+    that row alone, then counts data rows from file line start, skipping
+    the lines np.loadtxt skipped: those empty up to any '#'.
+    """
+    ok, bad = 0, data.shape[0]  # data[:ok] is accepted, data[:bad] rejected
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            SampleBatch.from_points(data[:mid].T)
+        except RegvarError:
+            bad = mid
+        else:
+            ok = mid
+    try:
+        SampleBatch.from_points(data[ok:bad].T)
+    except DegeneratePoint:
+        cause = "the zero vector"
+    except RegvarError as e:
+        cause = str(e)
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = itertools.islice(fh, start - 1, None)
+        rows = (n for n, line in enumerate(lines, start=start) if _text(line))
+        lineno = next(itertools.islice(rows, ok, None))
+    return RegvarError(f"{path}, line {lineno}: {cause}")
+
+
 def read_csv(path: str) -> SampleBatch:
     """Parse a CSV written by write_csv; rows stream from the file to numpy.
 
     A body of blank and comment lines gives an empty batch. Ragged rows,
-    cells that are not numbers and rows that do not match the header raise
-    RegvarError naming the file line. Bytes that are not UTF-8 decode to
-    U+FFFD, so a cell holding them is not a number.
+    cells that are not numbers, rows that do not match the header, and zero
+    or non-finite points raise RegvarError naming the file line. Bytes that
+    are not UTF-8 decode to U+FFFD, so a cell holding them is not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -130,7 +159,10 @@ def read_csv(path: str) -> SampleBatch:
             raise _bad_line(path, d, start, str(e)) from e
     if data.shape[1] != d:
         raise _bad_line(path, d, start, "rows do not match the header")
-    return SampleBatch.from_points(data.T)
+    try:
+        return SampleBatch.from_points(data.T)
+    except (DegeneratePoint, NonFiniteInput) as e:
+        raise _rejected_row(path, start, data) from e
 
 
 def _cmd_sample(args) -> int:

@@ -10,6 +10,59 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidConstruction
+from .sphere import TWO_PI
+
+# cells per period of the table that starts the oscillating-tail inverse
+_TABLE_CELLS = 1024
+# Newton steps after the tabulated start
+_NEWTON_STEPS = 5
+
+
+def _tabulated_start(log_u, sa, alpha, amplitude):
+    """Start t and bracket [lo, hi] for -alpha*t + log1p(sa*sin t) = ln u.
+
+    sa is sign * a. The s = -1 law is the s = +1 law shifted by pi in t,
+    so both solve P(t) = z for P(t) = alpha*t - log1p(a*sin t), with
+    z = alpha*shift - ln u and t less shift, shift = pi for s = -1.
+    P increases, and P(t + 2*pi) = P(t) + 2*pi*alpha. One period of P is
+    tabulated at _TABLE_CELLS + 1 points centred on its flattest point
+    t_c = 2*pi - asin(a), where P'(t_c) = alpha - a/sqrt(1 - a^2) is 0 at
+    the monotonicity bound. z is reduced into the period and its cell
+    found by binary search. t is interpolated linearly against
+    cbrt(P - P(t_c)), in which t is smooth even where P is flat (there
+    P - P(t_c) ~ (t - t_c)^3), so the start is close there too. The
+    bracket is the cell, cut at t = 0.
+    """
+    shift = np.where(sa < 0.0, np.pi, 0.0)
+    z = alpha * shift - log_u
+    step = TWO_PI / _TABLE_CELLS
+    mid = _TABLE_CELLS // 2
+    nodes = (TWO_PI - np.arcsin(amplitude)
+             + (np.arange(_TABLE_CELLS + 1) - mid) * step)
+    p = alpha * nodes - np.log1p(amplitude * np.sin(nodes))
+    key = np.cbrt(p - p[mid])
+    width = np.diff(key)
+    width[width <= 0.0] = np.inf
+    periods = np.floor((z - p[0]) / (TWO_PI * alpha))
+    q = z - periods * (TWO_PI * alpha)
+    q -= p[mid]
+    np.cbrt(q, out=q)
+    cell = np.searchsorted(key, q) - 1
+    np.clip(cell, 0, _TABLE_CELLS - 1, out=cell)
+    q -= key[cell]
+    q /= width[cell]
+    np.clip(q, 0.0, 1.0, out=q)
+    lo = periods
+    lo *= TWO_PI
+    lo += nodes[0] - shift
+    lo += cell * step
+    q *= step
+    q += lo
+    hi = lo + step
+    np.maximum(lo, 0.0, out=lo)
+    np.maximum(hi, lo, out=hi)
+    np.clip(q, lo, hi, out=q)
+    return q, lo, hi
 
 
 class RadialLaw:
@@ -94,11 +147,9 @@ class OscillatingTailLaw(RadialLaw):
     The log-periodic modulation keeps r^alpha * P{R > r} oscillating in
     [1 - a, 1 + a] forever, so the law has no power-type tail limit, yet
     the half-half mixture of the two signs is exactly Pareto(alpha).
-    Requires a * max_t cos(t) / (1 + a sin(t)) <= alpha so the tail is
-    nonincreasing; the condition is checked on a 10^4-point grid.
+    The tail is nonincreasing iff max_t a*cos(t) / (1 + a*sin(t)) <= alpha;
+    the maximum, at sin t = -a, is a/sqrt(1 - a^2).
     """
-
-    GRID = 10_000
 
     def __init__(self, alpha: float, amplitude: float, sign: int = +1):
         if not 0.0 < alpha < np.inf:
@@ -110,13 +161,10 @@ class OscillatingTailLaw(RadialLaw):
         self.alpha = float(alpha)
         self.amplitude = float(amplitude)
         self.sign = int(sign)
-        t = np.linspace(0.0, 2.0 * np.pi, self.GRID, endpoint=False)
-        worst = float(np.max(self.amplitude * np.cos(t) /
-                             (1.0 + self.amplitude * np.sin(t))))
-        if worst > self.alpha:
+        if self.amplitude / np.sqrt(1.0 - self.amplitude ** 2) > self.alpha:
             raise InvalidConstruction(
                 f"amplitude {amplitude} makes the tail non-monotone for "
-                f"alpha {alpha} (needs a * max cos t / (1 + a sin t) <= alpha)")
+                f"alpha {alpha} (needs a / sqrt(1 - a^2) <= alpha)")
 
     def tail(self, r):
         r = np.asarray(r, dtype=float)
@@ -128,25 +176,76 @@ class OscillatingTailLaw(RadialLaw):
 
     @staticmethod
     def inverse_tail(u, alpha, amplitude, sign):
-        """Solve P{R > r} = u for r, by bisection on t = ln r.
+        """Solve P{R > r} = u for r, by bracketed Newton steps on t = ln r.
 
-        Solves -alpha*t + log1p(sign*a*sin t) = ln u on [0, t_hi] where the
-        left side is decreasing; 90 halvings push the bracket error far
-        below the double-precision noise floor of exp. sign may be a
-        per-element array.
+        The root of g(t) = -alpha*t + log1p(s*a*sin t) - ln u, s = sign, is
+        looked up in a table of one period of the s = +1 law
+        (_tabulated_start); the s = -1 law is the same law shifted by pi in
+        t. The lookup gives a start and a bracket [lo, hi] one table cell
+        wide (2*pi/_TABLE_CELLS) that holds the root, cut at t = 0.
+
+        Each step moves lo to t where g(t) > 0 and hi to t elsewhere, then
+        takes the Newton step with g'(t) = -alpha + s*a*cos t/(1 + s*a*sin t)
+        <= 0, clipped to [lo, hi]. A 0/0 step, where t is already a root,
+        lands on hi, which is then t. There is no bisection fallback: the
+        bracket is one cell wide from the start. The result is the evaluated
+        t with the least |g|, t = 0 (the root for u = 1) included, because
+        next to a flat point of g a Newton step from a good t can land on a
+        bracket end.
+
+        Why _NEWTON_STEPS = 5 steps are enough: where g' stays away from 0
+        the start is within O(cell^2) of the root and each step doubles the
+        correct digits; where g' nearly vanishes, at alpha near the
+        monotonicity bound, the cube-root interpolation makes the start
+        itself close. Across amplitudes 1e-6 to 1 - 1e-6, alpha from the
+        bound to 10^4 times it, both signs, roots at and near the flat
+        points and u down to 1e-300, 4 steps brought |g(ln r)| within 4 ulp
+        of max(|ln u|, 1, alpha, 1/(1 - a)) and 3 steps left 1.4e4 ulp; the
+        fifth is margin. That scale is the rounding floor: exp rounds r,
+        which g' ~ -alpha magnifies, and log1p magnifies the rounding of
+        a*sin t by up to 1/(1 - a). u and sign may be scalars or arrays.
         """
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(sign, dtype=float)
-        log_u = np.log(u)
-        lo = np.zeros_like(u)
-        hi = (np.log1p(amplitude) - log_u) / alpha
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            val = -alpha * mid + np.log1p(s * amplitude * np.sin(mid))
-            high_side = val > log_u
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-        return np.exp(0.5 * (lo + hi))
+        shape = np.broadcast_shapes(np.shape(u), np.shape(sign))
+        sa = np.atleast_1d(np.asarray(sign, dtype=float)) * amplitude
+        log_u = np.log(np.atleast_1d(np.asarray(u, dtype=float)))
+        t, lo, hi = _tabulated_start(log_u, sa, alpha, amplitude)
+        g = np.empty_like(t)
+        w = np.empty_like(t)
+        dg = np.empty_like(t)
+        above = np.empty(t.shape, dtype=bool)
+        # t = 0, where g = -ln u, is the first candidate: the root for u = 1
+        best_t = np.zeros_like(t)
+        best_g = np.negative(log_u, out=np.empty_like(t))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(_NEWTON_STEPS + 1):
+                np.sin(t, out=w)
+                w *= sa
+                np.log1p(w, out=g)
+                np.multiply(t, alpha, out=dg)
+                g -= dg
+                g -= log_u
+                np.abs(g, out=dg)
+                np.less(dg, best_g, out=above)
+                np.copyto(best_g, dg, where=above)
+                np.copyto(best_t, t, where=above)
+                if i == _NEWTON_STEPS:
+                    break
+                np.greater(g, 0.0, out=above)
+                np.copyto(lo, t, where=above)
+                np.logical_not(above, out=above)
+                np.copyto(hi, t, where=above)
+                np.cos(t, out=dg)
+                dg *= sa
+                w += 1.0
+                dg /= w
+                dg -= alpha
+                g /= dg
+                t -= g
+                np.clip(t, lo, hi, out=t)
+                np.isnan(t, out=above)
+                np.copyto(t, hi, where=above)
+        return np.exp(best_t).reshape(shape)[()]
 
     def sample(self, rng, n):
         u = 1.0 - rng.random(n)  # in (0, 1]

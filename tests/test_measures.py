@@ -14,6 +14,7 @@ from regvar.errors import (
     UnsupportedPair,
 )
 from regvar.measures import (
+    MC_CHUNK_ROWS,
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
@@ -232,6 +233,20 @@ def test_expected_gain_monte_carlo_moment_is_seeded():
     np.testing.assert_allclose(a, [1.0, 1.0], atol=0.02)
     with pytest.raises(ValueError):
         z.moment(theta, 1.0)  # Monte Carlo moments need an explicit rng
+
+
+@pytest.mark.parametrize("budget", [100, MC_CHUNK_ROWS, 2 * MC_CHUNK_ROWS + 37])
+def test_streamed_moment_equals_whole_array_mean(budget):
+    # budgets below, at and not a multiple of the chunk: the streamed sum
+    # takes the same draws in the same order and rounds as one whole-array
+    # sum does, so the moment is bit-identical to the whole-array mean
+    process = exponential_gain_process(lambda t: 1.0 + 0.5 * np.cos(t))
+    z = RandomGainProcess(process.sample_fn, mc_budget=budget)
+    probes = (np.arange(16) + 0.5) * TWO_PI / 16.0
+    reps = np.repeat(probes[None, :], budget, axis=0)
+    whole = np.mean(z.sample(reps, np.random.default_rng(7)) ** 1.5, axis=0)
+    got = z.moment(probes, 1.5, np.random.default_rng(7))
+    np.testing.assert_array_equal(got, whole)
 
 
 # ----------------------------------------------------------------------

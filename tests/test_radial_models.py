@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from regvar.errors import InvalidConstruction, MomentDivergence
@@ -75,6 +75,94 @@ def test_oscillating_monotonicity_guard():
     # a / sqrt(1 - a^2) = 2.06 > alpha = 0.3
     with pytest.raises(InvalidConstruction):
         OscillatingTailLaw(0.3, 0.9, +1)
+
+
+def test_oscillating_monotonicity_bound_is_exact():
+    a = 0.5
+    bound = a / np.sqrt(1.0 - a * a)
+    OscillatingTailLaw(bound, a)
+    with pytest.raises(InvalidConstruction):
+        OscillatingTailLaw(np.nextafter(bound, 0.0), a)
+
+
+def bisection_inverse(u, alpha, amplitude, sign):
+    """Oracle: 90 halvings of [0, (log1p(a) - ln u)/alpha] on t = ln r."""
+    log_u = np.log(u)
+    lo = np.zeros_like(u)
+    hi = (np.log1p(amplitude) - log_u) / alpha
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        high_side = -alpha * mid + np.log1p(sign * amplitude * np.sin(mid)) > log_u
+        lo = np.where(high_side, mid, lo)
+        hi = np.where(high_side, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_oscillating_inverse_matches_bisection(sign):
+    # alpha = 0.5 is 2% above the bound a / sqrt(1 - a^2) = 0.49 at a = 0.44
+    u = 1.0 - np.random.default_rng(5).random(100_000)
+    r = OscillatingTailLaw.inverse_tail(u, 0.5, 0.44, float(sign))
+    want = bisection_inverse(u, 0.5, 0.44, float(sign))
+    assert np.max(np.abs(r - want) / want) <= 1e-12
+    assert OscillatingTailLaw.inverse_tail(u[0], 0.5, 0.44, sign) == r[0]
+
+
+# excess of alpha over the monotonicity bound, as a fraction of the bound;
+# at the bound g' vanishes at t_c, one point per period, and roots there
+# and near it are the hardest: flat_roots places roots at t_c + 2*pi*k + dt
+@example(amplitude=0.5, excess=0.0, sign=1, u=[1.0, 0.3, 1e-300],
+         flat_roots=[(0, 0.0), (1, 1e-9), (2, -1e-4)])
+@example(amplitude=0.999, excess=1e-12, sign=-1, u=[0.5, 2.0 ** -53],
+         flat_roots=[(0, 0.0), (1, 3e-3), (3, -2e-3)])
+@example(amplitude=0.9, excess=1e-12, sign=1, u=[], flat_roots=[
+    (k, dt) for k in range(4) for dt in (0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.02)])
+@example(amplitude=0.999, excess=1e-3, sign=1, u=[],
+         flat_roots=[(1, 0.0011700943139457797)])
+@example(amplitude=1e-6, excess=0.0, sign=1, u=[1.0, 1.0 - 2.0 ** -53],
+         flat_roots=[])
+@example(amplitude=5.672425355875321e-06, excess=0.0, sign=1, u=[1.0],
+         flat_roots=[])
+@example(amplitude=0.44, excess=0.0204, sign=1, u=[1e-5, 0.7], flat_roots=[])
+@given(amplitude=st.floats(1e-6, 1.0 - 1e-6),
+       excess=st.floats(0.0, 1e4),
+       sign=st.sampled_from([1, -1]),
+       u=st.lists(st.floats(1e-300, 1.0), max_size=30),
+       flat_roots=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.3, 0.3)),
+                           max_size=10))
+def test_oscillating_inverse_residual(amplitude, excess, sign, u, flat_roots):
+    alpha = amplitude / np.sqrt(1.0 - amplitude ** 2) * (1.0 + excess)
+    try:
+        OscillatingTailLaw(alpha, amplitude, sign)
+    except InvalidConstruction:
+        assume(False)
+    t_c = (TWO_PI if sign > 0 else np.pi) - np.arcsin(amplitude)
+    roots = np.array([t_c + TWO_PI * k + dt for k, dt in flat_roots])
+    roots = roots[roots >= 0.0]
+    u = np.concatenate([u, np.exp(-alpha * roots + np.log1p(
+        sign * amplitude * np.sin(roots)))])
+    u = u[(u > 0.0) & (u <= 1.0)]
+    # draws whose r overflows a double have nothing to check
+    u = u[(np.log1p(amplitude) - np.log(u)) / alpha < 709.0]
+    log_u = np.log(u)
+    r = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, float(sign))
+    assert np.all(r >= 1.0)
+    t = np.log(r)
+    g = -alpha * t + np.log1p(sign * amplitude * np.sin(t)) - log_u
+    # the rounding floor of g: exp rounds r, which g' ~ -alpha magnifies,
+    # and log1p magnifies the rounding of a*sin t by up to 1/(1 - a)
+    scale = np.maximum(np.maximum(np.abs(log_u), 1.0),
+                       max(alpha, 1.0 / (1.0 - amplitude)))
+    assert np.all(np.abs(g) <= 4.0 * np.spacing(scale))
+    one = OscillatingTailLaw.inverse_tail(np.ones(2), alpha, amplitude,
+                                          np.array([1.0, -1.0]))
+    assert np.all(one == 1.0)
+    # a per-element sign gives each draw what its scalar sign gives it
+    signs = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
+    mixed = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, signs)
+    for s in (1.0, -1.0):
+        alone = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, s)
+        np.testing.assert_array_equal(mixed[signs == s], alone[signs == s])
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +254,22 @@ def test_same_seed_same_batch_any_workers(maker):
     np.testing.assert_array_equal(a.points, b.points)
     c = m.sample(150_000, 4, workers=1)
     np.testing.assert_array_equal(a.points, c.points)
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 131_073])
+@pytest.mark.parametrize("maker", [
+    lambda: example1_model(1.0, 0.5),
+    lambda: polar_independent(SpectralMeasure.cosine_bump(0.5), 0.6,
+                              OscillatingTailLaw(0.6, 0.5, -1)),
+], ids=["example1", "oscillating-polar"])
+def test_oscillating_samples_identical_across_workers(maker, n):
+    # n on both sides of the 65 536-point chunk and past two chunks
+    model = maker()
+    want = model.sample(n, 7, workers=1)
+    for workers in (2, 3, 4):
+        got = model.sample(n, 7, workers=workers)
+        for name in ("points", "norms", "dirs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])

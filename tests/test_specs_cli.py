@@ -251,6 +251,30 @@ def test_read_csv_names_line_of_non_utf8_bytes(tmp_path):
     assert str(info.value) == f"{path}, line 3: '\ufffd' is not a number"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1.0,2.0\n0,0\n3.0,4.0\n", "line 3: the zero vector"),
+    ("1.0,2.0\nnan,1\n", "line 3: a coordinate is NaN or infinite"),
+    # blank and comment lines count as file lines but not as rows
+    ("\n1.0,2.0\n# note\n\n1.0,inf\n", "line 6: a coordinate is NaN or infinite"),
+    ("1.5e308,1.5e308\n", "line 2: a norm exceeds the double range"),
+    # the first rejected row is named, whatever the later rows hold
+    ("1.0,2.0\n-0.0,0.0\nnan,1\n", "line 3: the zero vector"),
+], ids=["zero", "nan", "inf-after-skipped-lines", "overflowing-norm",
+        "first-of-two"])
+def test_read_csv_names_line_of_rejected_point(tmp_path, capsys, body,
+                                               message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2\n" + body)
+    rep = tmp_path / "rep.json"
+    assert cli_main(["estimate", "--input", str(path), "--top", "1",
+                     "-o", str(rep)]) == 2
+    assert capsys.readouterr().err == f"error: {path}, {message}\n"
+    assert not rep.exists()
+    assert cli_main(["transform", "--input", str(path), "--map",
+                     '{"kind": "identity"}', "-o", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
 def test_bad_line_falls_back_to_numpy_message(tmp_path):
     path = tmp_path / "good.csv"
     path.write_text("x1,x2\n1.0,2.0\n")
