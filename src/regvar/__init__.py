@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     EmptyMeasure,
-    HypothesisViolation,
     InvalidConstruction,
     InvalidGain,
     MomentDivergence,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import DegeneratePoint, NonFiniteInput
 from .sphere import angles_of, norms_of
 
 
@@ -45,11 +45,17 @@ class SampleBatch:
     @classmethod
     def from_polar(cls, norms: np.ndarray, dirs: np.ndarray,
                    seed: int | None = None, zero_count: int = 0) -> "SampleBatch":
-        """Build a batch from native (norm, direction) data."""
+        """Build a batch from native (norm, direction) data. A norm that is
+        not positive raises DegeneratePoint; a NaN or infinite one, as an
+        overflowed draw gives, raises NonFiniteInput."""
         norms = np.asarray(norms, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        if np.any(norms <= 0.0):
-            raise DegeneratePoint("norms must be positive")
+        if norms.size:
+            lo, hi = norms.min(), norms.max()  # a NaN propagates to both
+            if lo <= 0.0:
+                raise DegeneratePoint("norms must be positive")
+            if not (lo > 0.0 and hi < np.inf):
+                raise NonFiniteInput("a norm is NaN or infinite")
         return cls(dirs * norms, norms, dirs, seed=seed, zero_count=zero_count)
 
     @property

@@ -12,15 +12,22 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
 
 from .batch import SampleBatch
 from .errors import DegeneratePoint, NonFiniteInput, RegvarError
-from .estimation import estimate
+from .estimation import estimate, tail_scan
 from .rng import GAIN_STREAM, substream
-from .scenarios import SCENARIO_NAMES, Scenario, run_scenario
+from .scenarios import (
+    DEFAULT_N,
+    DEFAULT_SEED,
+    SCENARIO_NAMES,
+    Scenario,
+    run_scenario,
+)
 from .specs import (
     gain_from_spec,
     is_random_gain_spec,
@@ -79,28 +86,34 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _data_lines(path: str, start: int):
+    """(line number, text) of each line from file line start on that
+    np.loadtxt reads as a row: those not empty up to any '#'."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, start - 1, None),
+                                      start=start):
+            text = _text(line)
+            if text:
+                yield lineno, text
+
+
 def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
     """Error naming the first line that numpy rejects.
 
-    Read again only after numpy rejected the file. The scan starts at file
-    line start, the first line read_csv handed to numpy, and splits, skips
-    and judges lines cell by cell as np.loadtxt does, so it finds the line
-    numpy failed on. cause, numpy's own message, is the fallback should the
-    file hold no such line.
+    The scan starts at file line start, the first line read_csv handed to
+    numpy, and splits and judges rows cell by cell as np.loadtxt does, so it
+    finds the line numpy failed on. cause, numpy's own message, is the
+    fallback should the file hold no such line.
     """
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = _text(line)
-            if lineno < start or not text:
-                continue
-            cells = text.split(",")
-            if len(cells) != d:
-                return RegvarError(f"{path}, line {lineno}: expected {d} "
-                                   f"values, found {len(cells)}")
-            for cell in cells:
-                if not _is_number(cell):
-                    return RegvarError(f"{path}, line {lineno}: "
-                                       f"{cell.strip()!r} is not a number")
+    for lineno, text in _data_lines(path, start):
+        cells = text.split(",")
+        if len(cells) != d:
+            return RegvarError(f"{path}, line {lineno}: expected {d} "
+                               f"values, found {len(cells)}")
+        for cell in cells:
+            if not _is_number(cell):
+                return RegvarError(f"{path}, line {lineno}: "
+                                   f"{cell.strip()!r} is not a number")
     return RegvarError(f"{path}: {cause}")
 
 
@@ -108,8 +121,7 @@ def _rejected_row(path: str, start: int, data: np.ndarray) -> RegvarError:
     """Error naming the first row of data that SampleBatch.from_points rejects.
 
     Bisects on prefixes for the first rejected row and takes the cause from
-    that row alone, then counts data rows from file line start, skipping
-    the lines np.loadtxt skipped: those empty up to any '#'.
+    that row alone, then counts data rows from file line start.
     """
     ok, bad = 0, data.shape[0]  # data[:ok] is accepted, data[:bad] rejected
     while bad - ok > 1:
@@ -126,10 +138,7 @@ def _rejected_row(path: str, start: int, data: np.ndarray) -> RegvarError:
         cause = "the zero vector"
     except RegvarError as e:
         cause = str(e)
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = itertools.islice(fh, start - 1, None)
-        rows = (n for n, line in enumerate(lines, start=start) if _text(line))
-        lineno = next(itertools.islice(rows, ok, None))
+    lineno, _ = next(itertools.islice(_data_lines(path, start), ok, None))
     return RegvarError(f"{path}, line {lineno}: {cause}")
 
 
@@ -195,10 +204,9 @@ def _parse_top(raw: str, n: int) -> int:
     value = float(raw)
     if 0 < value < 1:
         return max(1, int(round(value * n)))
-    k = int(value)
-    if k != value:
+    if not math.isfinite(value) or value != int(value):
         raise RegvarError("--top must be an integer count or a fraction in (0,1)")
-    return k
+    return int(value)
 
 
 def _cmd_estimate(args) -> int:
@@ -238,12 +246,12 @@ def _cmd_verify(args) -> int:
 def _parse_r_grid(raw: str) -> np.ndarray:
     try:
         start, stop, points = raw.split(":")
-        grid = np.geomspace(float(start), float(stop), int(points))
+        start, stop, points = float(start), float(stop), int(points)
     except ValueError as e:
         raise RegvarError(f"bad --r-grid {raw!r}, expected start:stop:points") from e
-    if grid.size < 1 or grid[0] <= 0:
-        raise RegvarError("--r-grid must be positive")
-    return grid
+    if not (0 < start < math.inf and 0 < stop < math.inf and points >= 1):
+        raise RegvarError("--r-grid must be positive and finite")
+    return np.geomspace(start, stop, points)
 
 
 def _parse_arc(raw: str) -> tuple[float, float]:
@@ -255,8 +263,6 @@ def _parse_arc(raw: str) -> tuple[float, float]:
 
 
 def _cmd_scan(args) -> int:
-    from .estimation import tail_scan
-
     model = model_from_spec(load_spec(args.model))
     source = model
     if args.gain is not None:
@@ -281,6 +287,14 @@ def positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {raw}")
     return value
 
 
@@ -319,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    p.add_argument("--n", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=int, default=DEFAULT_N)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("-o", "--output", help="report JSON")
     p.set_defaults(fn=_cmd_verify)
@@ -328,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan normalized tails over an r grid")
     p.add_argument("--model", required=True, help="model JSON (file or inline)")
     p.add_argument("--gain", help="optional gain JSON applied to the model")
-    p.add_argument("--alpha", type=float, required=True,
+    p.add_argument("--alpha", type=positive_float, required=True,
                    help="normalization exponent")
     p.add_argument("--r-grid", required=True, help="start:stop:points (log)")
     p.add_argument("--arc", action="append",

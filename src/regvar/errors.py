@@ -49,9 +49,5 @@ class UnboundedGain(RegvarError):
     """Bounded gain required but no finite bound was declared."""
 
 
-class HypothesisViolation(RegvarError):
-    """Scenario configuration violates the hypotheses it is meant to test."""
-
-
 class SpecError(RegvarError):
     """Malformed JSON spec for a measure, model, gain or map."""

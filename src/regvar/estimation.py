@@ -14,6 +14,7 @@ from .batch import SampleBatch
 from .errors import DegenerateTail, DimensionMismatch, EmptyInput, UnsupportedPair
 from .measures import SpectralMeasure, distance_ks, distance_tv
 from .rng import BOOTSTRAP_STREAM, substream
+from .specs import measure_to_spec
 from .sphere import ArcSet, CapSet
 
 BOOTSTRAP_RESAMPLES = 200
@@ -173,8 +174,6 @@ class EstimationReport:
     distances: dict[str, float]
 
     def to_dict(self) -> dict:
-        from .specs import measure_to_spec
-
         return {
             "alpha_hat": self.alpha_hat,
             "alpha_ci": [self.alpha_ci[0], self.alpha_ci[1]],

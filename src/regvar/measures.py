@@ -736,41 +736,26 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
 # distances
 
 
-def _matched_weights(a: SpectralMeasure, b: SpectralMeasure, atol: float):
-    """Cluster the union of atom locations and return per-cluster weights."""
+def _cluster_differences(a: SpectralMeasure, b: SpectralMeasure, atol: float):
+    """Cluster the union of atom locations within atol and return, per
+    cluster, the weight of a minus the weight of b."""
+    w = np.concatenate([a.weights, -b.weights])
     if a.dim == 2:
         angles = np.concatenate([a.angles, b.angles])
-        owner = np.concatenate([np.zeros(a.n_atoms, bool), np.ones(b.n_atoms, bool)])
-        order = np.argsort(angles, kind="stable")
-        angles, owner = angles[order], owner[order]
-        w = np.concatenate([a.weights, b.weights])[order]
-        breaks = np.flatnonzero(np.diff(angles) > atol)
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [angles.size]))
-        wa = np.array([np.sum(w[s:e][~owner[s:e]]) for s, e in zip(starts, stops)])
-        wb = np.array([np.sum(w[s:e][owner[s:e]]) for s, e in zip(starts, stops)])
-        # merge first/last cluster across the 0 / 2*pi seam
-        if starts.size > 1 and (angles[0] + TWO_PI) - angles[-1] <= atol:
-            wa[0] += wa[-1]
-            wb[0] += wb[-1]
-            wa, wb = wa[:-1], wb[:-1]
-        return wa, wb
+        return _merge_sorted_atoms(angles, w, atol)[1]
     # d >= 3: greedy clustering on chord distance
     coords = np.concatenate([a.coords.T, b.coords.T])
-    owner = np.concatenate([np.zeros(a.n_atoms, bool), np.ones(b.n_atoms, bool)])
-    w = np.concatenate([a.weights, b.weights])
     chord = 2.0 * np.sin(min(atol, np.pi) / 2.0)
     unassigned = np.ones(len(coords), bool)
-    was, wbs = [], []
+    diffs = []
     for i in range(len(coords)):
         if not unassigned[i]:
             continue
         d = np.sqrt(np.sum((coords - coords[i]) ** 2, axis=1))
         members = unassigned & (d <= chord)
         unassigned &= ~members
-        was.append(np.sum(w[members & ~owner]))
-        wbs.append(np.sum(w[members & owner]))
-    return np.asarray(was), np.asarray(wbs)
+        diffs.append(np.sum(w[members]))
+    return np.asarray(diffs)
 
 
 def distance_tv(a: SpectralMeasure, b: SpectralMeasure,
@@ -784,8 +769,7 @@ def distance_tv(a: SpectralMeasure, b: SpectralMeasure,
         raise UnsupportedPair("total variation needs two atomic measures")
     if a.dim != b.dim:
         raise DimensionMismatch("measures live on different spheres")
-    wa, wb = _matched_weights(a, b, atol)
-    return 0.5 * float(np.sum(np.abs(wa - wb)))
+    return 0.5 * float(np.sum(np.abs(_cluster_differences(a, b, atol))))
 
 
 def distance_ks(a: SpectralMeasure, b: SpectralMeasure) -> float:

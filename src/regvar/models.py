@@ -66,7 +66,11 @@ class RegVarModel:
         seeds = chunk_seeds(seed, SAMPLE_STREAM, len(sizes))
 
         def draw(i: int) -> SampleBatch:
-            return self._sample_chunk(np.random.default_rng(seeds[i]), sizes[i])
+            # an overflowing draw becomes an infinite norm, which from_polar
+            # rejects; errstate is per thread, so it is set here in the worker
+            with np.errstate(over="ignore"):
+                return self._sample_chunk(np.random.default_rng(seeds[i]),
+                                          sizes[i])
 
         if workers > 1 and len(sizes) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -5,8 +5,10 @@ must reproduce: the sphere-map pushforward, the quantile-transform
 simulator, the gain reweighting (bounded, moment-certified unbounded, and
 randomized), and the three constructions showing what breaks when a
 hypothesis is dropped. Expectations are computed analytically at run time;
-no empirical goldens are stored. A report is fully determined by
-(scenario, n, seed), independent of worker count.
+no empirical goldens are stored. A scenario is its name: each runner
+builds its model, map and gain from fixed JSON specs, which its report
+echoes, so a report is fully determined by (scenario, n, seed),
+independent of worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolation, UnboundedGain
+from .errors import UnboundedGain
 from .estimation import (
     empirical_spectral,
     estimate,
@@ -36,18 +38,11 @@ from .measures import (
     pushforward,
     reweight,
 )
-from .models import (
-    example1_model,
-    example2_gain,
-    example2_model,
-    example2_moment,
-    example3_model,
-)
+from .models import example2_moment
 from .rng import GAIN_STREAM, MOMENT_STREAM, substream
 from .sphere import TWO_PI, ArcSet
 from .specs import (
     gain_from_spec,
-    is_random_gain_spec,
     map_from_spec,
     measure_from_spec,
     model_from_spec,
@@ -63,31 +58,24 @@ from .transforms import (
     spherical_map_apply,
 )
 
-SCENARIO_NAMES = ("theorem1", "corollary1", "theorem2", "theorem3",
-                  "corollary2", "example1", "example2", "example3")
-
 DEFAULT_N = 200_000
 DEFAULT_SEED = 42
-DEFAULT_TOP_FRAC = 0.01
+# fraction of the sample whose largest norms the estimates read
+TOP_FRAC = 0.01
 
 
 @dataclass
 class Scenario:
-    """A named scenario, fully determined by (name, n, seed).
+    """A named scenario run at sample size n and seed.
 
-    workers only splits the sampling work and never changes the numbers.
-    The model/map/gain JSON overrides exist so tests can exercise the
-    hypothesis gates (e.g. an unbounded gain where boundedness is required).
+    The name fixes the model, map, gain and tolerances; workers only splits
+    the sampling work and never changes the numbers.
     """
 
     name: str
     n: int = DEFAULT_N
     seed: int = DEFAULT_SEED
     workers: int = 1
-    top_frac: float = DEFAULT_TOP_FRAC
-    model_spec: dict | None = None
-    map_spec: dict | None = None
-    gain_spec: dict | None = None
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -163,10 +151,10 @@ def _uniform_pareto_spec(alpha: float) -> dict:
 
 def _estimate_transformed(s: Scenario, model, transform,
                           target: SpectralMeasure):
-    """Sample, transform and estimate at the scenario's top fraction,
+    """Sample, transform and estimate at the top fraction TOP_FRAC,
     canonicalizing at each stage boundary as a file pipeline does."""
     batch = model.sample(s.n, s.seed, s.workers).canonical()
-    return estimate(transform(batch).canonical(), _k_top(s.n, s.top_frac),
+    return estimate(transform(batch).canonical(), _k_top(s.n, TOP_FRAC),
                     target=target)
 
 
@@ -189,14 +177,14 @@ def run_scenario(s: Scenario) -> Report:
 
 
 def _run_theorem1(s: Scenario) -> Report:
-    model_spec = s.model_spec or _uniform_pareto_spec(1.0)
-    map_spec = s.map_spec or {"kind": "quadrant_snap"}
+    model_spec = _uniform_pareto_spec(1.0)
+    map_spec = {"kind": "quadrant_snap"}
     model = model_from_spec(model_spec)
     fmap = map_from_spec(map_spec)
     image = pushforward(model.sigma, fmap)
     tol = {"spectral_tv": 0.05}
     config = {"model": model_spec, "map": map_spec, "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac, "tolerances": tol}
+              "top_frac": TOP_FRAC, "tolerances": tol}
 
     est = _estimate_transformed(
         s, model, lambda b: spherical_map_apply(b, fmap), normalize(image))
@@ -222,7 +210,7 @@ def _run_corollary1(s: Scenario) -> Report:
     qmap = map_from_spec(map_spec)
     tol = {"exact_pushforward_ks": 1e-9, "weight_error": 0.03}
     config = {"model": model_spec, "map": map_spec, "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac, "tolerances": tol}
+              "top_frac": TOP_FRAC, "tolerances": tol}
 
     exact_ks = distance_ks(pushforward(model.sigma, qmap), target)
     est = _estimate_transformed(
@@ -250,20 +238,14 @@ def _theorem2_closed_mass(a: float, b: float, base: float, amp: float) -> float:
 
 
 def _run_theorem2(s: Scenario) -> Report:
-    gain_spec = s.gain_spec or {"kind": "cosine", "base": 1.0, "amplitude": 0.5}
+    gain_spec = {"kind": "cosine", "base": 1.0, "amplitude": 0.5}
     gain = gain_from_spec(gain_spec)
-    if not gain.is_bounded:
-        raise HypothesisViolation(
-            "the bounded-gain scenario needs a gain with a declared bound")
-    if gain_spec.get("kind") != "cosine":
-        raise HypothesisViolation(
-            "this scenario checks its analytic identity for cosine gains only")
     alpha = 2.0
     model_spec = _uniform_pareto_spec(alpha)
     model = model_from_spec(model_spec)
     tol = {"exceedance_ks": 0.05, "eval_identity": 1e-12}
     config = {"model": model_spec, "gain": gain_spec, "n": s.n,
-              "seed": s.seed, "top_frac": s.top_frac, "tolerances": tol}
+              "seed": s.seed, "top_frac": TOP_FRAC, "tolerances": tol}
 
     target = normalize(reweight(model.sigma, gain, alpha))
     est = _estimate_transformed(
@@ -295,21 +277,14 @@ def _run_theorem2(s: Scenario) -> Report:
 
 
 def _run_theorem3(s: Scenario) -> Report:
-    model_spec = s.model_spec or _uniform_pareto_spec(1.0)
-    if model_spec.get("kind") != "polar_independent":
-        raise HypothesisViolation(
-            "the moment-condition route needs independent polar parts")
-    gain_spec = s.gain_spec or {"kind": "power_cusp", "center": np.pi,
-                                "gamma": 0.2}
-    if gain_spec.get("kind") != "power_cusp":
-        raise HypothesisViolation(
-            "this scenario checks its hand integral for power-cusp gains only")
+    model_spec = _uniform_pareto_spec(1.0)
+    gain_spec = {"kind": "power_cusp", "center": np.pi, "gamma": 0.2}
     model = model_from_spec(model_spec)
     gain = gain_from_spec(gain_spec)
     alpha, eps = model.alpha, 0.5
     tol = {"moment_abs_err": 1e-6, "exceedance_ks": 0.06}
     config = {"model": model_spec, "gain": gain_spec, "epsilon": eps,
-              "n": s.n, "seed": s.seed, "top_frac": s.top_frac,
+              "n": s.n, "seed": s.seed, "top_frac": TOP_FRAC,
               "tolerances": tol}
 
     moment = moment_condition(model.sigma, gain, alpha, eps)
@@ -337,9 +312,7 @@ def _run_theorem3(s: Scenario) -> Report:
 
 
 def _run_corollary2(s: Scenario) -> Report:
-    gain_spec = s.gain_spec or {"kind": "exp_cosine", "amplitude": 0.5}
-    if not is_random_gain_spec(gain_spec):
-        raise HypothesisViolation("the randomized scenario needs a random gain")
+    gain_spec = {"kind": "exp_cosine", "amplitude": 0.5}
     process = random_gain_from_spec(gain_spec)
     alpha = 1.0
     model_spec = _uniform_pareto_spec(alpha)
@@ -347,7 +320,7 @@ def _run_corollary2(s: Scenario) -> Report:
     tol = {"exceedance_ks": 0.06, "moment_rel_err": 0.01,
            "moment_reading_alpha2": 0.3}
     config = {"model": model_spec, "gain": gain_spec, "n": s.n,
-              "seed": s.seed, "top_frac": s.top_frac,
+              "seed": s.seed, "top_frac": TOP_FRAC,
               "mc_budget": process.mc_budget, "tolerances": tol}
 
     target = normalize(expected_gain_reweight(model.sigma, process, alpha))
@@ -390,14 +363,14 @@ def _run_corollary2(s: Scenario) -> Report:
 
 
 def _run_example1(s: Scenario) -> Report:
-    alpha, amplitude = 1.0, 0.5
-    model = example1_model(alpha, amplitude)
+    model_spec = {"kind": "example1", "alpha": 1.0, "amplitude": 0.5}
+    model = model_from_spec(model_spec)
+    alpha = model.alpha
     r_grid = np.exp(TWO_PI * np.arange(17) / 16.0)
     tol = {"side_oscillation_range": 0.9, "mixture_constant_dev": 1e-12}
-    config = {"model": {"kind": "example1", "alpha": alpha,
-                        "amplitude": amplitude},
+    config = {"model": model_spec,
               "r_grid": [float(r) for r in r_grid], "n": s.n, "seed": s.seed,
-              "top_frac": s.top_frac, "tolerances": tol}
+              "top_frac": TOP_FRAC, "tolerances": tol}
 
     side_vals = r_grid ** alpha * model.side_law(+1).tail(r_grid)
     osc_range = float(np.max(side_vals) - np.min(side_vals))
@@ -414,7 +387,7 @@ def _run_example1(s: Scenario) -> Report:
 
     # ... and sampled exceedance directions do pile up at that atom
     batch = model.sample(s.n, s.seed, s.workers)
-    hat = empirical_spectral(batch, _k_top(s.n, s.top_frac))
+    hat = empirical_spectral(batch, _k_top(s.n, TOP_FRAC))
     near_zero = hat.mass_on(ArcSet([(0.0, 0.1), (TWO_PI - 0.1, TWO_PI)]))
 
     checks = [
@@ -428,15 +401,14 @@ def _run_example1(s: Scenario) -> Report:
 
 
 def _run_example2(s: Scenario) -> Report:
-    alpha, nu, beta, delta = 1.0, 0.5, 1.2, 0.05
-    model = example2_model(alpha, nu, beta)
-    gain = example2_gain(beta)
-    transformed = TransformedModel(model, gain)
+    model_spec = {"kind": "example2", "alpha": 1.0, "nu": 0.5, "beta": 1.2}
+    gain_spec = {"kind": "example2_gain", "beta": 1.2}
+    model = model_from_spec(model_spec)
+    alpha, nu, beta, delta = model.alpha, model.nu, model.beta, 0.05
+    transformed = TransformedModel(model, gain_from_spec(gain_spec))
     r_probe = np.array([1e2, 1e3, 1e4])
     tol = {"untransformed_constant_dev": 1e-9, "bound_margin": 0.0}
-    config = {"model": {"kind": "example2", "alpha": alpha, "nu": nu,
-                        "beta": beta},
-              "gain": {"kind": "example2_gain", "beta": beta},
+    config = {"model": model_spec, "gain": gain_spec,
               "delta": delta, "r_probe": [float(r) for r in r_probe],
               "n": s.n, "seed": s.seed, "tolerances": tol}
 
@@ -469,8 +441,9 @@ def _run_example2(s: Scenario) -> Report:
 
 
 def _run_example3(s: Scenario) -> Report:
-    alpha = 1.0
-    model = example3_model(alpha)
+    model_spec = {"kind": "example3", "alpha": 1.0}
+    model = model_from_spec(model_spec)
+    alpha = model.alpha
     gain_spec = {"kind": "indicator_arc",
                  "arcs": [[np.nextafter(0.0, 1.0), TWO_PI]]}
     gain = gain_from_spec(gain_spec)
@@ -479,8 +452,8 @@ def _run_example3(s: Scenario) -> Report:
     # threshold at 10, where the collapsed region holds under 1% of the mass
     surviving_frac = 0.10
     tol = {"surviving_fraction_err": 0.03, "exact_tail_identity": 1e-12}
-    config = {"model": {"kind": "example3", "alpha": alpha}, "gain": gain_spec,
-              "n": s.n, "seed": s.seed, "top_frac": s.top_frac,
+    config = {"model": model_spec, "gain": gain_spec,
+              "n": s.n, "seed": s.seed, "top_frac": TOP_FRAC,
               "surviving_top_frac": surviving_frac, "tolerances": tol}
 
     batch = model.sample(s.n, s.seed, s.workers)
@@ -521,3 +494,5 @@ _RUNNERS = {
     "example2": _run_example2,
     "example3": _run_example3,
 }
+
+SCENARIO_NAMES = tuple(_RUNNERS)

@@ -29,6 +29,10 @@ from .measures import (
     step_map,
 )
 from .models import (
+    Example1Model,
+    Example2Model,
+    Example3Model,
+    PolarIndependentModel,
     RegVarModel,
     example1_model,
     example2_gain,
@@ -140,9 +144,6 @@ def model_from_spec(spec: dict) -> RegVarModel:
 
 
 def model_to_spec(model: RegVarModel) -> dict:
-    from .models import Example1Model, Example2Model, Example3Model, \
-        PolarIndependentModel
-
     if isinstance(model, PolarIndependentModel):
         return {"kind": "polar_independent", "alpha": model.alpha,
                 "sigma": measure_to_spec(model.sigma),

@@ -58,11 +58,13 @@ def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
 
     Points whose factor is zero collapse to the origin, where the polar
     decomposition is undefined; they are removed and counted in zero_count.
+    A product that overflows raises NonFiniteInput.
     """
     keep = vals > 0.0
     removed = int(batch.size - np.count_nonzero(keep))
-    return SampleBatch.from_polar(batch.norms[keep] * vals[keep],
-                                  batch.dirs[:, keep], seed=batch.seed,
+    with np.errstate(over="ignore"):
+        norms = batch.norms[keep] * vals[keep]
+    return SampleBatch.from_polar(norms, batch.dirs[:, keep], seed=batch.seed,
                                   zero_count=batch.zero_count + removed)
 
 

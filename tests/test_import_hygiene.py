@@ -3,6 +3,8 @@
 Outside the package's __init__.py every imported name must be used in its
 module, and no module may import another module's private (underscored)
 name: a helper that two modules share is public in the module that owns it.
+Package imports sit at module level, never inside a function body, so a
+module's dependencies are all in its header.
 """
 
 import ast
@@ -15,16 +17,16 @@ MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imports(tree):
-    """(bound name, imported name, line, relative?) for every import."""
+    """(bound name, imported name, line, from regvar?) for every import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                yield bound, alias.name, node.lineno, False
+                top = alias.name.split(".")[0]
+                yield alias.asname or top, alias.name, node.lineno, top == "regvar"
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            relative = node.level > 0 or (node.module or "").startswith("regvar")
+            internal = node.level > 0 or (node.module or "").startswith("regvar")
             for alias in node.names:
-                yield alias.asname or alias.name, alias.name, node.lineno, relative
+                yield alias.asname or alias.name, alias.name, node.lineno, internal
 
 
 def test_library_modules_found():
@@ -36,10 +38,21 @@ def test_no_unused_or_private_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     problems = []
-    for bound, name, line, relative in _imports(tree):
-        if relative and name.startswith("_"):
+    for bound, name, line, internal in _imports(tree):
+        if internal and name.startswith("_"):
             problems.append(f"line {line}: private name {name} imported "
                             "from another module")
         if path.name != "__init__.py" and bound not in used:
             problems.append(f"line {line}: {bound} is imported but unused")
+    assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    problems = sorted(
+        {f"line {line}: {name} imported inside a function"
+         for fn in ast.walk(tree) if isinstance(fn, functions)
+         for _, name, line, internal in _imports(fn) if internal})
     assert not problems, f"{path.name}: " + "; ".join(problems)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -373,6 +373,68 @@ def test_tv_hand_case():
 def test_tv_rejects_density():
     with pytest.raises(UnsupportedPair):
         distance_tv(SpectralMeasure.uniform(), disc([0.0], [1.0]))
+
+
+TV_ATOL = 0.01
+# cluster centres 0.157 apart; atoms sit within 0.004 of their centre, so
+# a cluster spans at most 0.008 < TV_ATOL and neighbours stay 0.149 apart,
+# well clear of the tolerance either way
+TV_CENTRES = TWO_PI * np.arange(40) / 40
+TV_OFFSETS = 0.001 * np.arange(-4, 5)
+
+
+@st.composite
+def clustered_pairs(draw):
+    """Two atomic measures whose atoms fall in well-separated clusters.
+
+    The cluster at angle 0 is always offered, so atoms sit on both sides of
+    the 0/2*pi seam; each side may put several atoms in one cluster.
+    """
+    centres = [0] + draw(st.lists(st.integers(1, 39), max_size=4, unique=True))
+    sides = []
+    for _ in range(2):
+        angles = []
+        for c in centres:
+            picks = draw(st.lists(st.integers(0, 8), max_size=4, unique=True))
+            angles += [TV_CENTRES[c] + TV_OFFSETS[j] for j in picks]
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(angles),
+                                max_size=len(angles)))
+        sides.append((angles, weights))
+    (a_angles, a_weights), (b_angles, b_weights) = sides
+    assume(a_angles and b_angles)
+    return disc(a_angles, a_weights), disc(b_angles, b_weights)
+
+
+def tv_oracle(a, b, atol):
+    """TV by brute force: atoms within circular distance atol are joined,
+    clusters are the connected components, and each cluster contributes
+    |mass of a - mass of b|."""
+    angles = list(a.angles) + list(b.angles)
+    signed = list(a.weights) + [-w for w in b.weights]
+    root = list(range(len(angles)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in range(len(angles)):
+        for j in range(i):
+            gap = abs(angles[i] - angles[j])
+            if min(gap, TWO_PI - gap) <= atol:
+                root[find(i)] = find(j)
+    sums = {}
+    for i, w in enumerate(signed):
+        sums[find(i)] = sums.get(find(i), 0.0) + w
+    return 0.5 * sum(abs(v) for v in sums.values())
+
+
+@given(clustered_pairs())
+def test_tv_matches_brute_force_clustering(pair):
+    a, b = pair
+    want = tv_oracle(a, b, TV_ATOL)
+    assert distance_tv(a, b, atol=TV_ATOL) == pytest.approx(want, abs=1e-12)
+    assert distance_tv(b, a, atol=TV_ATOL) == pytest.approx(want, abs=1e-12)
 
 
 def test_distances_symmetric_nonnegative():

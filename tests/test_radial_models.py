@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from regvar.errors import InvalidConstruction, MomentDivergence
+from regvar.errors import InvalidConstruction, MomentDivergence, NonFiniteInput
 from regvar.measures import SpectralMeasure, constant_gain, reweight
 from regvar.models import (
     example1_model,
@@ -270,6 +270,22 @@ def test_oscillating_samples_identical_across_workers(maker, n):
         got = model.sample(n, 7, workers=workers)
         for name in ("points", "norms", "dirs"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker, n", [
+    (lambda: uniform_pareto(0.01), 20_000),
+    (lambda: example2_model(0.01, 0.5, 101), 200_000),
+    (lambda: polar_independent(SpectralMeasure.uniform(), 0.01,
+                               AtomPlusParetoLaw(0.01, 0.5)), 200_000),
+    (lambda: example1_model(0.01, 0.005), 200_000),
+], ids=["pareto", "example2", "atom-plus-pareto", "example1"])
+def test_overflowing_draws_raise(maker, n, workers):
+    # at alpha = 0.01 some draws overflow to an infinite norm (and example1
+    # to a NaN coordinate); tier-1 turns any leaked RuntimeWarning into an
+    # error, so this also checks that the overflow stays silent
+    with pytest.raises(NonFiniteInput):
+        maker().sample(n, 1, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

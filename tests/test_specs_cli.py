@@ -21,7 +21,7 @@ from regvar.cli import (
     read_csv,
     write_csv,
 )
-from regvar.errors import HypothesisViolation, RegvarError, SpecError
+from regvar.errors import RegvarError, SpecError
 from regvar.estimation import estimate
 from regvar.measures import SpectralMeasure
 from regvar.scenarios import Check, Report, Scenario, run_scenario
@@ -395,6 +395,40 @@ def test_cli_rejects_fewer_than_one_worker(workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_cli_sample_rejects_overflowing_draws(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    model = dict(UNIFORM_PARETO, alpha=0.01,
+                 radial={"kind": "pareto", "alpha": 0.01})
+    assert cli_main(["sample", "--model", json.dumps(model), "-n", "20000",
+                     "--seed", "1", "-o", str(out)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top", ["inf", "1e400", "nan"])
+def test_cli_estimate_rejects_non_finite_top(tmp_path, capsys, top):
+    src, out = tmp_path / "s.csv", tmp_path / "e.json"
+    src.write_text("x1,x2\n1.0,2.0\n3.0,0.5\n")
+    assert cli_main(["estimate", "--input", str(src), "--top", top,
+                     "-o", str(out)]) == 2
+    assert "--top" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, raw", [
+    ("--r-grid", "1:inf:3"), ("--r-grid", "nan:10:3"), ("--r-grid", "1:1e400:3"),
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "0"),
+])
+def test_cli_scan_rejects_non_finite_numbers(tmp_path, capsys, flag, raw):
+    out = tmp_path / "scan.csv"
+    # the last occurrence of a flag wins, so flag raw replaces the valid value
+    assert cli_main(["scan", "--model", json.dumps(UNIFORM_PARETO),
+                     "--alpha", "1.0", "--r-grid", "1:100:3", flag, raw,
+                     "-o", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
     src = tmp_path / "nan.csv"
     src.write_text("x1,x2\n1.0,2.0\nnan,1.5\n3.0,0.5\n4.0,1.0\n")
@@ -473,23 +507,7 @@ def test_cli_scan_exact_and_empirical(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# scenario gating and determinism
-
-
-def test_theorem2_refuses_unbounded_gain():
-    s = Scenario("theorem2", n=1000,
-                 gain_spec={"kind": "example2_gain", "beta": 1.2})
-    with pytest.raises(HypothesisViolation):
-        run_scenario(s)
-
-
-def test_theorem3_refuses_dependent_models():
-    for kind in ("example2", "example3"):
-        spec = {"kind": kind, "alpha": 1.0}
-        if kind == "example2":
-            spec.update(nu=0.5, beta=1.2)
-        with pytest.raises(HypothesisViolation):
-            run_scenario(Scenario("theorem3", n=1000, model_spec=spec))
+# scenario names and determinism
 
 
 def test_unknown_scenario_name():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regvar.batch import SampleBatch
-from regvar.errors import MomentDivergence, UnboundedGain
+from regvar.errors import MomentDivergence, NonFiniteInput, UnboundedGain
 from regvar.measures import (
     RandomGainProcess,
     SpectralMeasure,
@@ -87,6 +87,12 @@ def test_radial_double_gain():
     out = radial_scale_apply(b, constant_gain(2.0))
     np.testing.assert_array_equal(out.norms, 2.0 * b.norms)
     np.testing.assert_array_equal(out.dirs, b.dirs)
+
+
+def test_radial_gain_overflow_raises():
+    b = SampleBatch.from_points(np.array([[1e300, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteInput):
+        radial_scale_apply(b, constant_gain(1e10))
 
 
 def test_radial_indicator_removes_axis_points():
