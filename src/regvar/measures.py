@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -45,8 +45,8 @@ _GL_W = np.array([0.34785484513745385, 0.6521451548625461,
 def _quad_arc(fn, a: float, b: float, singular_points=()) -> float:
     """Adaptive integral of fn over [a, b], splitting at interior hints."""
     pts = sorted(p for p in singular_points if a < p < b)
-    res = integrate.quad(fn, a, b, points=pts or None, limit=200,
-                         epsabs=1e-13, epsrel=1e-12, full_output=1)
+    res = scipy.integrate.quad(fn, a, b, points=pts or None, limit=200,
+                               epsabs=1e-13, epsrel=1e-12, full_output=1)
     return float(res[0])
 
 
@@ -820,10 +820,11 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
     pts = [s for s in sing if 0.0 < s < TWO_PI]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = integrate.quad(integrand, 0.0, TWO_PI, points=pts or None,
-                             limit=200, full_output=1)
+        res = scipy.integrate.quad(integrand, 0.0, TWO_PI,
+                                   points=pts or None, limit=200, full_output=1)
     value, abserr = float(res[0]), float(res[1])
-    bad = [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
+    bad = [w for w in caught
+           if issubclass(w.category, scipy.integrate.IntegrationWarning)]
     if (not np.isfinite(value)) or len(res) > 3 or bad \
             or abserr > max(1e-6 * abs(value), 1e-8):
         raise MomentDivergence("moment integral diverges or failed to converge")

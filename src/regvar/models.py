@@ -20,7 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import zeta
+import scipy
 
 from .batch import SampleBatch
 from .errors import InvalidConstruction, MomentDivergence
@@ -219,7 +219,7 @@ def _qk_power_sum_from(m: int, s: float) -> float:
     k = np.arange(m, big, dtype=float)
     head = float(np.sum(k ** s / (k * (k + 1)))) if k.size else 0.0
     j = np.arange(25)
-    tail = float(np.sum((-1.0) ** j * zeta(2.0 - s + j, big)))
+    tail = float(np.sum((-1.0) ** j * scipy.special.zeta(2.0 - s + j, big)))
     return head + tail
 
 

@@ -5,6 +5,15 @@ module, and no module may import another module's private (underscored)
 name: a helper that two modules share is public in the module that owns it.
 Package imports sit at module level, never inside a function body, so a
 module's dependencies are all in its header.
+
+scipy is reached only through a module-level `import scipy`, and its
+submodules only as attributes (`scipy.integrate.quad`). `import scipy`
+loads the package's small core; scipy's package `__getattr__` imports a
+submodule on its first attribute access. No module header may therefore
+load `scipy.integrate` or `scipy.special`: `from scipy import ...`,
+`from scipy.<sub> import ...` and `import scipy.<sub>` are all rejected,
+so a process that never integrates or evaluates a zeta function never
+pays for loading them.
 """
 
 import ast
@@ -55,4 +64,25 @@ def test_no_package_imports_inside_functions(path):
         {f"line {line}: {name} imported inside a function"
          for fn in ast.walk(tree) if isinstance(fn, functions)
          for _, name, line, internal in _imports(fn) if internal})
+    assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_only_through_module_level_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top_level = {id(node) for node in tree.body}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "scipy":
+            problems.append(f"line {node.lineno}: from {node.module} import ...")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "scipy":
+                    continue
+                if alias.name != "scipy":
+                    problems.append(f"line {node.lineno}: import {alias.name}")
+                elif id(node) not in top_level:
+                    problems.append(f"line {node.lineno}: import scipy "
+                                    "below module level")
     assert not problems, f"{path.name}: " + "; ".join(problems)

@@ -144,6 +144,47 @@ def test_pushforward_composition_atom_for_atom():
     np.testing.assert_allclose(via_two.weights, via_one.weights, rtol=1e-15)
 
 
+@st.composite
+def step_maps(draw):
+    """quadrant_snap or a random step map, as (map, breaks, values); the
+    values come from a small pool so several pieces share an image angle."""
+    if draw(st.booleans()):
+        q = HALF_PI
+        return (quadrant_snap_map(), [0.0, q, 2 * q, 3 * q],
+                [q / 2, 3 * q / 2, 5 * q / 2, 7 * q / 2])
+    inner = draw(st.lists(st.floats(min_value=1e-9, max_value=TWO_PI - 1e-9),
+                          max_size=10, unique=True))
+    breaks = [0.0] + sorted(inner)
+    pool = draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+    values = [TWO_PI * draw(st.sampled_from(pool)) / 1000 for _ in breaks]
+    return step_map(breaks, values), breaks, values
+
+
+@given(step_maps(), st.data())
+def test_pushforward_atoms_match_brute_force_grouping(f_breaks_values, data):
+    f, breaks, values = f_breaks_values
+    # source atoms anywhere, and some exactly on the breaks
+    angles = data.draw(st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=TWO_PI - 1e-6),
+                  st.sampled_from(breaks)), min_size=1, max_size=30))
+    weights = data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                                 min_size=len(angles), max_size=len(angles)))
+    m = SpectralMeasure.discrete(angles, weights, merge=True)
+    out = pushforward(m, f)
+    assert out.total_mass == m.total_mass
+
+    groups = {}
+    for theta, w in zip(m.angles.tolist(), m.weights.tolist()):
+        piece = max(i for i, b in enumerate(breaks) if b <= theta)
+        groups.setdefault(values[piece], []).append(w)
+    assert out.angles.tolist() == sorted(groups)
+    for angle, w in zip(out.angles.tolist(), out.weights.tolist()):
+        group = groups[angle]
+        # a left-to-right sum of m positive terms is within (m - 1) eps of exact
+        exact = math.fsum(group)
+        assert abs(w - exact) <= (len(group) - 1) * np.finfo(float).eps * exact
+
+
 # ----------------------------------------------------------------------
 # reweight
 
@@ -299,6 +340,31 @@ def test_cdf_quantile_galois(m):
     for theta in np.linspace(0.0, TWO_PI - 1e-9, 57):
         assert m.quantile(min(m.cdf(theta), 1.0 - 1e-12)) <= theta or \
             m.cdf(theta) == 0.0
+
+
+# The density CDF is a strictly increasing piecewise-linear table, so its
+# interpolated quantile is its exact inverse up to rounding: a few ulps of 1
+# in u, stretched by the inverse's slope 1/f <= 2*pi/(1 - |a|) <= 63 for
+# |a| <= 0.9, which stays below 1e-13 in angle. The bound is set 10x wider.
+ROUND_TRIP_TOL = 1e-12
+
+
+@given(st.floats(min_value=-0.9, max_value=0.9),
+       st.lists(st.floats(min_value=0.0, max_value=TWO_PI - 1e-6),
+                min_size=1, max_size=50))
+def test_density_quantile_inverts_cdf(a, xs):
+    m = SpectralMeasure.cosine_bump(a)
+    x = np.asarray(xs)
+    np.testing.assert_allclose(m.quantile(m.cdf(x)), x, rtol=0, atol=ROUND_TRIP_TOL)
+
+
+@given(st.floats(min_value=-0.9, max_value=0.9),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                min_size=1, max_size=50))
+def test_density_cdf_inverts_quantile(a, us):
+    m = SpectralMeasure.cosine_bump(a)
+    u = np.asarray(us)
+    np.testing.assert_allclose(m.cdf(m.quantile(u)), u, rtol=0, atol=ROUND_TRIP_TOL)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5])
