@@ -4,8 +4,13 @@ Exit codes: 0 success (all checks pass), 1 a scenario or estimation check
 failed, 2 usage or configuration error. Sample CSVs carry a x1,...,xd
 header and 17-significant-digit floats (%.17g), which round-trip doubles
 exactly, so piping stages through files reproduces in-memory results bit
-for bit. Rows are written a block at a time and read back as a stream. A
-malformed CSV, or a report holding a NaN or infinite value, exits 2.
+for bit. Rows are formatted a block at a time by regvar.g17's exact array
+kernel, and np.loadtxt parses them straight from the file. A 1e6-point,
+d = 2 file (39.6 MB) writes in 0.55-0.72 s CPU and reads in 0.93-1.20 s,
+against 1.61-1.92 s and 1.22-1.45 s for the per-value '%.17g' % writer and
+the streamed read before (best of 3 per process, five processes per
+version, 2-core x86-64, Python 3.11.7, numpy 2.4.6). A malformed CSV, or a
+report holding a NaN or infinite value, exits 2.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .batch import SampleBatch
 from .errors import DegeneratePoint, NonFiniteInput, RegvarError
 from .estimation import estimate, tail_scan
+from .g17 import format_rows
 from .rng import GAIN_STREAM, substream
 from .scenarios import (
     DEFAULT_N,
@@ -46,23 +52,24 @@ from .transforms import (
     spherical_map_apply,
 )
 
-# rows formatted per write: bounds the block's text (~2.6 MB at d = 2)
-_CSV_BLOCK_ROWS = 65_536
+# rows formatted per write: bounds the kernel's working arrays, 7.3 MB
+# at d = 2 by tracemalloc (29 MB at 65 536 rows, which raised the file
+# pipeline's peak RSS by 15%; the per-value writer used 8 MB there)
+_CSV_BLOCK_ROWS = 16_384
 
 
 def write_csv(path: str, batch: SampleBatch) -> None:
     """Write a x1,...,xd header and one %.17g row per point.
 
-    Rows are formatted a block at a time by one %-operation, which emits the
+    Rows are formatted a block at a time by g17.format_rows, which emits the
     same bytes as formatting each value with f"{v:.17g}".
     """
-    d = batch.dim
-    row = ",".join(["%.17g"] * d) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+    with open(path, "wb") as fh:
+        header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
+        fh.write(header.encode("utf-8"))
         for start in range(0, batch.size, _CSV_BLOCK_ROWS):
             block = batch.points[:, start:start + _CSV_BLOCK_ROWS].T
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(block))
 
 
 def _text(line: str) -> str:
@@ -143,12 +150,13 @@ def _rejected_row(path: str, start: int, data: np.ndarray) -> RegvarError:
 
 
 def read_csv(path: str) -> SampleBatch:
-    """Parse a CSV written by write_csv; rows stream from the file to numpy.
+    """Parse a CSV written by write_csv; numpy reads the rows from the file.
 
     A body of blank and comment lines gives an empty batch. Ragged rows,
     cells that are not numbers, rows that do not match the header, and zero
     or non-finite points raise RegvarError naming the file line. Bytes that
-    are not UTF-8 decode to U+FFFD, so a cell holding them is not a number.
+    are not UTF-8 stop numpy's strict decoding; the rescan decodes them to
+    U+FFFD, so a cell holding them is named as not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -161,11 +169,12 @@ def read_csv(path: str) -> SampleBatch:
                 break
         else:
             return SampleBatch.from_points(np.empty((d, 0)))
-        try:
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
-                              ndmin=2)
-        except ValueError as e:
-            raise _bad_line(path, d, start, str(e)) from e
+    try:
+        # UnicodeDecodeError is a ValueError
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start - 1,
+                          encoding="utf-8")
+    except ValueError as e:
+        raise _bad_line(path, d, start, str(e)) from e
     if data.shape[1] != d:
         raise _bad_line(path, d, start, "rows do not match the header")
     try:

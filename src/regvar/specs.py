@@ -8,6 +8,7 @@ losslessly (within 1e-12 for angles and weights).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -234,13 +235,35 @@ def load_spec(text_or_path: str) -> dict:
         raise SpecError(f"cannot load spec from {text_or_path!r}: {e}") from e
 
 
+def _first_non_finite(data, path: str = "") -> str | None:
+    """Key path of the first NaN or infinite float in data, in the order
+    json.dumps writes it (e.g. "alpha_ci[1]"), or None."""
+    if isinstance(data, float):
+        return None if math.isfinite(data) else path
+    if isinstance(data, dict):
+        items = ((f"{path}.{key}" if path else str(key), value)
+                 for key, value in data.items())
+    elif isinstance(data, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(data))
+    else:
+        return None
+    for where, value in items:
+        found = _first_non_finite(value, where)
+        if found is not None:
+            return found
+    return None
+
+
 def report_json(data: dict) -> str:
     """Indented JSON text of a report, newline-terminated.
 
-    A NaN or infinite number raises RegvarError: JSON has no such numbers,
-    and a report must not carry them as NaN or Infinity.
+    A NaN or infinite number raises RegvarError naming its key path: JSON
+    has no such numbers, and a report must not carry them as NaN or Infinity.
     """
     try:
         return json.dumps(data, indent=2, allow_nan=False) + "\n"
     except ValueError as e:
-        raise RegvarError(f"report holds a NaN or infinite value ({e})") from e
+        where = _first_non_finite(data)
+        at = "" if where is None else f" at {where}"
+        raise RegvarError(
+            f"report holds a NaN or infinite value{at} ({e})") from e

@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from regvar.cli import (
 )
 from regvar.errors import RegvarError, SpecError
 from regvar.estimation import estimate
+from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
 from regvar.scenarios import Check, Report, Scenario, run_scenario
 from regvar.specs import (
@@ -34,6 +37,7 @@ from regvar.specs import (
     model_from_spec,
     model_to_spec,
     radial_from_spec,
+    report_json,
 )
 
 UNIFORM_PARETO = {
@@ -194,19 +198,82 @@ def test_csv_roundtrip_property(tmp_path_factory, rows):
     assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
 
 
+def assert_writes_reference(path, points):
+    """write_csv's file of these (rows, d) points equals reference_csv,
+    compared line by line."""
+    write_csv(str(path), raw_batch(points))
+    got = path.read_text(encoding="utf-8").splitlines()
+    want = reference_csv(points.T).splitlines()
+    # a plain == on long texts makes pytest diff them for minutes
+    diff = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]
+    assert len(got) == len(want) and not diff, \
+        f"lines {diff[:3]} differ: {[got[i] for i in diff[:3]]}"
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_csv_block_boundary(tmp_path, offset):
     n = _CSV_BLOCK_ROWS + offset
     rng = np.random.default_rng(offset + 1)
     batch = SampleBatch.from_points(rng.standard_cauchy((2, n)))
     path = tmp_path / "pts.csv"
-    write_csv(str(path), batch)
-    got = path.read_text(encoding="utf-8").splitlines()
-    want = reference_csv(batch.points).splitlines()
-    # a plain == on 65k-line texts makes pytest diff them for minutes
-    diff = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]
-    assert len(got) == len(want) and not diff, f"lines {diff[:3]} differ"
+    assert_writes_reference(path, batch.points.T)
     assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
+
+
+def test_write_csv_rounds_exact_ties_half_to_even(tmp_path):
+    # 18 significant digits ending in 5: exactly halfway between two
+    # 17-digit outputs, so the kernel leaves them to '%.17g' %
+    quarter = (2.0 ** 53 - 1) / 4
+    assert repr(quarter) == "2251799813685247.8"  # ...47.75, to even
+    assert f"{quarter - 1.5:.17g}" == "2251799813685246.2"  # ...46.25
+    m = np.arange(10 ** 15, 10 ** 15 + 400, dtype=float)
+    eighths = 10 ** 14 + np.arange(200) + np.arange(1, 16, 2)[:, None] / 8
+    ties = np.concatenate([[quarter, quarter - 1.5], m + 0.25, m + 0.75,
+                           eighths.ravel()])
+    assert all(len(f"{v:.18g}".replace(".", "")) == 18
+               and f"{v:.18g}".endswith("5") for v in ties)
+    assert _significands(ties)[2].all()
+    assert_writes_reference(tmp_path / "ties.csv",
+                            np.stack([ties, -ties], axis=1))
+
+
+def test_write_csv_layout_switches_and_carries(tmp_path):
+    # %g switches to e-notation below X = -4 and from X = 17 on
+    assert f"{np.nextafter(1e-4, 0):.17g}" == "9.9999999999999991e-05"
+    assert f"{1e-4:.17g}" == "0.0001"
+    assert f"{np.nextafter(1e17, 0):.17g}" == "99999999999999984"
+    assert f"{1e17:.17g}" == "1e+17"
+    # a value that rounds up to 10**k carries into the next exponent: the
+    # doubles nearest 1e-305 and 1e-14 lie below them
+    for k in (305, 14):
+        assert Fraction(float(f"1e-{k}")) < Fraction(1, 10 ** k)
+        assert f"{float(f'1e-{k}'):.17g}" == f"1e-{k}"
+    values = []
+    for k in range(-324, 309):
+        for text in (f"1e{k}", f"9.99999999999999999e{k - 1}",
+                     f"9.9999999999999999e{k - 1}", f"1.00000000000000001e{k}"):
+            v = float(text)
+            values += [v, np.nextafter(v, 0), np.nextafter(v, np.inf)]
+    values = np.array([v for v in values if 0 < v < np.inf])
+    assert_writes_reference(tmp_path / "layout.csv",
+                            np.stack([values, -values], axis=1))
+
+
+def test_write_csv_every_binary_exponent(tmp_path):
+    powers = 2.0 ** np.arange(-1074, 1024)
+    below = np.nextafter(powers, 0)
+    special = [0.0, -0.0, MAX, -MAX, np.inf, -np.inf, np.nan, TINY, -TINY]
+    values = np.concatenate([powers, below, -powers, special])
+    assert_writes_reference(tmp_path / "exponents.csv", values.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_write_csv_random_bit_patterns(tmp_path, d):
+    # every float64, NaN payloads and infinities included, across a block
+    rows = max(_CSV_BLOCK_ROWS + 17, -(-100_000 // d))
+    rng = np.random.default_rng(d)
+    bits = rng.integers(0, 2 ** 64, size=(rows, d), dtype=np.uint64)
+    assert_writes_reference(tmp_path / "bits.csv", bits.view(np.float64))
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "\n  \n\t\n",
@@ -449,6 +516,32 @@ def test_cli_estimate_rejects_non_finite_report(tmp_path, capsys):
                      "-o", str(rep)]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("top", ["1", "2", "1e-9"])
+def test_cli_estimate_names_non_finite_report_field(tmp_path, capsys, top):
+    # at k = 1 or 2 on 1000 Pareto points some bootstrap resamples have
+    # tied top norms, so the interval's upper end is infinite
+    src = tmp_path / "x.csv"
+    assert cli_main(["sample", "--model", json.dumps(UNIFORM_PARETO),
+                     "-n", "1000", "--seed", "42", "-o", str(src)]) == 0
+    capsys.readouterr()
+    rep = tmp_path / "rep.json"
+    assert cli_main(["estimate", "--input", str(src), "--top", top,
+                     "-o", str(rep)]) == 2
+    assert capsys.readouterr().err == (
+        "error: report holds a NaN or infinite value at alpha_ci[1] "
+        "(Out of range float values are not JSON compliant: inf)\n")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"a": 1.0, "b": [2.0, {"c": float("nan")}], "d": float("inf")}, "b[1].c"),
+    ({"checks": [{"value": 1}, {"value": -float("inf")}]}, "checks[1].value"),
+])
+def test_report_json_names_first_non_finite_path(data, where):
+    with pytest.raises(RegvarError, match=rf"value at {re.escape(where)} \("):
+        report_json(data)
 
 
 def test_scenario_report_rejects_non_finite_value():
