@@ -17,6 +17,7 @@ from .errors import (
     EmptyMeasure,
     InvalidConstruction,
     InvalidGain,
+    InvalidParameter,
     MomentDivergence,
     NonFiniteInput,
     RegvarError,
@@ -39,7 +40,6 @@ from .measures import (
     SpectralMeasure,
     SphereMap,
     StepAngles,
-    boundary_mass,
     constant_gain,
     constant_map,
     degenerate_gain_process,
@@ -50,7 +50,6 @@ from .measures import (
     identity_map,
     indicator_gain,
     moment_condition,
-    normalize,
     power_cusp_gain,
     pushforward,
     quadrant_snap_map,
@@ -61,18 +60,12 @@ from .measures import (
 )
 from .models import (
     Example1Model,
+    Example2Gain,
     Example2Model,
     Example3Model,
     PolarIndependentModel,
     RegVarModel,
-    example1_model,
-    example2_gain,
-    example2_model,
     example2_moment,
-    example2_transformed_tail,
-    example3_model,
-    normalizing_sequence,
-    polar_independent,
     staircase,
 )
 from .radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw, RadialLaw

@@ -1,5 +1,7 @@
 """Exception types raised by the regvar library."""
 
+import math
+
 
 class RegvarError(Exception):
     """Base class for all regvar errors."""
@@ -51,3 +53,15 @@ class UnboundedGain(RegvarError):
 
 class SpecError(RegvarError):
     """Malformed JSON spec for a measure, model, gain or map."""
+
+
+class InvalidParameter(RegvarError, ValueError):
+    """A numeric parameter lies outside its admissible range."""
+
+
+def positive_finite(value, name: str) -> float:
+    """value as a float; InvalidParameter unless 0 < value < infinity."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {x!r}")
+    return x

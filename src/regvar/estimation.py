@@ -6,7 +6,7 @@ witness convergence, divergence or oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,32 +104,19 @@ class TailScan:
     """Table of r^alpha * P{direction in B, norm > r} over a grid.
 
     mode records whether values come from closed-form tails or empirical
-    frequencies. The boundedness verdict (max <= 10 * median) and the
-    oscillation range over the upper half of the grid are diagnostic
-    labels only; exact checks use the values themselves.
+    frequencies.
     """
 
     r_grid: np.ndarray
     sets: list
     values: np.ndarray  # (len(r_grid), len(sets))
     mode: str
-    is_bounded: list[bool] = field(default_factory=list)
-    oscillation_range: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         if np.any(np.diff(self.r_grid) <= 0):
             raise ValueError("r grid must be strictly increasing")
         if np.any(self.values < 0):
             raise ValueError("scan values must be nonnegative")
-        if not self.is_bounded:
-            upper = self.r_grid >= np.median(self.r_grid)
-            for j in range(self.values.shape[1]):
-                col = self.values[:, j]
-                med = float(np.median(col))
-                self.is_bounded.append(bool(np.max(col) <= 10.0 * med) if med > 0
-                                       else bool(np.max(col) == 0.0))
-                upp = col[upper]
-                self.oscillation_range.append(float(np.max(upp) - np.min(upp)))
 
 
 def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
@@ -217,16 +204,19 @@ def _bootstrap_hill(norms: np.ndarray, k: int, rng: np.random.Generator,
 
 def bootstrap_alpha_ci(norms: np.ndarray, k: int, seed: int,
                        resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
-    """Percentile bootstrap interval for the Hill estimate, seeded."""
+    """Percentile bootstrap interval for the Hill estimate, seeded.
+
+    A resample whose top k+1 norms are copies of one value has no finite
+    statistic; the percentiles are taken over the finite statistics, and
+    DegenerateTail is raised when there are none.
+    """
     stats = _bootstrap_hill(norms, k, substream(seed, BOOTSTRAP_STREAM), resamples)
-    # Degenerate resamples have infinite statistics. Interpolating toward one
-    # computes inf - inf inside np.percentile; such an end is infinite. A
-    # NaN statistic, by contrast, is left to make both ends NaN.
-    with np.errstate(invalid="ignore"):
-        ends = np.percentile(stats, [2.5, 97.5])
-    if not np.isnan(stats).any():
-        ends[np.isnan(ends)] = np.inf
-    return float(ends[0]), float(ends[1])
+    stats = stats[np.isfinite(stats)]
+    if stats.size == 0:
+        raise DegenerateTail("every bootstrap resample has equal top order "
+                             "statistics")
+    lo, hi = np.percentile(stats, [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def estimate(batch: SampleBatch, k_top: int,

@@ -24,6 +24,7 @@ from .errors import (
     InvalidGain,
     MomentDivergence,
     UnsupportedPair,
+    positive_finite,
 )
 from .sphere import TWO_PI, ArcSet, CapSet, angles_of, directions_of, wrap_angle
 
@@ -160,10 +161,9 @@ class SpectralMeasure:
         return cls("discrete", 2, angles=angles, weights=weights, merge=merge)
 
     @classmethod
-    def discrete_dirs(cls, coords, weights, dim=None):
+    def discrete_dirs(cls, coords, weights):
         coords = np.asarray(coords, dtype=float)
-        return cls("discrete", dim or coords.shape[0], coords=coords,
-                   weights=weights)
+        return cls("discrete", coords.shape[0], coords=coords, weights=weights)
 
     @classmethod
     def empirical(cls, angles, weights, total_mass=None):
@@ -207,9 +207,7 @@ class SpectralMeasure:
         return self.scaled(1.0 / self.total_mass)
 
     def scaled(self, factor: float) -> "SpectralMeasure":
-        f = float(factor)
-        if f <= 0 or not np.isfinite(f):
-            raise ValueError("scale factor must be positive and finite")
+        f = positive_finite(factor, "scale factor")
         if self.is_discrete:
             return SpectralMeasure(self.kind, self.dim, angles=self.angles,
                                    weights=None if self.weights is None else self.weights * f,
@@ -339,23 +337,14 @@ class SpectralMeasure:
         return f"SpectralMeasure(density, mass={self.total_mass:.6g})"
 
 
-def normalize(m: SpectralMeasure) -> SpectralMeasure:
-    """Scale a measure to total mass one."""
-    return m.normalized()
-
-
-def boundary_mass(m: SpectralMeasure, arcset: ArcSet) -> float:
-    """Atom mass on the topological boundary of an arc union."""
-    return m.boundary_mass(arcset)
-
-
 # ----------------------------------------------------------------------
 # maps and gains
 
 
 @dataclass(frozen=True)
 class StepAngles:
-    """Piecewise-constant angle map: [breaks[i], breaks[i+1]) -> values[i]."""
+    """Piecewise-constant function of the angle: [breaks[i], breaks[i+1])
+    -> values[i]. Values are stored as given; a sphere map wraps them."""
 
     breaks: np.ndarray
     values: np.ndarray
@@ -363,12 +352,16 @@ class StepAngles:
     def __init__(self, breaks, values):
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
-        if breaks.ndim != 1 or breaks.shape != values.shape:
-            raise ValueError("breaks and values must be 1-d of equal length")
-        if breaks[0] != 0.0 or np.any(np.diff(breaks) <= 0) or breaks[-1] >= TWO_PI:
+        if breaks.ndim != 1 or breaks.size == 0 or breaks.shape != values.shape:
+            raise ValueError("breaks and values must be 1-d, nonempty and of "
+                             "equal length")
+        if not (breaks[0] == 0.0 and np.all(np.diff(breaks) > 0)
+                and breaks[-1] < TWO_PI):
             raise ValueError("breaks must start at 0 and increase within [0, 2*pi)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("step values must be finite")
         object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", wrap_angle(values))
+        object.__setattr__(self, "values", values)
 
     def apply(self, theta):
         idx = np.searchsorted(self.breaks, theta, side="right") - 1
@@ -384,13 +377,10 @@ class SphereMap:
     """Map of the sphere into itself, applied to directions.
 
     For d = 2 the map acts on canonical angles; a StepAngles representation,
-    when present, makes pushforwards of density measures exact. The
-    discontinuity note documents the declared discontinuity set; it is not
-    checked.
+    when present, makes pushforwards of density measures exact.
     """
 
-    def __init__(self, angle_fn=None, coords_fn=None, steps: StepAngles | None = None,
-                 discontinuity_note: str = ""):
+    def __init__(self, angle_fn=None, coords_fn=None, steps: StepAngles | None = None):
         if angle_fn is None and steps is not None:
             angle_fn = steps.apply
         if angle_fn is None and coords_fn is None:
@@ -398,7 +388,6 @@ class SphereMap:
         self.angle_fn = angle_fn
         self.coords_fn = coords_fn
         self.steps = steps
-        self.discontinuity_note = discontinuity_note
 
     def apply_angles(self, theta):
         if self.angle_fn is None:
@@ -419,26 +408,23 @@ class SphereMap:
 
 
 def identity_map() -> SphereMap:
-    return SphereMap(angle_fn=lambda t: t, coords_fn=lambda x: x,
-                     discontinuity_note="continuous everywhere")
+    return SphereMap(angle_fn=lambda t: t, coords_fn=lambda x: x)
 
 
 def constant_map(theta0: float) -> SphereMap:
-    t0 = wrap_angle(theta0)
-    return SphereMap(steps=StepAngles([0.0], [t0]),
-                     discontinuity_note="constant map, continuous everywhere")
+    return SphereMap(steps=StepAngles([0.0], [theta0]))
 
 
 def quadrant_snap_map() -> SphereMap:
-    """Snap each planar direction to the center of its quadrant."""
+    """Snap each planar direction to the center of its quadrant; the map
+    jumps on the coordinate axes."""
     q = np.pi / 2.0
     return SphereMap(
-        steps=StepAngles([0.0, q, 2 * q, 3 * q], [q / 2, 3 * q / 2, 5 * q / 2, 7 * q / 2]),
-        discontinuity_note="jumps on the coordinate axes")
+        steps=StepAngles([0.0, q, 2 * q, 3 * q], [q / 2, 3 * q / 2, 5 * q / 2, 7 * q / 2]))
 
 
-def step_map(breaks, values, note="piecewise-constant angle map") -> SphereMap:
-    return SphereMap(steps=StepAngles(breaks, values), discontinuity_note=note)
+def step_map(breaks, values) -> SphereMap:
+    return SphereMap(steps=StepAngles(breaks, values))
 
 
 class RadialGain:
@@ -451,14 +437,13 @@ class RadialGain:
     """
 
     def __init__(self, angle_fn=None, coords_fn=None, declared_bound=None,
-                 singular_points=(), note=""):
+                 singular_points=()):
         if angle_fn is None and coords_fn is None:
             raise ValueError("RadialGain needs an angle or coordinate action")
         self.angle_fn = angle_fn
         self.coords_fn = coords_fn
         self.declared_bound = None if declared_bound is None else float(declared_bound)
         self.singular_points = tuple(singular_points)
-        self.note = note
 
     @property
     def is_bounded(self) -> bool:
@@ -488,38 +473,29 @@ class RadialGain:
 def constant_gain(value: float) -> RadialGain:
     v = float(value)
     return RadialGain(angle_fn=lambda t: np.full_like(np.asarray(t, float), v),
-                      declared_bound=v, note=f"constant {v}")
+                      declared_bound=v)
 
 
-def step_gain(breaks, values, bounded=True) -> RadialGain:
-    breaks = np.asarray(breaks, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
+def step_gain(breaks, values) -> RadialGain:
+    """Piecewise-constant gain, bounded by its largest value."""
+    steps = StepAngles(breaks, values)
+    if np.any(steps.values < 0):
         raise InvalidGain("step gain values must be nonnegative")
-
-    def fn(t):
-        idx = np.searchsorted(breaks, t, side="right") - 1
-        return values[idx]
-
-    return RadialGain(angle_fn=fn,
-                      declared_bound=float(np.max(values)) if bounded else None,
-                      singular_points=tuple(breaks[1:]),
-                      note="piecewise-constant gain")
+    return RadialGain(angle_fn=steps.apply,
+                      declared_bound=float(np.max(steps.values)),
+                      singular_points=tuple(steps.breaks[1:]))
 
 
 def indicator_gain(arcset: ArcSet) -> RadialGain:
     return RadialGain(angle_fn=lambda t: arcset.contains(t).astype(float),
                       declared_bound=1.0,
-                      singular_points=tuple(arcset.endpoints()),
-                      note="indicator of an arc union")
+                      singular_points=tuple(arcset.endpoints()))
 
 
 def power_cusp_gain(center: float, gamma: float) -> RadialGain:
     """h(theta) = (circular distance to center)^(-gamma); unbounded."""
     c = wrap_angle(center)
-    g = float(gamma)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
+    g = positive_finite(gamma, "gamma")
 
     def fn(t):
         diff = np.abs(np.asarray(t, float) - c)
@@ -527,8 +503,7 @@ def power_cusp_gain(center: float, gamma: float) -> RadialGain:
         with np.errstate(divide="ignore"):
             return dist ** (-g)
 
-    return RadialGain(angle_fn=fn, declared_bound=None, singular_points=(c,),
-                      note=f"power cusp at {c:.6g}, exponent {g}")
+    return RadialGain(angle_fn=fn, declared_bound=None, singular_points=(c,))
 
 
 class RandomGainProcess:
@@ -542,12 +517,10 @@ class RandomGainProcess:
     is bit-identical to the mean of one mc_budget-row draw.
     """
 
-    def __init__(self, sample_fn, moment_fn=None, mc_budget: int = 100_000,
-                 note: str = ""):
+    def __init__(self, sample_fn, moment_fn=None, mc_budget: int = 100_000):
         self.sample_fn = sample_fn
         self.moment_fn = moment_fn
         self.mc_budget = int(mc_budget)
-        self.note = note
 
     def sample(self, theta, rng: np.random.Generator):
         vals = np.asarray(self.sample_fn(np.asarray(theta, dtype=float), rng),
@@ -592,15 +565,13 @@ def exponential_gain_process(mean_fn) -> RandomGainProcess:
     def moment(t, p):
         return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)
 
-    return RandomGainProcess(sample, moment,
-                             note="exponential with direction-dependent mean")
+    return RandomGainProcess(sample, moment)
 
 
 def degenerate_gain_process(gain: RadialGain) -> RandomGainProcess:
     """Deterministic process Z(theta) = h(theta)."""
     return RandomGainProcess(lambda t, rng: gain.at_angles(t),
-                             lambda t, p: gain.at_angles(t) ** p,
-                             note="degenerate (deterministic) gain")
+                             lambda t, p: gain.at_angles(t) ** p)
 
 
 # ----------------------------------------------------------------------
@@ -651,13 +622,12 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
     The result is a finite measure whose total mass carries the tail
     constant; callers normalize explicitly when comparing shapes.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
+    a = positive_finite(alpha, "alpha")
     if sigma.is_discrete:
         if sigma.dim == 2:
-            mult = h.at_angles(sigma.angles) ** alpha
+            mult = h.at_angles(sigma.angles) ** a
         else:
-            mult = h.at_dirs(sigma.coords) ** alpha
+            mult = h.at_dirs(sigma.coords) ** a
         if np.any(~np.isfinite(mult)):
             raise InvalidGain("gain not finite at an atom of the measure")
         keep = mult > 0
@@ -670,7 +640,6 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
                                coords=sigma.coords[:, keep],
                                weights=sigma.weights[keep] * mult[keep])
     dens = sigma.density_fn
-    a = float(alpha)
 
     def new_density(t, _d=dens, _h=h, _a=a):
         return _d(t) * _h.at_angles(t) ** _a
@@ -687,12 +656,11 @@ def expected_gain_reweight(sigma: SpectralMeasure, z: RandomGainProcess,
     The multiplier uses the moment of order alpha of the random gain; for a
     degenerate process this reduces to reweighting by h^alpha.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
+    a = positive_finite(alpha, "alpha")
     if sigma.is_discrete:
         if sigma.dim != 2:
             raise DimensionMismatch("random-gain reweighting is planar only")
-        mult = z.moment(sigma.angles, alpha, rng)
+        mult = z.moment(sigma.angles, a, rng)
         keep = mult > 0
         if not np.any(keep):
             raise EmptyMeasure("reweighting removed all mass")
@@ -701,7 +669,6 @@ def expected_gain_reweight(sigma: SpectralMeasure, z: RandomGainProcess,
     if z.moment_fn is None:
         raise MomentDivergence("density reweighting needs an analytic moment")
     dens = sigma.density_fn
-    a = float(alpha)
 
     def new_density(t, _d=dens, _z=z, _a=a):
         return _d(t) * np.asarray(_z.moment_fn(np.asarray(t, float), _a), float)
@@ -714,8 +681,9 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
     """Map g(theta) = F^{-1}(theta / 2*pi) for the CDF F of mu.
 
     Pushing the uniform measure forward through g yields mu; for a discrete
-    mu the map is an exact step function with thresholds at the cumulative
-    weights.
+    mu the map is an exact step function with thresholds at 2*pi times the
+    cumulative weights, and for a density it is continuous where the
+    density is positive.
     """
     if mu.dim != 2:
         raise DimensionMismatch("quantile transform needs d = 2")
@@ -724,12 +692,8 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
     if mu.is_discrete:
         cum = np.cumsum(mu.weights)
         breaks = np.concatenate(([0.0], TWO_PI * cum[:-1]))
-        steps = StepAngles(breaks, mu.angles)
-        return SphereMap(steps=steps,
-                         discontinuity_note=("jumps at 2*pi times the cumulative "
-                                             "weights of the target atoms"))
-    return SphereMap(angle_fn=lambda t: mu.quantile(np.asarray(t) / TWO_PI),
-                     discontinuity_note="continuous where the target density is positive")
+        return SphereMap(steps=StepAngles(breaks, mu.angles))
+    return SphereMap(angle_fn=lambda t: mu.quantile(np.asarray(t) / TWO_PI))
 
 
 # ----------------------------------------------------------------------

@@ -23,22 +23,11 @@ import numpy as np
 import scipy
 
 from .batch import SampleBatch
-from .errors import InvalidConstruction, MomentDivergence
+from .errors import InvalidConstruction, MomentDivergence, positive_finite
 from .measures import RadialGain, SpectralMeasure
 from .radial import OscillatingTailLaw, ParetoLaw, RadialLaw
 from .rng import SAMPLE_STREAM, chunk_seeds, chunk_sizes
 from .sphere import TWO_PI, ArcSet, directions_of
-
-
-def normalizing_sequence(model: "RegVarModel", n: int) -> float:
-    """Norming constants b_n = n^(1/alpha) (slowly varying part fixed to 1)."""
-    return _bn(model.alpha, n)
-
-
-def _bn(alpha: float, n: int) -> float:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return float(n) ** (1.0 / alpha)
 
 
 class RegVarModel:
@@ -88,7 +77,8 @@ class RegVarModel:
 
 
 class PolarIndependentModel(RegVarModel):
-    """Direction ~ sigma and norm ~ radial law, drawn independently."""
+    """Direction ~ sigma and norm ~ radial law, drawn independently, so
+    exact_tail = sigma(B) * P{R > r}."""
 
     def __init__(self, sigma: SpectralMeasure, alpha: float, radial: RadialLaw):
         if abs(sigma.total_mass - 1.0) > 1e-9:
@@ -112,12 +102,6 @@ class PolarIndependentModel(RegVarModel):
         return self.sigma.mass_on(sets) * float(self.radial.tail(r))
 
 
-def polar_independent(sigma: SpectralMeasure, alpha: float,
-                      radial: RadialLaw) -> PolarIndependentModel:
-    """Model with independent polar parts; exact_tail = sigma(B) * P{R > r}."""
-    return PolarIndependentModel(sigma, alpha, radial)
-
-
 # ----------------------------------------------------------------------
 # oscillating mixture on two accumulating rays
 
@@ -131,6 +115,7 @@ class Example1Model(RegVarModel):
     ray through s/n. The mixture tail is exactly Pareto (the modulations
     cancel) with spectral measure concentrated at angle 0, while each
     side's normalized tail r^alpha P{R > r} oscillates in [1-a, 1+a].
+    The side laws' construction checks that their tails are monotone.
     """
 
     MAX_EXPLICIT_RAYS = 2_000_000
@@ -188,11 +173,6 @@ class Example1Model(RegVarModel):
                       + self._side_tail_on(r, sets, -1))
 
 
-def example1_model(alpha: float = 1.0, amplitude: float = 0.5) -> Example1Model:
-    """Oscillating two-ray mixture; construction checks tail monotonicity."""
-    return Example1Model(alpha, amplitude)
-
-
 # ----------------------------------------------------------------------
 # accumulating atoms with an unbounded companion gain
 
@@ -236,19 +216,18 @@ class Example2Model(RegVarModel):
 
     The law is regularly varying with spectral mass q_k k^-nu at the k-th
     atom: r^alpha P{direction in B, norm > r} equals that sum exactly for
-    every r > 1. The companion unbounded gain (see example2_gain) destroys
-    this: the transformed normalized tail grows without bound.
+    every r > 1. The companion unbounded gain (see Example2Gain) destroys
+    this: the transformed normalized tail grows without bound. K is drawn
+    by its closed-form inverse CDF.
     """
 
     def __init__(self, alpha: float, nu: float, beta: float):
-        if not (0.0 < alpha < np.inf and 0.0 < nu < np.inf):
-            raise ValueError("alpha and nu must be positive and finite")
-        if not (1.0 / alpha < beta < (1.0 + nu) / alpha):
+        self.alpha = positive_finite(alpha, "alpha")
+        self.nu = positive_finite(nu, "nu")
+        self.beta = float(beta)
+        if not (1.0 / self.alpha < self.beta < (1.0 + self.nu) / self.alpha):
             raise InvalidConstruction(
                 "gain exponent must satisfy 1/alpha < beta < (1+nu)/alpha")
-        self.alpha = float(alpha)
-        self.nu = float(nu)
-        self.beta = float(beta)
         self.spectral = self._materialized_spectral()
 
     def _materialized_spectral(self) -> SpectralMeasure:
@@ -300,7 +279,9 @@ class Example2Model(RegVarModel):
 
         On the k-th atom the gain equals k^beta, so the transformed radial
         tail at r is the base tail at r / k^beta; atoms with k^beta > r
-        contribute their full mass.
+        contribute their full mass. Over the full circle r^alpha times this
+        tail is at least r^alpha / (r^(1/beta) + 1), so it diverges as r
+        grows.
         """
         r = float(r)
         if r <= 1.0:
@@ -338,11 +319,6 @@ def _beta_split(r: float, beta: float) -> int:
     return m
 
 
-def example2_model(alpha: float, nu: float, beta: float) -> Example2Model:
-    """Accumulating-atom law; K is drawn by the closed-form inverse CDF."""
-    return Example2Model(alpha, nu, beta)
-
-
 class Example2Gain(RadialGain):
     """Unbounded gain k^beta on shrinking windows around the atoms.
 
@@ -354,8 +330,7 @@ class Example2Gain(RadialGain):
 
     def __init__(self, beta: float):
         self.beta = float(beta)
-        super().__init__(angle_fn=self._values, declared_bound=None,
-                         note="unbounded window gain")
+        super().__init__(angle_fn=self._values, declared_bound=None)
 
     def _values(self, theta):
         t = np.asarray(theta, dtype=float)
@@ -374,19 +349,6 @@ class Example2Gain(RadialGain):
             vals[inside] = k[inside] ** self.beta
             out[todo] = vals
         return out
-
-
-def example2_gain(beta: float) -> Example2Gain:
-    """The companion gain of the accumulating-atom construction."""
-    return Example2Gain(beta)
-
-
-def example2_transformed_tail(alpha: float, nu: float, beta: float,
-                              r: float) -> float:
-    """r^alpha * P{norm > r} after the unbounded gain; always at least
-    r^alpha / (r^(1/beta) + 1), and divergent as r grows."""
-    model = Example2Model(alpha, nu, beta)
-    return float(r) ** alpha * model.transformed_tail(float(r))
 
 
 def example2_moment(alpha: float, nu: float, beta: float,
@@ -414,9 +376,7 @@ class Example3Model(RegVarModel):
     """
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
-        self.alpha = float(alpha)
+        self.alpha = positive_finite(alpha, "alpha")
         self.spectral = SpectralMeasure.discrete([0.0], [1.0])
 
     def _sample_chunk(self, rng, m):
@@ -476,7 +436,3 @@ def staircase(x):
     out = np.exp2(1.0 - np.ceil(x))
     out = np.where(x <= 0.0, np.nan, out)
     return float(out) if out.ndim == 0 else out
-
-
-def example3_model(alpha: float) -> Example3Model:
-    return Example3Model(alpha)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConstruction
+from .errors import InvalidConstruction, positive_finite
 from .sphere import TWO_PI
 
 # cells per period of the table that starts the oscillating-tail inverse
@@ -85,9 +85,7 @@ class ParetoLaw(RadialLaw):
     """P{R > r} = min(1, r^-alpha); support [1, infinity)."""
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
-        self.alpha = float(alpha)
+        self.alpha = positive_finite(alpha, "alpha")
 
     def tail(self, r):
         r = np.asarray(r, dtype=float)
@@ -113,11 +111,9 @@ class AtomPlusParetoLaw(RadialLaw):
     """
 
     def __init__(self, alpha: float, tail_coef: float):
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+        self.alpha = positive_finite(alpha, "alpha")
         if not 0.0 < tail_coef <= 1.0:
             raise ValueError("tail coefficient must lie in (0, 1]")
-        self.alpha = float(alpha)
         self.coef = float(tail_coef)
 
     @property
@@ -152,13 +148,11 @@ class OscillatingTailLaw(RadialLaw):
     """
 
     def __init__(self, alpha: float, amplitude: float, sign: int = +1):
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+        self.alpha = positive_finite(alpha, "alpha")
         if not 0.0 < amplitude < 1.0:
             raise ValueError("amplitude must lie in (0, 1)")
         if sign not in (-1, +1):
             raise ValueError("sign must be +1 or -1")
-        self.alpha = float(alpha)
         self.amplitude = float(amplitude)
         self.sign = int(sign)
         if self.amplitude / np.sqrt(1.0 - self.amplitude ** 2) > self.alpha:

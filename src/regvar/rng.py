@@ -15,7 +15,6 @@ SAMPLE_STREAM = 0
 GAIN_STREAM = 1
 BOOTSTRAP_STREAM = 2
 MOMENT_STREAM = 3
-AUX_STREAM = 4
 
 CHUNK = 1 << 16
 

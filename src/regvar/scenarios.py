@@ -34,7 +34,6 @@ from .measures import (
     expected_gain_reweight,
     exponential_gain_process,
     moment_condition,
-    normalize,
     pushforward,
     reweight,
 )
@@ -187,7 +186,7 @@ def _run_theorem1(s: Scenario) -> Report:
               "top_frac": TOP_FRAC, "tolerances": tol}
 
     est = _estimate_transformed(
-        s, model, lambda b: spherical_map_apply(b, fmap), normalize(image))
+        s, model, lambda b: spherical_map_apply(b, fmap), image.normalized())
 
     mass_dev = abs(image.total_mass - model.sigma.total_mass)
     checks = [
@@ -247,7 +246,7 @@ def _run_theorem2(s: Scenario) -> Report:
     config = {"model": model_spec, "gain": gain_spec, "n": s.n,
               "seed": s.seed, "top_frac": TOP_FRAC, "tolerances": tol}
 
-    target = normalize(reweight(model.sigma, gain, alpha))
+    target = reweight(model.sigma, gain, alpha).normalized()
     est = _estimate_transformed(
         s, model, lambda b: radial_scale_apply(b, gain), target)
 
@@ -298,7 +297,7 @@ def _run_theorem3(s: Scenario) -> Report:
     except UnboundedGain:
         refused = 1.0
 
-    target = normalize(reweight(model.sigma, gain, alpha))
+    target = reweight(model.sigma, gain, alpha).normalized()
     est = _estimate_transformed(
         s, model, lambda b: radial_scale_apply(b, gain), target)
 
@@ -323,7 +322,7 @@ def _run_corollary2(s: Scenario) -> Report:
               "seed": s.seed, "top_frac": TOP_FRAC,
               "mc_budget": process.mc_budget, "tolerances": tol}
 
-    target = normalize(expected_gain_reweight(model.sigma, process, alpha))
+    target = expected_gain_reweight(model.sigma, process, alpha).normalized()
     est = _estimate_transformed(
         s, model, lambda b: randomized_scale_apply(
             b, process, substream(s.seed, GAIN_STREAM)), target)
@@ -378,10 +377,10 @@ def _run_example1(s: Scenario) -> Report:
     mix_vals = np.array([r ** alpha * model.exact_tail(r, full) for r in r_grid])
     mix_dev = float(np.max(np.abs(mix_vals - 1.0)))
 
-    # the discontinuous sign map fixes the one-atom spectral measure ...
+    # the sign map, which jumps at 0 and pi, fixes the one-atom spectral
+    # measure ...
     sign_map = SphereMap(angle_fn=lambda t: np.where(
-        t == 0.0, 0.0, np.where(t <= np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)),
-        discontinuity_note="jumps at 0 and pi")
+        t == 0.0, 0.0, np.where(t <= np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)))
     image = pushforward(model.spectral, sign_map)
     fixed = distance_ks(image, model.spectral)
 

@@ -31,15 +31,11 @@ from .measures import (
 )
 from .models import (
     Example1Model,
+    Example2Gain,
     Example2Model,
     Example3Model,
     PolarIndependentModel,
     RegVarModel,
-    example1_model,
-    example2_gain,
-    example2_model,
-    example3_model,
-    polar_independent,
 )
 from .radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw, RadialLaw
 from .sphere import ArcSet
@@ -112,18 +108,6 @@ def radial_from_spec(spec: dict) -> RadialLaw:
     raise SpecError(f"unknown radial law kind {kind!r}")
 
 
-def radial_to_spec(law: RadialLaw) -> dict:
-    if isinstance(law, ParetoLaw):
-        return {"kind": "pareto", "alpha": law.alpha}
-    if isinstance(law, AtomPlusParetoLaw):
-        return {"kind": "atom_plus_pareto", "alpha": law.alpha,
-                "tail_coefficient": law.coef}
-    if isinstance(law, OscillatingTailLaw):
-        return {"kind": "oscillating", "alpha": law.alpha,
-                "amplitude": law.amplitude, "sign": law.sign}
-    raise SpecError("radial law cannot be serialized")
-
-
 # ----------------------------------------------------------------------
 # models
 
@@ -134,30 +118,14 @@ def model_from_spec(spec: dict) -> RegVarModel:
     if kind == "polar_independent":
         sigma = measure_from_spec(spec["sigma"])
         radial = radial_from_spec(spec["radial"])
-        return polar_independent(sigma, spec["alpha"], radial)
+        return PolarIndependentModel(sigma, spec["alpha"], radial)
     if kind == "example1":
-        return example1_model(spec["alpha"], spec.get("amplitude", 0.5))
+        return Example1Model(spec["alpha"], spec.get("amplitude", 0.5))
     if kind == "example2":
-        return example2_model(spec["alpha"], spec["nu"], spec["beta"])
+        return Example2Model(spec["alpha"], spec["nu"], spec["beta"])
     if kind == "example3":
-        return example3_model(spec["alpha"])
+        return Example3Model(spec["alpha"])
     raise SpecError(f"unknown model kind {kind!r}")
-
-
-def model_to_spec(model: RegVarModel) -> dict:
-    if isinstance(model, PolarIndependentModel):
-        return {"kind": "polar_independent", "alpha": model.alpha,
-                "sigma": measure_to_spec(model.sigma),
-                "radial": radial_to_spec(model.radial)}
-    if isinstance(model, Example1Model):
-        return {"kind": "example1", "alpha": model.alpha,
-                "amplitude": model.amplitude}
-    if isinstance(model, Example2Model):
-        return {"kind": "example2", "alpha": model.alpha, "nu": model.nu,
-                "beta": model.beta}
-    if isinstance(model, Example3Model):
-        return {"kind": "example3", "alpha": model.alpha}
-    raise SpecError("model cannot be serialized")
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +158,11 @@ def gain_from_spec(spec: dict) -> RadialGain:
         amp = float(spec["amplitude"])
         _require(base >= abs(amp), "cosine gain must stay nonnegative")
         return RadialGain(angle_fn=lambda t: base + amp * np.cos(t),
-                          declared_bound=base + abs(amp), note="cosine gain")
+                          declared_bound=base + abs(amp))
     if kind == "step":
         return step_gain(spec["breakpoints"], spec["values"])
     if kind == "example2_gain":
-        return example2_gain(spec["beta"])
+        return Example2Gain(spec["beta"])
     if kind == "indicator_arc":
         return indicator_gain(ArcSet(spec["arcs"]))
     if kind == "power_cusp":

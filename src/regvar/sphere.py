@@ -140,10 +140,6 @@ class ArcSet:
     def full_circle(cls) -> "ArcSet":
         return cls([(0.0, TWO_PI)])
 
-    @classmethod
-    def single(cls, a: float, b: float) -> "ArcSet":
-        return cls([(a, b)])
-
     @property
     def length(self) -> float:
         return float(sum(b - a for a, b in self.arcs))

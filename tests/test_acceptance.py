@@ -13,7 +13,7 @@ import pytest
 
 from regvar.cli import cli_main
 from regvar.estimation import hill_estimator
-from regvar.models import polar_independent
+from regvar.models import PolarIndependentModel
 from regvar.measures import SpectralMeasure
 from regvar.radial import ParetoLaw
 from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
@@ -118,7 +118,7 @@ def test_criterion_08_discontinuous_gain_scenario():
 
 
 def test_criterion_09_estimation_sanity():
-    model = polar_independent(SpectralMeasure.uniform(), 1.5, ParetoLaw(1.5))
+    model = PolarIndependentModel(SpectralMeasure.uniform(), 1.5, ParetoLaw(1.5))
     batch = model.sample(100_000, 42)
     alpha_hat = hill_estimator(batch, 1000)
     hand = hill_estimator(np.array([16.0, 8.0, 4.0, 2.0, 1.0]), 4)

@@ -20,7 +20,12 @@ from regvar.estimation import (
     top_indices,
 )
 from regvar.measures import SpectralMeasure
-from regvar.models import example2_gain, example2_model, polar_independent
+from regvar.models import (
+    Example1Model,
+    Example2Gain,
+    Example2Model,
+    PolarIndependentModel,
+)
 from regvar.radial import ParetoLaw
 from regvar.rng import BOOTSTRAP_STREAM, substream
 from regvar.sphere import TWO_PI, ArcSet
@@ -34,7 +39,7 @@ def batch_from(points):
 
 
 def uniform_pareto(alpha):
-    return polar_independent(SpectralMeasure.uniform(), alpha, ParetoLaw(alpha))
+    return PolarIndependentModel(SpectralMeasure.uniform(), alpha, ParetoLaw(alpha))
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +223,14 @@ def test_bootstrap_ci_is_the_percentile_interval():
 
 
 def test_bootstrap_ci_infinite_ends():
-    # every resample of equal norms is degenerate; with one larger norm and
-    # k = 1 a resample is finite only when it holds that norm exactly once
-    assert bootstrap_alpha_ci(np.ones(10), 1, 0) == (np.inf, np.inf)
-    lo, hi = bootstrap_alpha_ci(np.array([1.0] * 9 + [2.0]), 1, 0)
-    assert lo == 1.0 / np.log(2.0) and hi == np.inf
+    # a resample whose top k+1 norms are equal has an infinite statistic and
+    # is left out: every resample of equal norms is, so there is no interval;
+    # with one larger norm and k = 1 a resample is finite only when it holds
+    # that norm exactly once, so both ends are 1 / ln 2
+    with pytest.raises(DegenerateTail):
+        bootstrap_alpha_ci(np.ones(10), 1, 0)
+    ci = bootstrap_alpha_ci(np.array([1.0] * 9 + [2.0]), 1, 0)
+    assert ci == (1.0 / np.log(2.0), 1.0 / np.log(2.0))
 
 
 # ----------------------------------------------------------------------
@@ -263,11 +271,10 @@ def test_tail_scan_exact_constant_for_power_tail():
     scan = tail_scan(model, 1.0, [FULL], np.geomspace(1.5, 100.0, 9))
     assert scan.mode == "exact"
     assert np.max(scan.values) - np.min(scan.values) <= 1e-12
-    assert scan.is_bounded == [True]
 
 
 def test_tail_scan_transformed_example2_diverges():
-    t = TransformedModel(example2_model(1.0, 0.5, 1.2), example2_gain(1.2))
+    t = TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2))
     grid = np.geomspace(10.0, 1e4, 7)
     scan = tail_scan(t, 1.0, [FULL], grid)
     assert np.all(np.diff(scan.values[:, 0]) > 0)
@@ -293,9 +300,7 @@ def test_tail_scan_empirical_needs_mass():
 
 
 def test_tail_scan_oscillation_diagnostic():
-    from regvar.models import example1_model
-
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
 
     class SideOnly:
         alpha = 1.0
@@ -305,8 +310,11 @@ def test_tail_scan_oscillation_diagnostic():
 
     grid = np.exp(np.linspace(0.0, 2 * TWO_PI, 33))
     scan = tail_scan(SideOnly(), 1.0, [FULL], grid)
-    assert scan.oscillation_range[0] == pytest.approx(1.0, abs=0.01)
-    assert scan.is_bounded == [True]
+    # over the upper half of the grid the normalized side tail sweeps its
+    # whole band [1 - a, 1 + a] and stays inside it
+    upper = scan.values[grid >= np.median(grid), 0]
+    assert np.max(upper) - np.min(upper) == pytest.approx(1.0, abs=0.01)
+    assert 0.5 - 1e-12 <= np.min(upper) and np.max(upper) <= 1.5 + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +334,7 @@ def test_estimate_pareto_15_seed_42():
 
 def test_estimate_distances_to_declared_target():
     sigma = SpectralMeasure.discrete([0.5, 2.5], [0.4, 0.6])
-    model = polar_independent(sigma, 1.0, ParetoLaw(1.0))
+    model = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     b = model.sample(100_000, 7)
     rep = estimate(b, 1000, target=sigma)
     assert rep.distances["tv"] <= 0.05

@@ -4,7 +4,9 @@ Outside the package's __init__.py every imported name must be used in its
 module, and no module may import another module's private (underscored)
 name: a helper that two modules share is public in the module that owns it.
 Package imports sit at module level, never inside a function body, so a
-module's dependencies are all in its header.
+module's dependencies are all in its header. Every module-level function,
+class and constant is read by some library module or re-exported by
+__init__.py, so no definition lives on for the tests alone.
 
 scipy is reached only through a module-level `import scipy`, and its
 submodules only as attributes (`scipy.integrate.quad`). `import scipy`
@@ -86,3 +88,35 @@ def test_scipy_only_through_module_level_import(path):
                     problems.append(f"line {node.lineno}: import scipy "
                                     "below module level")
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def _module_level_definitions(tree):
+    """(name, node) for every module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+def test_every_definition_is_used_or_exported():
+    """A module-level definition is read by some library module outside its
+    own definition, or re-exported by the package's __init__.py; anything
+    else is reachable only from tests and is dead library code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    exported = {bound for bound, _, _, _ in _imports(trees["__init__.py"])}
+    problems = []
+    for module, tree in trees.items():
+        for name, definition in _module_level_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            used = any(isinstance(n, ast.Name) and n.id == name
+                       and id(n) not in inside
+                       and not isinstance(n.ctx, ast.Store)
+                       for other in trees.values() for n in ast.walk(other))
+            if not used and name not in exported:
+                problems.append(f"{module}: {name}")
+    assert not problems, "defined but never used: " + ", ".join(problems)

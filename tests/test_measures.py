@@ -28,7 +28,6 @@ from regvar.measures import (
     identity_map,
     indicator_gain,
     moment_condition,
-    normalize,
     power_cusp_gain,
     pushforward,
     quadrant_snap_map,
@@ -37,7 +36,7 @@ from regvar.measures import (
     step_gain,
     step_map,
 )
-from regvar.models import polar_independent
+from regvar.models import PolarIndependentModel
 from regvar.radial import ParetoLaw
 from regvar.sphere import TWO_PI, ArcSet
 
@@ -63,23 +62,23 @@ def discrete_measures(draw, max_atoms=12):
 
 
 # ----------------------------------------------------------------------
-# normalize
+# normalized
 
 
 def test_normalize_symmetric():
-    m = normalize(disc([0.0, np.pi], [2.0, 2.0]))
+    m = disc([0.0, np.pi], [2.0, 2.0]).normalized()
     np.testing.assert_allclose(m.weights, [0.5, 0.5])
     assert m.total_mass == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_idempotent():
     m = disc([1.0, 2.0], [0.25, 0.75])
-    again = normalize(m)
+    again = m.normalized()
     np.testing.assert_allclose(again.weights, m.weights)
 
 
 def test_normalize_hand():
-    m = normalize(disc([HALF_PI, 3 * HALF_PI], [1.0, 9.0]))
+    m = disc([HALF_PI, 3 * HALF_PI], [1.0, 9.0]).normalized()
     np.testing.assert_allclose(m.weights, [0.1, 0.9])
 
 
@@ -207,7 +206,7 @@ def test_reweight_hand_case_not_renormalized():
     h = step_gain([0.0, 1.0], [1.0, 3.0])  # h(0) = 1, h(pi) = 3
     out = reweight(m, h, 2.0)
     np.testing.assert_allclose(out.weights, [0.5, 4.5])
-    norm = normalize(out)
+    norm = out.normalized()
     np.testing.assert_allclose(norm.weights, [0.1, 0.9])
 
 
@@ -333,7 +332,7 @@ def test_quantile_requires_normalized():
 
 @given(discrete_measures())
 def test_cdf_quantile_galois(m):
-    m = normalize(m)
+    m = m.normalized()
     for u in np.linspace(0.0, 0.999, 101):
         q = m.quantile(u)
         assert m.cdf(q) >= u
@@ -378,8 +377,8 @@ def test_sample_angles_cached_table_matches_fresh_quantile(scale):
 
 def test_sample_angles_cache_built_in_worker_threads():
     def model():
-        return polar_independent(SpectralMeasure.cosine_bump(0.5), 1.0,
-                                 ParetoLaw(1.0))
+        return PolarIndependentModel(SpectralMeasure.cosine_bump(0.5), 1.0,
+                                     ParetoLaw(1.0))
 
     a = model().sample(300_000, 3, workers=1)
     b = model().sample(300_000, 3, workers=2)
@@ -411,7 +410,7 @@ def test_qtm_step_thresholds():
 
 @given(discrete_measures(max_atoms=100))
 def test_qtm_pushforward_recovers_target(m):
-    m = normalize(m)
+    m = m.normalized()
     image = pushforward(SpectralMeasure.uniform(), quantile_transform_map(m))
     assert distance_ks(image, m) <= 1e-9
 
@@ -605,7 +604,7 @@ def test_d3_measure_operations():
     flip = SphereMap(coords_fn=lambda x: -x)
     image = pushforward(m, flip)
     assert image.total_mass == m.total_mass
-    assert distance_tv(n, normalize(image)) == 1.0  # antipodal supports
+    assert distance_tv(n, image.normalized()) == 1.0  # antipodal supports
     caps = CapSet([(np.array([0.0, 0.0, 1.0]), 0.9)])
     assert n.mass_on(caps) == 0.25
     h = RadialGain(coords_fn=lambda x: 1.0 + x[2] ** 2)

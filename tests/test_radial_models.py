@@ -3,17 +3,27 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from regvar.errors import InvalidConstruction, MomentDivergence, NonFiniteInput
-from regvar.measures import SpectralMeasure, constant_gain, reweight
+from regvar.errors import (
+    InvalidConstruction,
+    MomentDivergence,
+    NonFiniteInput,
+    RegvarError,
+)
+from regvar.measures import (
+    SpectralMeasure,
+    constant_gain,
+    expected_gain_reweight,
+    exponential_gain_process,
+    power_cusp_gain,
+    reweight,
+)
 from regvar.models import (
-    example1_model,
-    example2_gain,
-    example2_model,
+    Example1Model,
+    Example2Gain,
+    Example2Model,
+    Example3Model,
+    PolarIndependentModel,
     example2_moment,
-    example2_transformed_tail,
-    example3_model,
-    normalizing_sequence,
-    polar_independent,
     staircase,
 )
 from regvar.radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw
@@ -23,7 +33,7 @@ FULL = ArcSet.full_circle()
 
 
 def uniform_pareto(alpha):
-    return polar_independent(SpectralMeasure.uniform(), alpha, ParetoLaw(alpha))
+    return PolarIndependentModel(SpectralMeasure.uniform(), alpha, ParetoLaw(alpha))
 
 
 # ----------------------------------------------------------------------
@@ -176,21 +186,21 @@ def test_polar_independent_exact_tail_product():
 
 def test_polar_independent_atom_misses_arc():
     sigma = SpectralMeasure.discrete([0.0], [1.0])
-    m = polar_independent(sigma, 1.0, ParetoLaw(1.0))
+    m = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     assert m.exact_tail(5.0, ArcSet([(1.0, 2.0)])) == 0.0
 
 
 def test_polar_independent_quadrant_product():
     centers = [np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4]
     sigma = SpectralMeasure.discrete(centers, [0.25] * 4)
-    m = polar_independent(sigma, 2.0, ParetoLaw(2.0))
+    m = PolarIndependentModel(sigma, 2.0, ParetoLaw(2.0))
     assert m.exact_tail(10.0, ArcSet([(0.0, np.pi / 2)])) == pytest.approx(0.0025)
 
 
 def test_polar_independent_requires_normalized_sigma():
     with pytest.raises(ValueError):
-        polar_independent(SpectralMeasure.discrete([0.0], [2.0]), 1.0,
-                          ParetoLaw(1.0))
+        PolarIndependentModel(SpectralMeasure.discrete([0.0], [2.0]), 1.0,
+                              ParetoLaw(1.0))
 
 
 def test_polar_independence_rank_correlation():
@@ -205,21 +215,10 @@ def test_polar_independence_rank_correlation():
 def test_polar_independent_d3():
     coords = np.eye(3)
     sigma = SpectralMeasure.discrete_dirs(coords, [0.5, 0.3, 0.2])
-    m = polar_independent(sigma, 1.0, ParetoLaw(1.0))
+    m = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     b = m.sample(5000, 9)
     assert b.dim == 3
     assert np.all(b.norms >= 1.0)
-
-
-def test_normalizing_sequence():
-    m2 = uniform_pareto(2.0)
-    assert normalizing_sequence(m2, 100) == pytest.approx(10.0)
-    m1 = uniform_pareto(1.0)
-    assert normalizing_sequence(m1, 1000) == pytest.approx(1000.0)
-    mh = uniform_pareto(0.5)
-    assert normalizing_sequence(mh, 100) == pytest.approx(1e4)
-    bs = [normalizing_sequence(m2, n) for n in range(1, 50)]
-    assert np.all(np.diff(bs) > 0)
 
 
 @given(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
@@ -228,13 +227,21 @@ def test_non_positive_or_non_finite_parameters_raise(bad):
     for build in (lambda: ParetoLaw(bad),
                   lambda: AtomPlusParetoLaw(bad, 0.5),
                   lambda: OscillatingTailLaw(bad, 0.5),
-                  lambda: example2_model(bad, 0.5, 1.2),
-                  lambda: example2_model(1.0, bad, 1.2),
-                  lambda: example3_model(bad),
+                  lambda: Example2Model(bad, 0.5, 1.2),
+                  lambda: Example2Model(1.0, bad, 1.2),
+                  lambda: Example3Model(bad),
                   lambda: reweight(SpectralMeasure.uniform(),
-                                   constant_gain(1.0), bad)):
-        with pytest.raises(ValueError):
+                                   constant_gain(1.0), bad),
+                  lambda: expected_gain_reweight(
+                      SpectralMeasure.uniform(),
+                      exponential_gain_process(np.ones_like), bad),
+                  lambda: SpectralMeasure.uniform().scaled(bad),
+                  lambda: SpectralMeasure.discrete([0.0], [1.0]).scaled(bad),
+                  lambda: power_cusp_gain(1.0, bad)):
+        # a RegvarError for the library, still a ValueError for callers
+        with pytest.raises(RegvarError) as info:
             build()
+        assert isinstance(info.value, ValueError)
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +250,9 @@ def test_non_positive_or_non_finite_parameters_raise(bad):
 
 @pytest.mark.parametrize("maker", [
     lambda: uniform_pareto(1.0),
-    lambda: example1_model(1.0, 0.5),
-    lambda: example2_model(1.0, 0.5, 1.2),
-    lambda: example3_model(1.0),
+    lambda: Example1Model(1.0, 0.5),
+    lambda: Example2Model(1.0, 0.5, 1.2),
+    lambda: Example3Model(1.0),
 ])
 def test_same_seed_same_batch_any_workers(maker):
     m = maker()
@@ -258,9 +265,9 @@ def test_same_seed_same_batch_any_workers(maker):
 
 @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 131_073])
 @pytest.mark.parametrize("maker", [
-    lambda: example1_model(1.0, 0.5),
-    lambda: polar_independent(SpectralMeasure.cosine_bump(0.5), 0.6,
-                              OscillatingTailLaw(0.6, 0.5, -1)),
+    lambda: Example1Model(1.0, 0.5),
+    lambda: PolarIndependentModel(SpectralMeasure.cosine_bump(0.5), 0.6,
+                                  OscillatingTailLaw(0.6, 0.5, -1)),
 ], ids=["example1", "oscillating-polar"])
 def test_oscillating_samples_identical_across_workers(maker, n):
     # n on both sides of the 65 536-point chunk and past two chunks
@@ -275,10 +282,10 @@ def test_oscillating_samples_identical_across_workers(maker, n):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("maker, n", [
     (lambda: uniform_pareto(0.01), 20_000),
-    (lambda: example2_model(0.01, 0.5, 101), 200_000),
-    (lambda: polar_independent(SpectralMeasure.uniform(), 0.01,
-                               AtomPlusParetoLaw(0.01, 0.5)), 200_000),
-    (lambda: example1_model(0.01, 0.005), 200_000),
+    (lambda: Example2Model(0.01, 0.5, 101), 200_000),
+    (lambda: PolarIndependentModel(SpectralMeasure.uniform(), 0.01,
+                                   AtomPlusParetoLaw(0.01, 0.5)), 200_000),
+    (lambda: Example1Model(0.01, 0.005), 200_000),
 ], ids=["pareto", "example2", "atom-plus-pareto", "example1"])
 def test_overflowing_draws_raise(maker, n, workers):
     # at alpha = 0.01 some draws overflow to an infinite norm (and example1
@@ -301,13 +308,13 @@ def test_sample_rejects_fewer_than_one_worker(workers):
 @pytest.mark.parametrize("maker,probes", [
     (lambda: uniform_pareto(1.0),
      [(2.0, FULL), (5.0, ArcSet([(0.0, np.pi)]))]),
-    (lambda: example1_model(1.0, 0.5),
+    (lambda: Example1Model(1.0, 0.5),
      [(2.0, FULL), (3.0, ArcSet([(0.0, 0.4)])), (2.5, ArcSet([(5.0, TWO_PI)]))]),
-    (lambda: example2_model(1.0, 0.5, 1.2),
+    (lambda: Example2Model(1.0, 0.5, 1.2),
      [(2.0, FULL), (3.0, ArcSet([(1.0, 3.0)])), (1.5, ArcSet([(3.0, TWO_PI)]))]),
     # example3 probes sit at r >= 6, where the x-coordinate tail convention
     # differs from true norms by O(2^-2r / r^2), far below the binomial band
-    (lambda: example3_model(1.0),
+    (lambda: Example3Model(1.0),
      [(8.0, FULL), (6.0, ArcSet([(0.0, 0.1)])),
       (8.0, ArcSet([(2e-4, 1.0)]))]),
 ])
@@ -328,20 +335,20 @@ def test_exceedance_frequency_matches_exact_tail(maker, probes):
 
 
 def test_example1_mixture_tail_exactly_pareto():
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
     for r in np.geomspace(1.0, 500.0, 37):
         assert r * m.exact_tail(r, FULL) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_example1_side_tail_at_peak():
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
     r = np.exp(np.pi / 2)  # sin(ln r) = 1
     assert r * m.side_law(+1).tail(r) == pytest.approx(1.5, abs=1e-12)
     assert r * m.side_law(-1).tail(r) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_example1_side_oscillation_band():
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
     r = np.exp(np.linspace(0.0, TWO_PI, 1000))
     vals = r * m.side_law(+1).tail(r)
     assert np.max(vals) <= 1.5 + 1e-12
@@ -349,7 +356,7 @@ def test_example1_side_oscillation_band():
 
 
 def test_example1_spectral_atom_only_at_zero():
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
     arc = ArcSet([(np.pi / 4, np.pi)])
     # angles 1/n < pi/4 once n >= 2, so only ray 1 (angle 1.0) meets the
     # arc; its mass lives at norms in [1, 2) and is gone once r >= 2
@@ -361,11 +368,11 @@ def test_example1_spectral_atom_only_at_zero():
 
 def test_example1_amplitude_guard():
     with pytest.raises(InvalidConstruction):
-        example1_model(0.3, 0.9)
+        Example1Model(0.3, 0.9)
 
 
 def test_example1_ray_geometry():
-    m = example1_model(1.0, 0.5)
+    m = Example1Model(1.0, 0.5)
     b = m.sample(50_000, 21)
     ang = b.angles()
     plus = ang < np.pi
@@ -379,7 +386,7 @@ def test_example1_ray_geometry():
 
 
 def test_example2_k_law():
-    m = example2_model(1.0, 0.5, 1.2)
+    m = Example2Model(1.0, 0.5, 1.2)
     b = m.sample(400_000, 17)
     # P{K = 1} = 1/2: the first atom sits at angle 0
     frac = np.mean(b.angles() == 0.0)
@@ -387,7 +394,7 @@ def test_example2_k_law():
 
 
 def test_example2_normalized_tail_constant_in_r():
-    m = example2_model(1.0, 0.5, 1.2)
+    m = Example2Model(1.0, 0.5, 1.2)
     vals = [r * m.exact_tail(r, FULL) for r in np.geomspace(1.5, 1e5, 23)]
     assert max(vals) - min(vals) <= 1e-9
     assert vals[0] == pytest.approx(m.sigma_total(), rel=1e-12)
@@ -395,7 +402,7 @@ def test_example2_normalized_tail_constant_in_r():
 
 def test_example2_sigma_total_bracketed_by_brute_force():
     # oracle: explicit series to 1e7 plus an analytic remainder bound
-    m = example2_model(1.0, 0.5, 1.2)
+    m = Example2Model(1.0, 0.5, 1.2)
     k = np.arange(1, 10_000_000, dtype=float)
     partial = float(np.sum(k ** -0.5 / (k * (k + 1))))
     remainder_bound = (1e7) ** -0.5 / 1e7  # < sum_{k>K} k^-nu q_k < K^-nu / K
@@ -405,7 +412,7 @@ def test_example2_sigma_total_bracketed_by_brute_force():
 
 
 def test_example2_arc_masses_match_atom_series():
-    m = example2_model(1.0, 0.5, 1.2)
+    m = Example2Model(1.0, 0.5, 1.2)
     # arc holding exactly atoms k = 2 and 3: b_2 = pi/2, b_3 = 3pi/4
     arc = ArcSet([(np.pi / 2, np.pi - np.pi / 8)])
     expect = (2.0 ** -0.5 / 6.0 + 3.0 ** -0.5 / 12.0)
@@ -414,13 +421,13 @@ def test_example2_arc_masses_match_atom_series():
 
 def test_example2_parameter_constraint():
     with pytest.raises(InvalidConstruction):
-        example2_model(1.0, 0.5, 2.0)  # beta >= (1 + nu) / alpha
+        Example2Model(1.0, 0.5, 2.0)  # beta >= (1 + nu) / alpha
     with pytest.raises(InvalidConstruction):
-        example2_model(1.0, 0.5, 0.9)  # beta <= 1 / alpha
+        Example2Model(1.0, 0.5, 0.9)  # beta <= 1 / alpha
 
 
 def test_example2_gain_window_values():
-    g = example2_gain(1.2)
+    g = Example2Gain(1.2)
     assert g.at_angles(np.array([np.pi - np.pi / 2]))[0] == pytest.approx(2 ** 1.2)
     assert g.at_angles(np.array([np.pi - np.pi / 4]))[0] == pytest.approx(3 ** 1.2)
     assert g.at_angles(np.array([np.pi - 1e-9]))[0] == 0.0
@@ -432,24 +439,25 @@ def test_example2_gain_window_values():
 
 def test_example2_gain_matches_sampled_atoms():
     # on every atom angle the gain equals k^beta (within the float-pi block)
-    g = example2_gain(1.2)
+    g = Example2Gain(1.2)
     k = np.arange(1, 30, dtype=float)
     b_k = np.pi - np.pi * np.exp2(1.0 - k)
     np.testing.assert_allclose(g.at_angles(b_k), k ** 1.2, rtol=1e-12)
 
 
-def test_example2_transformed_tail_bound_and_growth():
-    vals = [example2_transformed_tail(1.0, 0.5, 1.2, r) for r in (10., 100., 1000.)]
+def test_example2_tail_after_gain_bound_and_growth():
+    m = Example2Model(1.0, 0.5, 1.2)
+    vals = [r * m.transformed_tail(r) for r in (10., 100., 1000.)]
     assert vals[0] < vals[1] < vals[2]
     for r, v in zip((10., 100., 1000.), vals):
         assert v >= r / (r ** (1 / 1.2) + 1.0)
     assert vals[2] >= 1000.0 / (1000.0 ** (1 / 1.2) + 1.0)
     assert 1000.0 / (1000.0 ** (1 / 1.2) + 1.0) == pytest.approx(3.152, abs=5e-4)
     with pytest.raises(ValueError):
-        example2_transformed_tail(1.0, 0.5, 1.2, 1.0)
+        m.transformed_tail(1.0)
 
 
-def test_example2_transformed_tail_brute_force_oracle():
+def test_example2_tail_after_gain_brute_force_oracle():
     # oracle: direct summation of q_k * tail_k(r / k^beta) to 10^6 terms;
     # beyond that every term is the full atom mass q_k, telescoping to 1/K
     alpha, nu, beta, r = 1.0, 0.5, 1.2, 250.0
@@ -458,8 +466,8 @@ def test_example2_transformed_tail_brute_force_oracle():
     x = r / k ** beta
     tail_k = np.where(x < 1.0, 1.0, k ** -nu * np.maximum(x, 1.0) ** -alpha)
     brute = float(np.sum(tail_k / (k * (k + 1)))) + 1.0 / big
-    assert example2_transformed_tail(alpha, nu, beta, r) == pytest.approx(
-        r ** alpha * brute, rel=1e-9)
+    assert Example2Model(alpha, nu, beta).transformed_tail(r) == pytest.approx(
+        brute, rel=1e-9)
 
 
 def test_example2_moment_series():
@@ -491,7 +499,7 @@ def test_staircase_values():
 
 
 def test_example3_graph_angles_shrink():
-    m = example3_model(1.0)
+    m = Example3Model(1.0)
     b = m.sample(100_000, 31)
     graph = b.points[1] > 0
     far = graph & (b.points[0] > 4.0)
@@ -499,7 +507,7 @@ def test_example3_graph_angles_shrink():
 
 
 def test_example3_exact_tail_identities():
-    m = example3_model(1.0)
+    m = Example3Model(1.0)
     a = 0.1  # k_a = 4: first k with 2^-k <= 0.1
     for r in (4.5, 6.0, 11.0):
         assert m.exact_tail(r, ArcSet([(a, TWO_PI)])) == 0.0
@@ -509,7 +517,7 @@ def test_example3_exact_tail_identities():
 
 def test_example3_wedge_split_oracle():
     # brute-force the in-between arc [0.02, 0.1) where a few steps still land
-    m = example3_model(1.0)
+    m = Example3Model(1.0)
     arcs = ArcSet([(0.02, 0.1)])
     r = 3.0
     n = 2_000_000
@@ -520,7 +528,7 @@ def test_example3_wedge_split_oracle():
 
 
 def test_example3_axis_mass_is_half():
-    m = example3_model(1.0)
+    m = Example3Model(1.0)
     b = m.sample(200_000, 13)
     assert np.mean(b.points[1] == 0.0) == pytest.approx(0.5, abs=0.005)
 
@@ -529,7 +537,7 @@ def test_example3_x_coordinate_convention():
     # exact_tail follows the x coordinate; at small r the true norm of a
     # graph point exceeds x by up to g^2/(2x), so norm-based exceedance
     # frequencies sit measurably above the formula while x-based ones match
-    m = example3_model(1.0)
+    m = Example3Model(1.0)
     n = 1_000_000
     b = m.sample(n, 123)
     r = 2.0

@@ -16,8 +16,12 @@ from regvar.measures import (
     quadrant_snap_map,
     step_gain,
 )
-from regvar.models import example2_gain, example2_model, example3_model, \
-    polar_independent
+from regvar.models import (
+    Example2Gain,
+    Example2Model,
+    Example3Model,
+    PolarIndependentModel,
+)
 from regvar.radial import ParetoLaw
 from regvar.sphere import TWO_PI, ArcSet
 from regvar.transforms import (
@@ -142,7 +146,7 @@ def test_randomized_zero_process_empties_batch():
 
 def test_randomized_uniform_mean_ratio():
     sigma = SpectralMeasure.uniform()
-    model = polar_independent(sigma, 1.0, ParetoLaw(1.0))
+    model = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     b = model.sample(100_000, 3)
     z = RandomGainProcess(lambda t, rng: rng.uniform(1.0, 3.0, t.shape))
     out = randomized_scale_apply(b, z, np.random.default_rng(99))
@@ -202,7 +206,7 @@ def test_limit_radial_refuses_unbounded():
     with pytest.raises(UnboundedGain):
         limit_pushforward_radial(q, power_cusp_gain(np.pi, 0.2))
     with pytest.raises(UnboundedGain):
-        limit_pushforward_radial(q, example2_gain(1.2))
+        limit_pushforward_radial(q, Example2Gain(1.2))
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +227,7 @@ def test_moment_condition_gate_values():
 
 def test_transformed_model_discrete_exact_tail():
     sigma = SpectralMeasure.discrete([0.5, 4.0], [0.5, 0.5])
-    base = polar_independent(sigma, 1.0, ParetoLaw(1.0))
+    base = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     h = step_gain([0.0, 2.0], [2.0, 0.0])
     t = TransformedModel(base, h)
     # only the atom at 0.5 survives, with norms doubled
@@ -235,7 +239,7 @@ def test_transformed_model_discrete_exact_tail():
 
 
 def test_transformed_model_density_exact_tail_quadrature():
-    base = polar_independent(SpectralMeasure.uniform(), 1.0, ParetoLaw(1.0))
+    base = PolarIndependentModel(SpectralMeasure.uniform(), 1.0, ParetoLaw(1.0))
     h = step_gain([0.0, np.pi], [2.0, 1.0])
     t = TransformedModel(base, h)
     # P{R h > r} = (pi * (2/r) + pi * (1/r)) / (2 pi) for r >= 2
@@ -244,16 +248,14 @@ def test_transformed_model_density_exact_tail_quadrature():
 
 
 def test_transformed_example2_matches_series():
-    from regvar.models import example2_transformed_tail
-
-    base = example2_model(1.0, 0.5, 1.2)
-    t = TransformedModel(base, example2_gain(1.2))
+    base = Example2Model(1.0, 0.5, 1.2)
+    t = TransformedModel(base, Example2Gain(1.2))
     r = 300.0
     assert r * t.exact_tail(r, FULL) == pytest.approx(
-        example2_transformed_tail(1.0, 0.5, 1.2, r), rel=1e-14)
+        r * base.transformed_tail(r), rel=1e-14)
 
 
 def test_transformed_model_unknown_pairs_return_none():
-    base = example3_model(1.0)
+    base = Example3Model(1.0)
     t = TransformedModel(base, constant_gain(2.0))
     assert t.exact_tail(2.0, FULL) is None
