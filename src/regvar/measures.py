@@ -22,11 +22,20 @@ from .errors import (
     DimensionMismatch,
     EmptyMeasure,
     InvalidGain,
+    InvalidParameter,
     MomentDivergence,
     UnsupportedPair,
     positive_finite,
 )
-from .sphere import TWO_PI, ArcSet, CapSet, angles_of, directions_of, wrap_angle
+from .sphere import (
+    TWO_PI,
+    ArcSet,
+    CapSet,
+    angles_of,
+    directions_of,
+    sorted_eval,
+    wrap_angle,
+)
 
 ATOM_MERGE_TOL = 1e-12
 TV_MATCH_TOL = 1e-6
@@ -102,7 +111,10 @@ class SpectralMeasure:
         self._normalized = None
         if kind in ("discrete", "empirical"):
             if self.dim == 2:
-                angles = wrap_angle(np.asarray(angles, dtype=float))
+                angles = np.asarray(angles, dtype=float)
+                if not np.all(np.isfinite(angles)):
+                    raise InvalidParameter("atom angles must be finite")
+                angles = wrap_angle(angles)
                 weights = np.asarray(weights, dtype=float)
                 if angles.shape != weights.shape or angles.ndim != 1:
                     raise ValueError("angles and weights must be 1-d, same length")
@@ -126,6 +138,8 @@ class SpectralMeasure:
                 weights = np.asarray(weights, dtype=float)
                 if coords.shape[0] != self.dim or coords.shape[1] != weights.size:
                     raise ValueError("coords must be (d, m) matching weights")
+                if not np.all(np.isfinite(coords)):
+                    raise InvalidParameter("atom coordinates must be finite")
                 if np.any(weights <= 0):
                     raise ValueError("weights must be positive")
                 norms = np.sqrt(np.sum(coords * coords, axis=0))
@@ -297,7 +311,8 @@ class SpectralMeasure:
             out = self.angles[idx]
         else:
             grid, cum = self._density_cdf_table()
-            out = np.interp(u_arr, cum / cum[-1], grid)
+            levels = cum / cum[-1]
+            out = sorted_eval(lambda v: np.interp(v, levels, grid), u_arr)
         if np.ndim(u) == 0:
             return float(out)
         return out

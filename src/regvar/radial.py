@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidConstruction, positive_finite
-from .sphere import TWO_PI
+from .sphere import TWO_PI, sorted_eval
 
 # cells per period of the table that starts the oscillating-tail inverse
 _TABLE_CELLS = 1024
@@ -28,10 +28,10 @@ def _tabulated_start(log_u, sa, alpha, amplitude):
     tabulated at _TABLE_CELLS + 1 points centred on its flattest point
     t_c = 2*pi - asin(a), where P'(t_c) = alpha - a/sqrt(1 - a^2) is 0 at
     the monotonicity bound. z is reduced into the period and its cell
-    found by binary search. t is interpolated linearly against
-    cbrt(P - P(t_c)), in which t is smooth even where P is flat (there
-    P - P(t_c) ~ (t - t_c)^3), so the start is close there too. The
-    bracket is the cell, cut at t = 0.
+    found by binary search, run over the queries in sorted order. t is
+    interpolated linearly against cbrt(P - P(t_c)), in which t is smooth
+    even where P is flat (there P - P(t_c) ~ (t - t_c)^3), so the start is
+    close there too. The bracket is the cell, cut at t = 0.
     """
     shift = np.where(sa < 0.0, np.pi, 0.0)
     z = alpha * shift - log_u
@@ -47,7 +47,8 @@ def _tabulated_start(log_u, sa, alpha, amplitude):
     q = z - periods * (TWO_PI * alpha)
     q -= p[mid]
     np.cbrt(q, out=q)
-    cell = np.searchsorted(key, q) - 1
+    cell = sorted_eval(lambda v: np.searchsorted(key, v), q)
+    cell -= 1
     np.clip(cell, 0, _TABLE_CELLS - 1, out=cell)
     q -= key[cell]
     q /= width[cell]
@@ -187,6 +188,15 @@ class OscillatingTailLaw(RadialLaw):
         next to a flat point of g a Newton step from a good t can land on a
         bracket end.
 
+        Draws retire once they reach a fixed point. After each step, the draws
+        whose t did not change are marked; once fewer than half of the active
+        draws moved, the others keep their best t and leave the arrays. That
+        is exact: an unchanged t gives the same g, so the strict < keeps its
+        best; the bracket update sets lo or hi to t, which it already is; and
+        clipping the same Newton point to the same bracket returns t again.
+        A NaN t never equals itself and stays active. At alpha = 1, a = 0.5,
+        37% of the draws still move in the third step and 22% in the fifth.
+
         Why _NEWTON_STEPS = 5 steps are enough: where g' stays away from 0
         the start is within O(cell^2) of the root and each step doubles the
         correct digits; where g' nearly vanishes, at alpha near the
@@ -200,16 +210,21 @@ class OscillatingTailLaw(RadialLaw):
         a*sin t by up to 1/(1 - a). u and sign may be scalars or arrays.
         """
         shape = np.broadcast_shapes(np.shape(u), np.shape(sign))
-        sa = np.atleast_1d(np.asarray(sign, dtype=float)) * amplitude
-        log_u = np.log(np.atleast_1d(np.asarray(u, dtype=float)))
+        sa, log_u = (np.broadcast_to(x, shape).ravel() for x in (
+            np.asarray(sign, dtype=float) * amplitude,
+            np.log(np.asarray(u, dtype=float))))
         t, lo, hi = _tabulated_start(log_u, sa, alpha, amplitude)
         g = np.empty_like(t)
         w = np.empty_like(t)
         dg = np.empty_like(t)
+        t_next = np.empty_like(t)
         above = np.empty(t.shape, dtype=bool)
         # t = 0, where g = -ln u, is the first candidate: the root for u = 1
         best_t = np.zeros_like(t)
-        best_g = np.negative(log_u, out=np.empty_like(t))
+        best_g = np.negative(log_u)
+        # the draws still iterating, and the best t of those retired
+        active = np.arange(t.size)
+        out = np.empty_like(t)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(_NEWTON_STEPS + 1):
@@ -235,11 +250,25 @@ class OscillatingTailLaw(RadialLaw):
                 dg /= w
                 dg -= alpha
                 g /= dg
-                t -= g
-                np.clip(t, lo, hi, out=t)
-                np.isnan(t, out=above)
-                np.copyto(t, hi, where=above)
-        return np.exp(best_t).reshape(shape)[()]
+                np.subtract(t, g, out=t_next)
+                np.clip(t_next, lo, hi, out=t_next)
+                np.isnan(t_next, out=above)
+                np.copyto(t_next, hi, where=above)
+                np.not_equal(t_next, t, out=above)
+                t, t_next = t_next, t
+                moved = np.count_nonzero(above)
+                if 2 * moved >= t.size:
+                    continue
+                # retire the draws whose t stayed put: they are fixed points
+                keep = np.flatnonzero(above)
+                out[active] = best_t
+                active = active[keep]
+                t, lo, hi, sa, log_u, best_t, best_g = (
+                    x[keep] for x in (t, lo, hi, sa, log_u, best_t, best_g))
+                g, w, dg, t_next, above = (
+                    x[:moved] for x in (g, w, dg, t_next, above))
+        out[active] = best_t
+        return np.exp(out).reshape(shape)[()]
 
     def sample(self, rng, n):
         u = 1.0 - rng.random(n)  # in (0, 1]

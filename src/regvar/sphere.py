@@ -5,7 +5,8 @@ interval [0, 2*pi). Euclidean norms come from one function, norms_of, which
 polar and SampleBatch.from_points share; it stays finite and positive for
 nonzero points whose squares underflow or overflow. Evaluation sets are
 finite unions of half-open arcs [a, b) on the circle (membership via
-ArcSet.contains), or spherical caps for d >= 3.
+ArcSet.contains), or spherical caps for d >= 3. sorted_eval runs the
+angle and radius table lookups over sorted queries.
 """
 
 from __future__ import annotations
@@ -25,13 +26,41 @@ _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
 def wrap_angle(theta):
-    """Reduce angles to [0, 2*pi); scalar or array."""
-    out = np.mod(theta, TWO_PI)
+    """Reduce angles to [0, 2*pi); scalar or array.
+
+    The result is np.mod(theta, 2*pi) bit for bit, with 2*pi sent to 0.
+    On [-2*pi, 2*pi], which holds every arctan2 angle, np.mod adds 2*pi to
+    the negative angles with one rounding and returns the others, -0 as
+    +0; adding each angle to 2*pi or to +0 does the same without np.mod's
+    float division. Other inputs, NaN included, go through np.mod.
+    """
+    t = np.asarray(theta, dtype=float)
+    if t.size and t.min() >= -TWO_PI and t.max() <= TWO_PI:
+        out = (t < 0.0) * TWO_PI
+        out += t
+    else:
+        out = np.mod(t, TWO_PI)
     # -eps % 2pi can round up to exactly 2pi
     out = np.where(out >= TWO_PI, 0.0, out)
-    if np.isscalar(theta) or np.ndim(theta) == 0:
+    if out.ndim == 0:
         return float(out)
     return out
+
+
+def sorted_eval(fn, x):
+    """fn(x) for an elementwise fn, evaluated on the sorted values of x and
+    scattered back into x's order and shape.
+
+    Table lookups (np.searchsorted, np.interp) search from the previous
+    query's answer, so sorted queries cost a fraction of random ones; each
+    element's result does not depend on the order, so it is the same bits.
+    """
+    flat = np.ravel(x)
+    order = np.argsort(flat)
+    values = fn(flat[order])
+    out = np.empty_like(values)
+    out[order] = values
+    return out.reshape(np.shape(x))
 
 
 def unit_vector(v) -> np.ndarray:
@@ -113,7 +142,10 @@ def angles_of(dirs: np.ndarray) -> np.ndarray:
 def directions_of(theta: np.ndarray) -> np.ndarray:
     """(2, n) array of planar unit vectors for an angle array."""
     t = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(t), np.sin(t)])
+    out = np.empty((2,) + t.shape)
+    np.cos(t, out=out[0, ...])
+    np.sin(t, out=out[1, ...])
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ pays for loading them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,21 +103,23 @@ def _module_level_definitions(tree):
                     yield target.id, node
 
 
+def _reads(node):
+    """How often each name is read (not stored) anywhere under node."""
+    return Counter(n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+
+
 def test_every_definition_is_used_or_exported():
     """A module-level definition is read by some library module outside its
     own definition, or re-exported by the package's __init__.py; anything
-    else is reachable only from tests and is dead library code."""
+    else is reachable only from tests and is dead library code. The reads
+    of all modules are counted once; a definition is unused when every read
+    of its name lies inside its own node."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in MODULES}
     exported = {bound for bound, _, _, _ in _imports(trees["__init__.py"])}
-    problems = []
-    for module, tree in trees.items():
-        for name, definition in _module_level_definitions(tree):
-            inside = {id(n) for n in ast.walk(definition)}
-            used = any(isinstance(n, ast.Name) and n.id == name
-                       and id(n) not in inside
-                       and not isinstance(n.ctx, ast.Store)
-                       for other in trees.values() for n in ast.walk(other))
-            if not used and name not in exported:
-                problems.append(f"{module}: {name}")
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    problems = [f"{module}: {name}" for module, tree in trees.items()
+                for name, definition in _module_level_definitions(tree)
+                if reads[name] == _reads(definition)[name] and name not in exported]
     assert not problems, "defined but never used: " + ", ".join(problems)

@@ -10,6 +10,7 @@ from regvar.errors import (
     DimensionMismatch,
     EmptyMeasure,
     InvalidGain,
+    InvalidParameter,
     MomentDivergence,
     UnsupportedPair,
 )
@@ -87,6 +88,20 @@ def test_normalize_zero_mass():
         disc([0.0], [0.0])
     with pytest.raises(EmptyMeasure):
         SpectralMeasure.density(lambda t: np.zeros_like(t)).normalized()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_atom_angle_raises(bad):
+    # raised before wrap_angle, so np.mod leaks no invalid-value warning
+    with pytest.raises(InvalidParameter, match="angles must be finite"):
+        disc([1.0, bad], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_d3_atom_coordinate_raises(bad):
+    coords = np.array([[1.0, 0.0], [0.0, bad], [0.0, 1.0]])
+    with pytest.raises(InvalidParameter, match="coordinates must be finite"):
+        SpectralMeasure("discrete", 3, coords=coords, weights=[0.5, 0.5])
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +343,25 @@ def test_quantile_step_inversion():
 def test_quantile_requires_normalized():
     with pytest.raises(ValueError):
         disc([0.0], [2.0]).quantile(0.5)
+
+
+@pytest.mark.parametrize("u", [
+    0.3,
+    np.array([0.7, 0.2, 0.7, 0.0, 0.2, 0.999, 0.7, 0.5]),
+    np.random.default_rng(4).random((37, 11)),
+])
+def test_density_quantile_equals_plain_interp(u):
+    """quantile interpolates on sorted levels and scatters them back; each
+    level gets np.interp's bits in the caller's order and shape."""
+    m = SpectralMeasure.cosine_bump(0.5)
+    grid, cum = m._density_cdf_table()
+    want = np.interp(u, cum / cum[-1], grid)
+    got = m.quantile(u)
+    if np.ndim(u) == 0:
+        assert type(got) is float and got == want
+    else:
+        assert got.shape == np.shape(u)
+        np.testing.assert_array_equal(got, want)
 
 
 @given(discrete_measures())

@@ -108,6 +108,53 @@ def bisection_inverse(u, alpha, amplitude, sign):
     return np.exp(0.5 * (lo + hi))
 
 
+def newton_inverse(u, alpha, amplitude, sign):
+    """Oracle: the tabulated start and all 5 clipped Newton steps on every
+    draw, with the table searched in input order and no draw retired; the
+    arithmetic is inverse_tail's, operation for operation."""
+    cells, mid = 1024, 512
+    sa = np.asarray(sign, dtype=float) * amplitude
+    log_u = np.log(u)
+    shift = np.where(sa < 0.0, np.pi, 0.0)
+    z = alpha * shift - log_u
+    step = TWO_PI / cells
+    nodes = TWO_PI - np.arcsin(amplitude) + (np.arange(cells + 1) - mid) * step
+    p = alpha * nodes - np.log1p(amplitude * np.sin(nodes))
+    key = np.cbrt(p - p[mid])
+    width = np.diff(key)
+    width[width <= 0.0] = np.inf
+    periods = np.floor((z - p[0]) / (TWO_PI * alpha))
+    q = np.cbrt(z - periods * (TWO_PI * alpha) - p[mid])
+    cell = np.clip(np.searchsorted(key, q) - 1, 0, cells - 1)
+    frac = np.clip((q - key[cell]) / width[cell], 0.0, 1.0)
+    lo = periods * TWO_PI + (nodes[0] - shift) + cell * step
+    t = frac * step + lo
+    hi = lo + step
+    lo = np.maximum(lo, 0.0)
+    hi = np.maximum(hi, lo)
+    t = np.clip(t, lo, hi)
+    best_t, best_g = np.zeros_like(t), np.broadcast_to(-log_u, t.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(6):
+            w = np.sin(t) * sa
+            g = np.log1p(w) - t * alpha - log_u
+            better = np.abs(g) < best_g
+            best_g = np.where(better, np.abs(g), best_g)
+            best_t = np.where(better, t, best_t)
+            if i == 5:
+                break
+            lo = np.where(g > 0.0, t, lo)
+            hi = np.where(g > 0.0, hi, t)
+            t = np.clip(t - g / (np.cos(t) * sa / (w + 1.0) - alpha), lo, hi)
+            t = np.where(np.isnan(t), hi, t)
+    return np.exp(best_t)
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_oscillating_inverse_matches_bisection(sign):
     # alpha = 0.5 is 2% above the bound a / sqrt(1 - a^2) = 0.49 at a = 0.44
@@ -116,6 +163,7 @@ def test_oscillating_inverse_matches_bisection(sign):
     want = bisection_inverse(u, 0.5, 0.44, float(sign))
     assert np.max(np.abs(r - want) / want) <= 1e-12
     assert OscillatingTailLaw.inverse_tail(u[0], 0.5, 0.44, sign) == r[0]
+    assert_same_bits(r, newton_inverse(u, 0.5, 0.44, float(sign)))
 
 
 # excess of alpha over the monotonicity bound, as a fraction of the bound;
@@ -173,6 +221,9 @@ def test_oscillating_inverse_residual(amplitude, excess, sign, u, flat_roots):
     for s in (1.0, -1.0):
         alone = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, s)
         np.testing.assert_array_equal(mixed[signs == s], alone[signs == s])
+    # retired fixed points and sorted table lookups change no bit
+    assert_same_bits(r, newton_inverse(u, alpha, amplitude, float(sign)))
+    assert_same_bits(mixed, newton_inverse(u, alpha, amplitude, signs))
 
 
 # ----------------------------------------------------------------------

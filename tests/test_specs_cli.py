@@ -504,6 +504,17 @@ def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_cli_estimate_rejects_nan_target_atom(tmp_path, capsys):
+    src, rep = tmp_path / "s.csv", tmp_path / "rep.json"
+    cli_main(["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "2000",
+              "--seed", "3", "-o", str(src)])
+    assert cli_main(["estimate", "--input", str(src), "--top", "200", "--target",
+                     '{"kind":"discrete","dim":2,"atoms":[{"angle":NaN,"weight":1.0}]}',
+                     "-o", str(rep)]) == 2
+    assert "atom angles must be finite" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_cli_estimate_rejects_non_finite_report(tmp_path, capsys, monkeypatch):
     # no estimate on valid input holds an infinite number any more, so an
     # interval end is forced to infinity to reach the report check

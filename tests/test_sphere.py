@@ -14,6 +14,7 @@ from regvar.sphere import (
     angle_of,
     angles_of,
     direction_of,
+    directions_of,
     norms_of,
     polar,
     unit_vector,
@@ -138,6 +139,44 @@ def test_wrap_angle_edges():
     assert wrap_angle(TWO_PI) == 0.0
     assert wrap_angle(-1e-20) == 0.0
     assert 0.0 <= wrap_angle(-0.5) < TWO_PI
+
+
+def mod_wrap(theta):
+    """Reference: np.mod with 2*pi sent to 0."""
+    out = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    return np.where(out >= TWO_PI, 0.0, out)
+
+
+WRAP_EDGES = [-0.0, 0.0, TWO_PI, -TWO_PI, 5e-324, -5e-324, -1e-17,
+              math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0),
+              math.nextafter(TWO_PI, 7.0), -math.nextafter(TWO_PI, 7.0)]
+
+
+@example(theta=[])
+@example(theta=WRAP_EDGES)
+@example(theta=WRAP_EDGES + [7.0, -100.0, 1e300])
+@example(theta=[0.5, math.nan, -0.0])
+@given(theta=st.one_of(
+    st.lists(st.floats(-TWO_PI, TWO_PI), max_size=40),
+    st.lists(st.floats(-1e300, 1e300) | st.just(math.nan), max_size=40)))
+def test_wrap_angle_equals_mod_bit_for_bit(theta):
+    """Inside [-2*pi, 2*pi] wrap_angle skips np.mod; the bits, -0 -> +0
+    included, are np.mod's. Outside it and for NaN it runs np.mod."""
+    got = wrap_angle(np.asarray(theta, dtype=float))
+    assert got.dtype == np.float64 and got.shape == (len(theta),)
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  mod_wrap(theta).view(np.int64))
+    for x in theta:
+        one = wrap_angle(x)
+        assert type(one) is float
+        assert np.float64(one).view(np.int64) == mod_wrap(x).view(np.int64)
+
+
+def test_directions_of_equals_cos_sin_stack():
+    theta = np.concatenate([np.linspace(-7.0, 7.0, 1001), [-0.0, 0.0]])
+    np.testing.assert_array_equal(directions_of(theta),
+                                  np.stack([np.cos(theta), np.sin(theta)]))
+    np.testing.assert_array_equal(directions_of(1.25), direction_of(1.25))
 
 
 def test_arc_membership_basics():
