@@ -575,7 +575,13 @@ def exponential_gain_process(mean_fn) -> RandomGainProcess:
     """
 
     def sample(t, rng):
-        return rng.exponential(scale=np.broadcast_to(mean_fn(t), t.shape))
+        # a broadcast view (the Monte Carlo moment's rows of probes) repeats
+        # its values along the axes of stride 0: the mean is evaluated once
+        # per distinct angle and the draw broadcasts it, to the same bits
+        distinct = t[tuple(slice(0, 1) if step == 0 else slice(None)
+                           for step in t.strides)]
+        return rng.exponential(
+            scale=np.broadcast_to(mean_fn(distinct), t.shape))
 
     def moment(t, p):
         return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)

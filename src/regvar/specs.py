@@ -7,6 +7,7 @@ losslessly (within 1e-12 for angles and weights).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -46,6 +47,20 @@ def _require(cond: bool, msg: str):
         raise SpecError(msg)
 
 
+def _fields_required(from_spec):
+    """from_spec, with a field missing from its spec raised as a SpecError
+    that names the field."""
+
+    @functools.wraps(from_spec)
+    def build(spec):
+        try:
+            return from_spec(spec)
+        except KeyError as e:
+            raise SpecError(f"spec is missing field {e.args[0]!r}") from e
+
+    return build
+
+
 # ----------------------------------------------------------------------
 # measures
 
@@ -64,6 +79,7 @@ def measure_to_spec(m: SpectralMeasure) -> dict:
     return {"kind": "density", "dim": 2, "density": dict(m.density_spec)}
 
 
+@_fields_required
 def measure_from_spec(spec: dict) -> SpectralMeasure:
     _require(isinstance(spec, dict), "measure spec must be an object")
     kind = spec.get("kind")
@@ -95,6 +111,7 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
 # radial laws
 
 
+@_fields_required
 def radial_from_spec(spec: dict) -> RadialLaw:
     _require(isinstance(spec, dict) and "kind" in spec, "radial spec needs a kind")
     kind = spec["kind"]
@@ -112,6 +129,7 @@ def radial_from_spec(spec: dict) -> RadialLaw:
 # models
 
 
+@_fields_required
 def model_from_spec(spec: dict) -> RegVarModel:
     _require(isinstance(spec, dict) and "kind" in spec, "model spec needs a kind")
     kind = spec["kind"]
@@ -132,6 +150,7 @@ def model_from_spec(spec: dict) -> RegVarModel:
 # maps and gains
 
 
+@_fields_required
 def map_from_spec(spec: dict) -> SphereMap:
     _require(isinstance(spec, dict) and "kind" in spec, "map spec needs a kind")
     kind = spec["kind"]
@@ -148,6 +167,7 @@ def map_from_spec(spec: dict) -> SphereMap:
     raise SpecError(f"unknown map kind {kind!r}")
 
 
+@_fields_required
 def gain_from_spec(spec: dict) -> RadialGain:
     _require(isinstance(spec, dict) and "kind" in spec, "gain spec needs a kind")
     kind = spec["kind"]
@@ -170,6 +190,7 @@ def gain_from_spec(spec: dict) -> RadialGain:
     raise SpecError(f"unknown gain kind {kind!r}")
 
 
+@_fields_required
 def random_gain_from_spec(spec: dict) -> RandomGainProcess:
     _require(isinstance(spec, dict) and "kind" in spec,
              "random gain spec needs a kind")

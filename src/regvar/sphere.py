@@ -6,7 +6,7 @@ polar and SampleBatch.from_points share; it stays finite and positive for
 nonzero points whose squares underflow or overflow. Evaluation sets are
 finite unions of half-open arcs [a, b) on the circle (membership via
 ArcSet.contains), or spherical caps for d >= 3. sorted_eval runs the
-angle and radius table lookups over sorted queries.
+density quantile's angle table lookup over sorted queries.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ def sorted_eval(fn, x):
     """fn(x) for an elementwise fn, evaluated on the sorted values of x and
     scattered back into x's order and shape.
 
-    Table lookups (np.searchsorted, np.interp) search from the previous
-    query's answer, so sorted queries cost a fraction of random ones; each
-    element's result does not depend on the order, so it is the same bits.
+    Its one caller is the density quantile (SpectralMeasure.quantile), whose
+    np.interp over the CDF table searches from the previous query's answer,
+    so sorted queries cost a fraction of random ones; each element's result
+    does not depend on the order, so it is the same bits.
     """
     flat = np.ravel(x)
     order = np.argsort(flat)

@@ -294,14 +294,19 @@ def test_expected_gain_monte_carlo_moment_is_seeded():
 def test_streamed_moment_equals_whole_array_mean(budget):
     # budgets below, at and not a multiple of the chunk: the streamed sum
     # takes the same draws in the same order and rounds as one whole-array
-    # sum does, so the moment is bit-identical to the whole-array mean
+    # sum does, and the sampler's mean, evaluated once per probe, gives each
+    # draw the bits of the per-element form, whose mean is evaluated at every
+    # draw; so the moment is bit-identical to that whole-array mean
     process = exponential_gain_process(lambda t: 1.0 + 0.5 * np.cos(t))
     z = RandomGainProcess(process.sample_fn, mc_budget=budget)
     probes = (np.arange(16) + 0.5) * TWO_PI / 16.0
     reps = np.repeat(probes[None, :], budget, axis=0)
-    whole = np.mean(z.sample(reps, np.random.default_rng(7)) ** 1.5, axis=0)
-    got = z.moment(probes, 1.5, np.random.default_rng(7))
-    np.testing.assert_array_equal(got, whole)
+    for draws in (z.sample(reps, np.random.default_rng(7)),
+                  np.random.default_rng(7).exponential(
+                      scale=1.0 + 0.5 * np.cos(reps))):
+        whole = np.mean(draws ** 1.5, axis=0)
+        got = z.moment(probes, 1.5, np.random.default_rng(7))
+        np.testing.assert_array_equal(got, whole)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,13 @@ from regvar.models import (
     example2_moment,
     staircase,
 )
-from regvar.radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw
+from regvar.radial import (
+    AtomPlusParetoLaw,
+    OscillatingTailLaw,
+    ParetoLaw,
+    _start_table,
+    _tabulated_start,
+)
 from regvar.sphere import TWO_PI, ArcSet
 
 FULL = ArcSet.full_circle()
@@ -109,39 +115,37 @@ def bisection_inverse(u, alpha, amplitude, sign):
 
 
 def newton_inverse(u, alpha, amplitude, sign):
-    """Oracle: the tabulated start and all 5 clipped Newton steps on every
-    draw, with the table searched in input order and no draw retired; the
-    arithmetic is inverse_tail's, operation for operation."""
-    cells, mid = 1024, 512
+    """Oracle: the tabulated start and both clipped Newton steps, written as
+    plain expressions on the table of _start_table; the arithmetic is
+    inverse_tail's, operation for operation."""
+    p0, p_c, k0, dk, cubic, m2, nodes, coefs = _start_table(alpha, amplitude)
     sa = np.asarray(sign, dtype=float) * amplitude
     log_u = np.log(u)
     shift = np.where(sa < 0.0, np.pi, 0.0)
     z = alpha * shift - log_u
-    step = TWO_PI / cells
-    nodes = TWO_PI - np.arcsin(amplitude) + (np.arange(cells + 1) - mid) * step
-    p = alpha * nodes - np.log1p(amplitude * np.sin(nodes))
-    key = np.cbrt(p - p[mid])
-    width = np.diff(key)
-    width[width <= 0.0] = np.inf
-    periods = np.floor((z - p[0]) / (TWO_PI * alpha))
-    q = np.cbrt(z - periods * (TWO_PI * alpha) - p[mid])
-    cell = np.clip(np.searchsorted(key, q) - 1, 0, cells - 1)
-    frac = np.clip((q - key[cell]) / width[cell], 0.0, 1.0)
-    lo = periods * TWO_PI + (nodes[0] - shift) + cell * step
-    t = frac * step + lo
-    hi = lo + step
-    lo = np.maximum(lo, 0.0)
-    hi = np.maximum(hi, lo)
+    periods = np.floor((z - p0) / (TWO_PI * alpha))
+    y = z - periods * (TWO_PI * alpha) - p_c
+    a = np.abs(y) * (0.5 / cubic)
+    u2 = np.cbrt(np.hypot(a, m2 ** 1.5) + a) ** 2
+    flat = np.copysign(a / (m2 * m2 / u2 + u2 + m2) * 2.0, y)
+    x = (np.cbrt(y) - k0) / dk
+    cell = np.clip(np.floor(x).astype(np.intp), 0, nodes.size - 2)
+    x = x - cell
+    c3, c2, c1, c0 = (row[cell] for row in coefs)
+    base = periods * TWO_PI - shift
+    t = flat + (((c3 * x + c2) * x + c1) * x + c0) + base
+    lo = np.maximum(nodes[cell] + base, 0.0)
+    hi = np.maximum(nodes[cell + 1] + base, lo)
     t = np.clip(t, lo, hi)
     best_t, best_g = np.zeros_like(t), np.broadcast_to(-log_u, t.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(6):
+        for i in range(3):
             w = np.sin(t) * sa
             g = np.log1p(w) - t * alpha - log_u
             better = np.abs(g) < best_g
             best_g = np.where(better, np.abs(g), best_g)
             best_t = np.where(better, t, best_t)
-            if i == 5:
+            if i == 2:
                 break
             lo = np.where(g > 0.0, t, lo)
             hi = np.where(g > 0.0, hi, t)
@@ -169,6 +173,53 @@ def test_oscillating_inverse_matches_bisection(sign):
 # excess of alpha over the monotonicity bound, as a fraction of the bound;
 # at the bound g' vanishes at t_c, one point per period, and roots there
 # and near it are the hardest: flat_roots places roots at t_c + 2*pi*k + dt
+oscillating_cases = given(
+    amplitude=st.floats(1e-6, 1.0 - 1e-6),
+    excess=st.floats(0.0, 1e4),
+    sign=st.sampled_from([1, -1]),
+    u=st.lists(st.floats(1e-300, 1.0), max_size=30),
+    flat_roots=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.3, 0.3)),
+                        max_size=10))
+
+
+def oscillating_draws(amplitude, excess, sign, u, flat_roots):
+    """alpha and the draws of one case: u and the levels whose roots are
+    flat_roots, less those whose r overflows a double."""
+    alpha = amplitude / np.sqrt(1.0 - amplitude ** 2) * (1.0 + excess)
+    try:
+        OscillatingTailLaw(alpha, amplitude, sign)
+    except InvalidConstruction:
+        assume(False)
+    t_c = (TWO_PI if sign > 0 else np.pi) - np.arcsin(amplitude)
+    roots = np.array([t_c + TWO_PI * k + dt for k, dt in flat_roots])
+    roots = roots[roots >= 0.0]
+    u = np.concatenate([u, np.exp(-alpha * roots + np.log1p(
+        sign * amplitude * np.sin(roots)))])
+    u = u[(u > 0.0) & (u <= 1.0)]
+    # draws whose r overflows a double have nothing to check
+    return alpha, u[(np.log1p(amplitude) - np.log(u)) / alpha < 709.0]
+
+
+def rounding_floor(log_u, alpha, amplitude):
+    """Scale whose few ulp bound |g|: exp rounds r, which g' ~ -alpha
+    magnifies, and log1p magnifies the rounding of a*sin t by up to
+    1/(1 - a)."""
+    return np.maximum(np.maximum(np.abs(log_u), 1.0),
+                      max(alpha, 1.0 / (1.0 - amplitude)))
+
+
+# the flat point's bend narrower than a table cell (alpha 7e-8 above the
+# bound): 2 steps from a start without the flat-point model fail here
+FLAT_BEND = dict(amplitude=0.9192624410479694, excess=7.063215187339642e-08,
+                 u=[0.0015374158209757519], flat_roots=[
+                     (k, dt) for k in range(3)
+                     for dt in (0.0, 1e-6, -1e-6, 1e-4, -1e-4, 1e-3, -1e-3)])
+
+# alpha = 1 with an amplitude whose third-order model overflows unclamped
+TINY_AMPLITUDE = dict(amplitude=1e-300, excess=1e300, u=[0.5, 1e-10, 1e-300],
+                      flat_roots=[(0, 0.0), (2, 0.1)])
+
+
 @example(amplitude=0.5, excess=0.0, sign=1, u=[1.0, 0.3, 1e-300],
          flat_roots=[(0, 0.0), (1, 1e-9), (2, -1e-4)])
 @example(amplitude=0.999, excess=1e-12, sign=-1, u=[0.5, 2.0 ** -53],
@@ -182,35 +233,24 @@ def test_oscillating_inverse_matches_bisection(sign):
 @example(amplitude=5.672425355875321e-06, excess=0.0, sign=1, u=[1.0],
          flat_roots=[])
 @example(amplitude=0.44, excess=0.0204, sign=1, u=[1e-5, 0.7], flat_roots=[])
-@given(amplitude=st.floats(1e-6, 1.0 - 1e-6),
-       excess=st.floats(0.0, 1e4),
-       sign=st.sampled_from([1, -1]),
-       u=st.lists(st.floats(1e-300, 1.0), max_size=30),
-       flat_roots=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.3, 0.3)),
-                           max_size=10))
+@example(sign=-1, **FLAT_BEND)
+@example(sign=-1, **TINY_AMPLITUDE)
+@example(amplitude=0.75, excess=1.19e-7, sign=1, u=[],
+         flat_roots=[(k, dt) for k in range(3) for dt in (0.0, 1e-4, -1e-4)])
+# 1 Newton step leaves 42 and 13 ulp on these roots
+@example(amplitude=0.26218023042630995, excess=2.5855384401799778e-14, sign=1,
+         u=[], flat_roots=[(0, -0.00028878841683891793)])
+@example(amplitude=0.5097094937595069, excess=8.985498485466016e-11, sign=1,
+         u=[], flat_roots=[(1, 0.00031656510406756705)])
+@oscillating_cases
 def test_oscillating_inverse_residual(amplitude, excess, sign, u, flat_roots):
-    alpha = amplitude / np.sqrt(1.0 - amplitude ** 2) * (1.0 + excess)
-    try:
-        OscillatingTailLaw(alpha, amplitude, sign)
-    except InvalidConstruction:
-        assume(False)
-    t_c = (TWO_PI if sign > 0 else np.pi) - np.arcsin(amplitude)
-    roots = np.array([t_c + TWO_PI * k + dt for k, dt in flat_roots])
-    roots = roots[roots >= 0.0]
-    u = np.concatenate([u, np.exp(-alpha * roots + np.log1p(
-        sign * amplitude * np.sin(roots)))])
-    u = u[(u > 0.0) & (u <= 1.0)]
-    # draws whose r overflows a double have nothing to check
-    u = u[(np.log1p(amplitude) - np.log(u)) / alpha < 709.0]
+    alpha, u = oscillating_draws(amplitude, excess, sign, u, flat_roots)
     log_u = np.log(u)
     r = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, float(sign))
     assert np.all(r >= 1.0)
     t = np.log(r)
     g = -alpha * t + np.log1p(sign * amplitude * np.sin(t)) - log_u
-    # the rounding floor of g: exp rounds r, which g' ~ -alpha magnifies,
-    # and log1p magnifies the rounding of a*sin t by up to 1/(1 - a)
-    scale = np.maximum(np.maximum(np.abs(log_u), 1.0),
-                       max(alpha, 1.0 / (1.0 - amplitude)))
+    scale = rounding_floor(log_u, alpha, amplitude)
     assert np.all(np.abs(g) <= 4.0 * np.spacing(scale))
     one = OscillatingTailLaw.inverse_tail(np.ones(2), alpha, amplitude,
                                           np.array([1.0, -1.0]))
@@ -221,9 +261,39 @@ def test_oscillating_inverse_residual(amplitude, excess, sign, u, flat_roots):
     for s in (1.0, -1.0):
         alone = OscillatingTailLaw.inverse_tail(u, alpha, amplitude, s)
         np.testing.assert_array_equal(mixed[signs == s], alone[signs == s])
-    # retired fixed points and sorted table lookups change no bit
+    # the in-place kernel computes what its plain expressions compute
     assert_same_bits(r, newton_inverse(u, alpha, amplitude, float(sign)))
     assert_same_bits(mixed, newton_inverse(u, alpha, amplitude, signs))
+
+
+@example(amplitude=0.5, excess=0.0, sign=1, u=[1.0, 0.3, 1e-300],
+         flat_roots=[(0, 0.0), (1, 1e-9), (2, -1e-4)])
+@example(amplitude=0.999, excess=1e-12, sign=-1, u=[2.0 ** -53],
+         flat_roots=[(0, 0.0), (1, 3e-3), (3, -2e-3)])
+@example(sign=1, **FLAT_BEND)
+@example(sign=1, **TINY_AMPLITUDE)
+@oscillating_cases
+def test_oscillating_start_brackets_root(amplitude, excess, sign, u,
+                                         flat_roots):
+    alpha, u = oscillating_draws(amplitude, excess, sign, u, flat_roots)
+    log_u = np.log(u)
+    scale = rounding_floor(log_u, alpha, amplitude)
+    for s in (float(sign), -float(sign)):
+        t, lo, hi = _tabulated_start(log_u, np.full(u.shape, s * amplitude),
+                                     alpha, amplitude)
+        assert np.all((0.0 <= lo) & (lo <= t) & (t <= hi))
+        g_lo, g_hi = (-alpha * x + np.log1p(s * amplitude * np.sin(x)) - log_u
+                      for x in (lo, hi))
+        assert np.all(g_lo >= -4.0 * np.spacing(scale))
+        assert np.all(g_hi <= 4.0 * np.spacing(scale))
+    # node j solves P(t_j) = p_c + (k0 + j*dk)^3,
+    # P(t) = alpha*t - log1p(a*sin t)
+    p0, p_c, k0, dk, cubic, m2, nodes, coefs = _start_table(alpha, amplitude)
+    target = p_c + (k0 + np.arange(nodes.size) * dk) ** 3
+    f = alpha * nodes - np.log1p(amplitude * np.sin(nodes)) - target
+    floor = np.maximum(np.maximum(np.abs(target), alpha * np.abs(nodes)),
+                       1.0 / (1.0 - amplitude))
+    assert np.all(np.abs(f) <= 4.0 * np.spacing(floor))
 
 
 # ----------------------------------------------------------------------

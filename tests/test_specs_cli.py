@@ -568,6 +568,29 @@ def test_cli_transform_rejects_bad_step_spec(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+UNIFORM = {"kind": "density", "dim": 2, "density": {"name": "uniform"}}
+
+
+@pytest.mark.parametrize("flag, spec, field", [
+    ("--model", {"kind": "polar_independent", "alpha": 1.0, "sigma": UNIFORM,
+                 "radial": {"kind": "atom_plus_pareto", "alpha": 1.0,
+                            "tail_coef": 0.5}}, "tail_coefficient"),
+    ("--map", {"kind": "step", "breakpoints": [0.0]}, "values"),
+    ("--gain", {"kind": "cosine", "base": 1.0}, "amplitude"),
+], ids=["model", "map", "gain"])
+def test_cli_names_missing_spec_field(tmp_path, capsys, flag, spec, field):
+    src = tmp_path / "x.csv"
+    src.write_text("x1,x2\n1.0,0.5\n-2.0,1.0\n")
+    out = tmp_path / "y.csv"
+    if flag == "--model":
+        args = ["sample", "--model", json.dumps(spec), "-n", "10"]
+    else:
+        args = ["transform", "--input", str(src), flag, json.dumps(spec)]
+    assert cli_main(args + ["-o", str(out)]) == 2
+    assert f"error: spec is missing field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "step", "breakpoints": [0.0], "values": [float("nan")]},
     {"kind": "constant", "value": float("inf")},
