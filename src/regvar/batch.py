@@ -8,6 +8,13 @@ from .errors import DegeneratePoint, NonFiniteInput
 from .sphere import angles_of, norms_of
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of a that refuses writes; a itself stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class SampleBatch:
     """Ordered collection of nonzero points in R^d.
 
@@ -16,13 +23,18 @@ class SampleBatch:
     from native polar data; from_points recomputes it canonically, which is
     also what happens when a batch round-trips through CSV. zero_count
     records points collapsed to the origin by transforms and removed.
+
+    points, norms, dirs and the cached angles are read-only views, so
+    batches share arrays instead of copying them: canonical() shares
+    points, a sphere map shares norms, and a gain that removes no point
+    shares dirs. Writing into any of them raises ValueError.
     """
 
     def __init__(self, points: np.ndarray, norms: np.ndarray, dirs: np.ndarray,
                  seed: int | None = None, zero_count: int = 0):
-        self.points = np.ascontiguousarray(points, dtype=float)
-        self.norms = np.asarray(norms, dtype=float)
-        self.dirs = np.asarray(dirs, dtype=float)
+        self.points = _read_only(np.ascontiguousarray(points, dtype=float))
+        self.norms = _read_only(np.asarray(norms, dtype=float))
+        self.dirs = _read_only(np.asarray(dirs, dtype=float))
         self.seed = seed
         self.zero_count = int(zero_count)
         if self.points.ndim != 2:
@@ -69,7 +81,7 @@ class SampleBatch:
     def angles(self) -> np.ndarray:
         """Canonical angles of the cached directions (d = 2 only, cached)."""
         if self._angles is None:
-            self._angles = angles_of(self.dirs)
+            self._angles = _read_only(angles_of(self.dirs))
         return self._angles
 
     def canonical(self) -> "SampleBatch":

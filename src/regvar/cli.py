@@ -124,23 +124,24 @@ def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
     return RegvarError(f"{path}: {cause}")
 
 
-def _rejected_row(path: str, start: int, data: np.ndarray) -> RegvarError:
-    """Error naming the first row of data that SampleBatch.from_points rejects.
+def _rejected_row(path: str, start: int, points: np.ndarray) -> RegvarError:
+    """Error naming the first column of the (d, n) points that
+    SampleBatch.from_points rejects, as a file line.
 
-    Bisects on prefixes for the first rejected row and takes the cause from
-    that row alone, then counts data rows from file line start.
+    Bisects on prefixes for the first rejected column and takes the cause
+    from that column alone, then counts data rows from file line start.
     """
-    ok, bad = 0, data.shape[0]  # data[:ok] is accepted, data[:bad] rejected
+    ok, bad = 0, points.shape[1]  # points[:, :ok] is accepted, [:, :bad] not
     while bad - ok > 1:
         mid = (ok + bad) // 2
         try:
-            SampleBatch.from_points(data[:mid].T)
+            SampleBatch.from_points(points[:, :mid])
         except RegvarError:
             bad = mid
         else:
             ok = mid
     try:
-        SampleBatch.from_points(data[ok:bad].T)
+        SampleBatch.from_points(points[:, ok:bad])
     except DegeneratePoint:
         cause = "the zero vector"
     except RegvarError as e:
@@ -177,10 +178,13 @@ def read_csv(path: str) -> SampleBatch:
         raise _bad_line(path, d, start, str(e)) from e
     if data.shape[1] != d:
         raise _bad_line(path, d, start, "rows do not match the header")
+    # numpy's (n, d) rows are dropped as soon as the (d, n) copy exists
+    points = np.ascontiguousarray(data.T)
+    del data
     try:
-        return SampleBatch.from_points(data.T)
+        return SampleBatch.from_points(points)
     except (DegeneratePoint, NonFiniteInput) as e:
-        raise _rejected_row(path, start, data) from e
+        raise _rejected_row(path, start, points) from e
 
 
 def _cmd_sample(args) -> int:

@@ -17,6 +17,7 @@ Monte Carlo output against exact values.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,12 +31,34 @@ from .rng import SAMPLE_STREAM, chunk_seeds, chunk_sizes
 from .sphere import TWO_PI, ArcSet, directions_of
 
 
+def _close_gaps(a: np.ndarray, spans) -> np.ndarray:
+    """a cut down to the (start, length) spans of each row, in place.
+
+    The spans move up against each other, row by row and in span order, and
+    the result is a C-contiguous view of a's leading elements. Each move goes
+    to a lower address than its source and ends at or before the next one's
+    source, so no span is overwritten before it moves.
+    """
+    n = a.shape[-1]
+    flat = a.reshape(-1)
+    end = 0
+    for row_start in range(0, flat.size, n):
+        for start, length in spans:
+            src = row_start + start
+            flat[end:end + length] = flat[src:src + length]
+            end += length
+    return flat[:end].reshape(a.shape[:-1] + (-1,))
+
+
 class RegVarModel:
     """Sampleable law with tail index alpha and optional exact tail.
 
-    sample() splits n into fixed-size chunks, draws each chunk from its own
-    deterministic substream and concatenates in chunk order, so the result
-    depends only on (n, seed), not on the worker count.
+    sample() splits n into fixed-size chunks and draws each chunk from its
+    own deterministic substream, so the result depends only on (n, seed),
+    not on the worker count. The worker that draws a chunk writes it into
+    the chunk's own slice of the output, which is allocated once; a chunk
+    that drops points (a zero gain) leaves a gap at the end of its slice,
+    and the gaps close up in chunk order once every chunk is in.
     """
 
     alpha: float
@@ -49,27 +72,35 @@ class RegVarModel:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         sizes = chunk_sizes(n)
-        if not sizes:
-            empty = np.empty((self.dim, 0))
-            return SampleBatch(empty, np.empty(0), empty.copy(), seed=seed)
+        starts = [0, *itertools.accumulate(sizes)][:len(sizes)]
         seeds = chunk_seeds(seed, SAMPLE_STREAM, len(sizes))
+        points, dirs = np.empty((self.dim, n)), np.empty((self.dim, n))
+        norms = np.empty(n)
 
-        def draw(i: int) -> SampleBatch:
+        def draw(i: int) -> tuple[int, int]:
             # an overflowing draw becomes an infinite norm, which from_polar
             # rejects; errstate is per thread, so it is set here in the worker
             with np.errstate(over="ignore"):
-                return self._sample_chunk(np.random.default_rng(seeds[i]),
+                part = self._sample_chunk(np.random.default_rng(seeds[i]),
                                           sizes[i])
+            lo, hi = starts[i], starts[i] + part.size
+            points[:, lo:hi] = part.points
+            norms[lo:hi] = part.norms
+            dirs[:, lo:hi] = part.dirs
+            return part.size, part.zero_count
 
         if workers > 1 and len(sizes) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(draw, range(len(sizes))))
+                counts = list(pool.map(draw, range(len(sizes))))
         else:
-            parts = [draw(i) for i in range(len(sizes))]
-        return SampleBatch(np.concatenate([p.points for p in parts], axis=1),
-                           np.concatenate([p.norms for p in parts]),
-                           np.concatenate([p.dirs for p in parts], axis=1),
-                           seed=seed)
+            counts = [draw(i) for i in range(len(sizes))]
+        kept = [size for size, _ in counts]
+        if sum(kept) < n:
+            spans = list(zip(starts, kept))
+            points, norms, dirs = (_close_gaps(a, spans)
+                                   for a in (points, norms, dirs))
+        return SampleBatch(points, norms, dirs, seed=seed,
+                           zero_count=sum(zeros for _, zeros in counts))
 
     def exact_tail(self, r: float, sets) -> float | None:
         """P{direction in sets, norm > r} in closed form, when available."""

@@ -47,6 +47,19 @@ def _require(cond: bool, msg: str):
         raise SpecError(msg)
 
 
+def _number(spec: dict, field: str, default: float | None = None,
+            where: str = "") -> float:
+    """spec[field] as a float, or default when given and the field is
+    absent. A value that is not a number raises SpecError naming the field
+    (its path is where + field)."""
+    value = spec[field] if default is None else spec.get(field, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"spec field {where + field!r} must be a number, "
+                        f"got {value!r}") from e
+
+
 def _fields_required(from_spec):
     """from_spec, with a field missing from its spec raised as a SpecError
     that names the field."""
@@ -87,12 +100,14 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
         atoms = spec.get("atoms")
         _require(isinstance(atoms, list) and atoms, "atoms must be a nonempty list")
         dim = int(spec.get("dim", 2))
-        weights = [a["weight"] for a in atoms]
+        weights = [_number(a, "weight", where=f"atoms[{i}].")
+                   for i, a in enumerate(atoms)]
         if dim == 2:
             _require(all("angle" in a for a in atoms),
                      "planar atoms need an 'angle' field")
-            return SpectralMeasure(kind, 2, angles=[a["angle"] for a in atoms],
-                                   weights=weights)
+            angles = [_number(a, "angle", where=f"atoms[{i}].")
+                      for i, a in enumerate(atoms)]
+            return SpectralMeasure(kind, 2, angles=angles, weights=weights)
         coords = np.array([a["coords"] for a in atoms], dtype=float).T
         return SpectralMeasure(kind, dim, coords=coords, weights=weights)
     if kind == "density":
@@ -102,7 +117,8 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
         if dens["name"] == "uniform":
             return SpectralMeasure.uniform()
         if dens["name"] == "cosine_bump":
-            return SpectralMeasure.cosine_bump(dens["amplitude"])
+            return SpectralMeasure.cosine_bump(
+                _number(dens, "amplitude", where="density."))
         raise SpecError(f"unknown density name {dens['name']!r}")
     raise SpecError(f"unknown measure kind {kind!r}")
 
@@ -116,11 +132,13 @@ def radial_from_spec(spec: dict) -> RadialLaw:
     _require(isinstance(spec, dict) and "kind" in spec, "radial spec needs a kind")
     kind = spec["kind"]
     if kind == "pareto":
-        return ParetoLaw(spec["alpha"])
+        return ParetoLaw(_number(spec, "alpha"))
     if kind == "atom_plus_pareto":
-        return AtomPlusParetoLaw(spec["alpha"], spec["tail_coefficient"])
+        return AtomPlusParetoLaw(_number(spec, "alpha"),
+                                 _number(spec, "tail_coefficient"))
     if kind == "oscillating":
-        return OscillatingTailLaw(spec["alpha"], spec["amplitude"],
+        return OscillatingTailLaw(_number(spec, "alpha"),
+                                  _number(spec, "amplitude"),
                                   spec.get("sign", +1))
     raise SpecError(f"unknown radial law kind {kind!r}")
 
@@ -136,13 +154,15 @@ def model_from_spec(spec: dict) -> RegVarModel:
     if kind == "polar_independent":
         sigma = measure_from_spec(spec["sigma"])
         radial = radial_from_spec(spec["radial"])
-        return PolarIndependentModel(sigma, spec["alpha"], radial)
+        return PolarIndependentModel(sigma, _number(spec, "alpha"), radial)
     if kind == "example1":
-        return Example1Model(spec["alpha"], spec.get("amplitude", 0.5))
+        return Example1Model(_number(spec, "alpha"),
+                             _number(spec, "amplitude", 0.5))
     if kind == "example2":
-        return Example2Model(spec["alpha"], spec["nu"], spec["beta"])
+        return Example2Model(_number(spec, "alpha"), _number(spec, "nu"),
+                             _number(spec, "beta"))
     if kind == "example3":
-        return Example3Model(spec["alpha"])
+        return Example3Model(_number(spec, "alpha"))
     raise SpecError(f"unknown model kind {kind!r}")
 
 
@@ -157,7 +177,7 @@ def map_from_spec(spec: dict) -> SphereMap:
     if kind == "identity":
         return identity_map()
     if kind == "constant":
-        return constant_map(spec["value"])
+        return constant_map(_number(spec, "value"))
     if kind == "quadrant_snap":
         return quadrant_snap_map()
     if kind == "step":
@@ -172,21 +192,22 @@ def gain_from_spec(spec: dict) -> RadialGain:
     _require(isinstance(spec, dict) and "kind" in spec, "gain spec needs a kind")
     kind = spec["kind"]
     if kind == "constant":
-        return constant_gain(spec["value"])
+        return constant_gain(_number(spec, "value"))
     if kind == "cosine":
-        base = float(spec["base"])
-        amp = float(spec["amplitude"])
+        base = _number(spec, "base")
+        amp = _number(spec, "amplitude")
         _require(base >= abs(amp), "cosine gain must stay nonnegative")
         return RadialGain(angle_fn=lambda t: base + amp * np.cos(t),
                           declared_bound=base + abs(amp))
     if kind == "step":
         return step_gain(spec["breakpoints"], spec["values"])
     if kind == "example2_gain":
-        return Example2Gain(spec["beta"])
+        return Example2Gain(_number(spec, "beta"))
     if kind == "indicator_arc":
         return indicator_gain(ArcSet(spec["arcs"]))
     if kind == "power_cusp":
-        return power_cusp_gain(spec["center"], spec["gamma"])
+        return power_cusp_gain(_number(spec, "center"),
+                               _number(spec, "gamma"))
     raise SpecError(f"unknown gain kind {kind!r}")
 
 
@@ -195,7 +216,7 @@ def random_gain_from_spec(spec: dict) -> RandomGainProcess:
     _require(isinstance(spec, dict) and "kind" in spec,
              "random gain spec needs a kind")
     if spec["kind"] == "exp_cosine":
-        a = float(spec.get("amplitude", 0.0))
+        a = _number(spec, "amplitude", 0.0)
         _require(-1.0 < a < 1.0, "exp_cosine amplitude must lie in (-1, 1)")
         return exponential_gain_process(lambda t: 1.0 + a * np.cos(t))
     raise SpecError(f"unknown random gain kind {spec['kind']!r}")

@@ -79,21 +79,26 @@ def norms_of(points: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of a (d, n) array of finite points.
 
     Columns whose sum of squares is a normal finite double get exactly
-    sqrt(sum(x*x)). Only columns where that sum underflows below the
-    smallest normal double or overflows are recomputed with max-abs scaling,
-    so tiny and huge points get their true norm. Zero columns keep norm 0.
-    A NaN or infinite coordinate, or a norm beyond the double range, raises
-    NonFiniteInput.
+    sqrt(sum(x*x)): the squares are added row by row, in the order
+    np.sum(x * x, axis=0) adds them, without a (d, n) temporary. Only
+    columns where that sum underflows below the smallest normal double or
+    overflows are recomputed with max-abs scaling, so tiny and huge points
+    get their true norm. Zero columns keep norm 0. A NaN or infinite
+    coordinate, or a norm beyond the double range, raises NonFiniteInput.
     """
     x = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("a coordinate is NaN or infinite")
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(x * x, axis=0))
+        norms = x[0] * x[0]
+        for row in x[1:]:
+            norms += row * row
+    np.sqrt(norms, out=norms)
     # sqrt is monotone and exact at the smallest normal double, so a norm
-    # below _SQRT_TINY or infinite marks a sum of squares that underflowed or
-    # overflowed; two reductions rule both out without building a mask
+    # below _SQRT_TINY, infinite or NaN marks a sum of squares that
+    # underflowed or overflowed, or a coordinate that is not finite; two
+    # reductions rule all of them out without building a mask
     if norms.size and not (norms.min() >= _SQRT_TINY and norms.max() < np.inf):
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteInput("a coordinate is NaN or infinite")
         redo = (norms < _SQRT_TINY) | np.isinf(norms)
         cols = x[:, redo]
         scale = np.max(np.abs(cols), axis=0)

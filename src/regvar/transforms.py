@@ -47,9 +47,8 @@ class LimitMeasure:
 
 
 def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
-    """Replace each direction by its image; norms are preserved exactly."""
-    new_dirs = f.apply_dirs(batch.dirs)
-    return SampleBatch.from_polar(batch.norms.copy(), new_dirs,
+    """Replace each direction by its image; the norms array is shared."""
+    return SampleBatch.from_polar(batch.norms, f.apply_dirs(batch.dirs),
                                   seed=batch.seed, zero_count=batch.zero_count)
 
 
@@ -58,13 +57,17 @@ def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
 
     Points whose factor is zero collapse to the origin, where the polar
     decomposition is undefined; they are removed and counted in zero_count.
-    A product that overflows raises NonFiniteInput.
+    When none is, the dirs array is shared. A product that overflows raises
+    NonFiniteInput.
     """
     keep = vals > 0.0
     removed = int(batch.size - np.count_nonzero(keep))
+    norms, dirs = batch.norms, batch.dirs
+    if removed:
+        norms, dirs, vals = norms[keep], dirs[:, keep], vals[keep]
     with np.errstate(over="ignore"):
-        norms = batch.norms[keep] * vals[keep]
-    return SampleBatch.from_polar(norms, batch.dirs[:, keep], seed=batch.seed,
+        norms = norms * vals
+    return SampleBatch.from_polar(norms, dirs, seed=batch.seed,
                                   zero_count=batch.zero_count + removed)
 
 
@@ -112,9 +115,11 @@ def limit_pushforward_radial(q: LimitMeasure, h: RadialGain) -> LimitMeasure:
 class TransformedModel(RegVarModel):
     """A base model composed with a deterministic radial gain.
 
-    Sampling draws from the base and rescales. Exact tails are available
-    when the base has independent polar parts (any gain) or for the
-    accumulating-atom construction with its companion gain.
+    Each chunk is drawn from the base and rescaled at once, so the unscaled
+    sample never exists whole; the result equals
+    radial_scale_apply(base.sample(n, seed), gain) bit for bit. Exact tails
+    are available when the base has independent polar parts (any gain) or
+    for the accumulating-atom construction with its companion gain.
     """
 
     def __init__(self, base: RegVarModel, gain: RadialGain):
@@ -124,8 +129,8 @@ class TransformedModel(RegVarModel):
         self.dim = base.dim
         self.spectral = None
 
-    def sample(self, n: int, seed: int, workers: int = 1) -> SampleBatch:
-        return radial_scale_apply(self.base.sample(n, seed, workers), self.gain)
+    def _sample_chunk(self, rng, m):
+        return radial_scale_apply(self.base._sample_chunk(rng, m), self.gain)
 
     def exact_tail(self, r, sets):
         base, gain = self.base, self.gain

@@ -591,6 +591,28 @@ def test_cli_names_missing_spec_field(tmp_path, capsys, flag, spec, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, field, value", [
+    (["sample", "--model", '{"kind": "example3", "alpha": "abc"}', "-n", "10"],
+     "alpha", "'abc'"),
+    (["sample", "--model", '{"kind": "example3", "alpha": [1.0]}', "-n", "10"],
+     "alpha", "[1.0]"),
+    (["estimate", "--top", "2", "--target",
+      '{"kind": "discrete", "dim": 2, "atoms": [{"angle": "x", "weight": 1}]}'],
+     "atoms[0].angle", "'x'"),
+], ids=["string", "list", "atom-angle"])
+def test_cli_names_spec_field_of_wrong_type(tmp_path, capsys, args, field,
+                                            value):
+    src = tmp_path / "x.csv"
+    src.write_text("x1,x2\n1.0,0.5\n-2.0,1.0\n3.0,1.0\n")
+    out = tmp_path / "out"
+    if args[0] == "estimate":
+        args = args + ["--input", str(src)]
+    assert cli_main(args + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: spec field {field!r} must be a number, got {value}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "step", "breakpoints": [0.0], "values": [float("nan")]},
     {"kind": "constant", "value": float("inf")},

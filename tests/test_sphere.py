@@ -55,10 +55,11 @@ def test_batch_rejects_non_finite_coordinates(bad):
 
 def test_polar_recompose_many_dims():
     rng = np.random.default_rng(1)
-    for d in (2, 3, 5):
+    for d in (2, 3, 4, 5):
         pts = rng.standard_normal((d, 1_000_000 if d == 2 else 10_000))
         batch = SampleBatch.from_points(pts)
         norms, dirs = batch.norms, batch.dirs
+        assert norms.tobytes() == np.sqrt(np.sum(pts * pts, axis=0)).tobytes()
         err = np.sqrt(np.sum((dirs * norms - pts) ** 2, axis=0))
         assert np.max(err / np.sqrt(np.sum(pts * pts, axis=0))) <= 1e-10
 
@@ -90,7 +91,11 @@ _SCALED = st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
 # sums of squares at, just below and just above the smallest normal double
 @example([[2.0 ** -511, 0.0], [math.nextafter(2.0 ** -511, 0.0), 0.0],
           [math.nextafter(2.0 ** -511, 1.0), 0.0]])
-@given(st.integers(2, 3).flatmap(
+# d = 5: normal columns beside ones that take the underflow and overflow
+# rescues in the same call
+@example([[1.0, -2.0, 3.0, 0.5, 1e-3], [1e-200, 0.0, 3e-201, 0.0, 1e-300],
+          [1e200, -1e200, 2.0, 0.0, 1e150], [0.1, 0.2, 0.3, 0.4, 0.5]])
+@given(st.integers(2, 5).flatmap(
     lambda d: st.lists(st.lists(_SCALED, min_size=d, max_size=d),
                        min_size=1, max_size=20)))
 def test_norms_of_match_hypot_over_exponents(rows):
@@ -103,7 +108,8 @@ def test_norms_of_match_hypot_over_exponents(rows):
     with np.errstate(over="ignore"):
         sq = np.sum(pts * pts, axis=0)
     normal = (sq >= np.finfo(float).tiny) & np.isfinite(sq)
-    np.testing.assert_array_equal(norms[normal], np.sqrt(sq[normal]))
+    # the row-by-row sum gives np.sum's bits: the same additions in order
+    assert norms[normal].tobytes() == np.sqrt(sq[normal]).tobytes()
 
 
 def test_angle_direction_roundtrip_grid():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,7 @@ def test_spherical_norms_preserved_exactly():
     b = SampleBatch.from_points(rng.standard_normal((2, 10_000)))
     out = spherical_map_apply(b, quadrant_snap_map())
     np.testing.assert_array_equal(out.norms, b.norms)
+    assert np.shares_memory(out.norms, b.norms)
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +110,7 @@ def test_radial_indicator_removes_axis_points():
     h = indicator_gain(ArcSet([(np.nextafter(0.0, 1.0), TWO_PI)]))
     out = radial_scale_apply(b, h)
     assert out.size == 1 and out.zero_count == 2
+    assert not np.shares_memory(out.dirs, b.dirs)
     assert out.angles()[0] == pytest.approx(np.pi / 4)
 
 
@@ -116,7 +120,32 @@ def test_radial_directions_preserved_exactly_for_survivors():
     h = step_gain([0.0, np.pi], [0.5, 2.0])
     out = radial_scale_apply(b, h)
     np.testing.assert_array_equal(out.dirs, b.dirs)
-    assert out.zero_count == 0
+    assert out.zero_count == 0 and np.shares_memory(out.dirs, b.dirs)
+
+
+# ----------------------------------------------------------------------
+# read-only batch arrays
+
+
+def test_batch_arrays_are_read_only_views():
+    pts = np.array([[3.0, 0.0, -2.0, 1.0], [4.0, 5.0, 0.0, -1.0]])
+    norms, dirs = np.array([2.0, 3.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    model = PolarIndependentModel(SpectralMeasure.uniform(), 1.0,
+                                  ParetoLaw(1.0))
+    b = SampleBatch.from_points(pts)
+    batches = [b, SampleBatch.from_polar(norms, dirs), model.sample(100, 1),
+               TransformedModel(model, constant_gain(2.0)).sample(100, 1),
+               b.canonical(), spherical_map_apply(b, quadrant_snap_map()),
+               radial_scale_apply(b, constant_gain(2.0))]
+    for batch in batches:
+        for array in (batch.points, batch.norms, batch.dirs, batch.angles()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 1.0
+    assert np.shares_memory(b.canonical().points, pts)
+    # the caller's own arrays stay writeable
+    for array in (pts, norms, dirs):
+        array[..., 0] = 7.0
+    assert b.points[0, 0] == 7.0
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +265,31 @@ def test_transformed_model_discrete_exact_tail():
     assert b.zero_count > 0
     freq = np.count_nonzero(b.norms > 3.0) / 200_000
     assert freq == pytest.approx(t.exact_tail(3.0, FULL), abs=4e-3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("base, gain", [
+    (Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2)),
+    (Example3Model(1.0), indicator_gain(ArcSet([(0.01, TWO_PI)]))),
+    (PolarIndependentModel(SpectralMeasure.uniform(), 1.0, ParetoLaw(1.0)),
+     step_gain([0.0, np.pi], [2.0, 0.5])),
+], ids=["example2", "indicator", "no-zero"])
+def test_transformed_model_equals_scaled_base_sample(base, gain, workers):
+    # chunks scale one at a time and close their gaps in chunk order; three
+    # full chunks and a partial one, each dropping a different count. Worker
+    # threads switch often, so a slice written to the wrong place would show.
+    n = 3 * 65536 + 17
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = TransformedModel(base, gain).sample(n, 5, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    want = radial_scale_apply(base.sample(n, 5), gain)
+    for name in ("points", "norms", "dirs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.points.flags.c_contiguous and got.dirs.flags.c_contiguous
+    assert (got.size, got.zero_count, got.seed) == (want.size, want.zero_count, 5)
 
 
 def test_transformed_model_density_exact_tail_quadrature():
