@@ -12,11 +12,9 @@ and Kolmogorov distances used by the diagnostics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +25,7 @@ from .errors import (
     UnsupportedPair,
     positive_finite,
 )
+from .quadrature import integrate
 from .sphere import (
     TWO_PI,
     ArcSet,
@@ -52,18 +51,10 @@ _GL_W = np.array([0.34785484513745385, 0.6521451548625461,
                   0.6521451548625461, 0.34785484513745385])
 
 
-def _quad_arc(fn, a: float, b: float, singular_points=()) -> float:
-    """Adaptive integral of fn over [a, b], splitting at interior hints."""
-    pts = sorted(p for p in singular_points if a < p < b)
-    res = scipy.integrate.quad(fn, a, b, points=pts or None, limit=200,
-                               epsabs=1e-13, epsrel=1e-12, full_output=1)
-    return float(res[0])
-
-
 def arc_integral(fn, arcs, singular_points) -> float:
     """Integral of fn over a union of arcs [(a, b), ...], each arc split at
-    the singular points inside it."""
-    return float(sum(_quad_arc(fn, a, b, singular_points) for a, b in arcs))
+    the singular points inside it and refined toward those at its ends."""
+    return float(sum(integrate(fn, a, b, singular_points)[0] for a, b in arcs))
 
 
 def _merge_sorted_atoms(angles: np.ndarray, weights: np.ndarray, tol: float):
@@ -161,7 +152,7 @@ class SpectralMeasure:
             self.weights = None
             self.coords = None
             self.total_mass = float(total_mass) if total_mass is not None \
-                else _quad_arc(density_fn, 0.0, TWO_PI, self.singular_points)
+                else arc_integral(density_fn, [(0.0, TWO_PI)], self.singular_points)
         else:
             raise ValueError(f"unknown measure kind {kind!r}")
         if not np.isfinite(self.total_mass) or self.total_mass < 0:
@@ -622,7 +613,7 @@ def pushforward(sigma: SpectralMeasure, f: SphereMap) -> SpectralMeasure:
         atoms = []
         masses = []
         for start, stop, value in f.steps.pieces():
-            m = _quad_arc(sigma.density_fn, start, stop, sigma.singular_points)
+            m = arc_integral(sigma.density_fn, [(start, stop)], sigma.singular_points)
             if m > 0:
                 atoms.append(value)
                 masses.append(m)
@@ -782,8 +773,12 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
     """Integral of h^(alpha + epsilon) against sigma.
 
     Returns the finite value, or raises MomentDivergence when the sum or
-    integral is infinite (detected analytically for atoms, by quadrature
-    failure for densities).
+    integral is infinite. For atoms the sum is checked directly. For a
+    density the integral is refined toward every singular point in
+    geometric shells; it diverges when the deepest shell holds at least as
+    much as the one before it (the ratio 2^(s - 1) of a cusp |t - c|^-s
+    reaches 1 at s = 1), and it has failed when the error estimate exceeds
+    1e-6 relative or 1e-8 absolute.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -801,16 +796,8 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
     def integrand(t):
         return sigma.density_fn(t) * h.at_angles(t) ** p
 
-    sing = sorted(set(sigma.singular_points) | set(h.singular_points))
-    pts = [s for s in sing if 0.0 < s < TWO_PI]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = scipy.integrate.quad(integrand, 0.0, TWO_PI,
-                                   points=pts or None, limit=200, full_output=1)
-    value, abserr = float(res[0]), float(res[1])
-    bad = [w for w in caught
-           if issubclass(w.category, scipy.integrate.IntegrationWarning)]
-    if (not np.isfinite(value)) or len(res) > 3 or bad \
-            or abserr > max(1e-6 * abs(value), 1e-8):
+    hints = set(sigma.singular_points) | set(h.singular_points)
+    value, abserr = integrate(integrand, 0.0, TWO_PI, hints)
+    if not np.isfinite(value) or abserr > max(1e-6 * abs(value), 1e-8):
         raise MomentDivergence("moment integral diverges or failed to converge")
     return value

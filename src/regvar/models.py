@@ -18,10 +18,10 @@ Monte Carlo output against exact values.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy
 
 from .batch import SampleBatch
 from .errors import InvalidConstruction, MomentDivergence, positive_finite
@@ -217,6 +217,35 @@ def _atom_angle(k):
     return np.pi - np.pi * np.exp2(1.0 - np.asarray(k, dtype=float))
 
 
+# B_2j / (2j)! for j = 1..12: the Euler-Maclaurin coefficients
+_EULER_MACLAURIN = np.array([
+    b / math.factorial(2 * j) for j, b in enumerate(
+        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+         -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+         -236364091 / 2730), start=1)])
+
+
+def _hurwitz_zeta(x, q: float) -> np.ndarray:
+    """Hurwitz zeta sum of (q + k)^-x over k >= 0, for x > 1 and q >= 64.
+
+    Euler-Maclaurin at q itself with 12 Bernoulli terms:
+    q^(1-x) [1/(x-1) + 1/(2q) + sum_j B_2j/(2j)! x(x+1)...(x+2j-2) q^-2j].
+    With q^(1-x) factored out every bracket term is O(1), so no term
+    underflows before the result does. The first omitted term is below
+    1e-18 relative for x <= 60.
+    """
+    x = np.asarray(x, dtype=float)
+    q = float(q)
+    column = (-1,) + (1,) * x.ndim
+    # row j - 1 holds x(x+1)...(x+2j-2) q^(1-2j), built by running products
+    j = np.arange(1, _EULER_MACLAURIN.size).reshape(column)
+    steps = (x + 2 * j - 1) * (x + 2 * j) / (q * q)
+    rising = np.cumprod(np.concatenate([(x / q)[None], steps]), axis=0)
+    # summed smallest term first
+    corr = np.sum((_EULER_MACLAURIN.reshape(column) * rising)[::-1], axis=0)
+    return q ** (1.0 - x) * (1.0 / (x - 1.0) + (0.5 / q + corr / q))
+
+
 def _qk_power_sum_from(m: int, s: float) -> float:
     """Sum of k^s / (k (k+1)) over k >= m, for s < 1.
 
@@ -230,7 +259,7 @@ def _qk_power_sum_from(m: int, s: float) -> float:
     k = np.arange(m, big, dtype=float)
     head = float(np.sum(k ** s / (k * (k + 1)))) if k.size else 0.0
     j = np.arange(25)
-    tail = float(np.sum((-1.0) ** j * scipy.special.zeta(2.0 - s + j, big)))
+    tail = float(np.sum((-1.0) ** j * _hurwitz_zeta(2.0 - s + j, big)))
     return head + tail
 
 

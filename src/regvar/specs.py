@@ -47,17 +47,51 @@ def _require(cond: bool, msg: str):
         raise SpecError(msg)
 
 
+def _float(value, path: str) -> float:
+    """value as a float; anything else raises SpecError naming its path."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"spec field {path!r} must be a number, "
+                        f"got {value!r}") from e
+
+
 def _number(spec: dict, field: str, default: float | None = None,
             where: str = "") -> float:
     """spec[field] as a float, or default when given and the field is
     absent. A value that is not a number raises SpecError naming the field
     (its path is where + field)."""
     value = spec[field] if default is None else spec.get(field, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as e:
-        raise SpecError(f"spec field {where + field!r} must be a number, "
-                        f"got {value!r}") from e
+    return _float(value, where + field)
+
+
+def _numbers(values, path: str) -> list[float]:
+    """A list of numbers as floats; SpecError names the first entry that
+    is not one (path[i]), or the field when it is not a list."""
+    _require(isinstance(values, (list, tuple)),
+             f"spec field {path!r} must be a list of numbers, got {values!r}")
+    return [_float(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
+def _integer(spec: dict, field: str, default: int) -> int:
+    """spec[field] as an int (an integral float is accepted), or default
+    when the field is absent."""
+    value = spec.get(field, default)
+    integral = isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    _require(integral and not isinstance(value, bool),
+             f"spec field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _arcs(spec: dict) -> ArcSet:
+    """spec["arcs"], a list of [start, stop] pairs, as an ArcSet."""
+    arcs = spec["arcs"]
+    message = "spec field 'arcs' must be a list of [start, stop] pairs"
+    _require(isinstance(arcs, (list, tuple)), message)
+    pairs = [_numbers(arc, f"arcs[{i}]") for i, arc in enumerate(arcs)]
+    _require(all(len(pair) == 2 for pair in pairs), message)
+    return ArcSet(pairs)
 
 
 def _fields_required(from_spec):
@@ -99,7 +133,7 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
     if kind in ("discrete", "empirical"):
         atoms = spec.get("atoms")
         _require(isinstance(atoms, list) and atoms, "atoms must be a nonempty list")
-        dim = int(spec.get("dim", 2))
+        dim = _integer(spec, "dim", 2)
         weights = [_number(a, "weight", where=f"atoms[{i}].")
                    for i, a in enumerate(atoms)]
         if dim == 2:
@@ -108,7 +142,11 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
             angles = [_number(a, "angle", where=f"atoms[{i}].")
                       for i, a in enumerate(atoms)]
             return SpectralMeasure(kind, 2, angles=angles, weights=weights)
-        coords = np.array([a["coords"] for a in atoms], dtype=float).T
+        coords = [_numbers(a["coords"], f"atoms[{i}].coords")
+                  for i, a in enumerate(atoms)]
+        _require(all(len(c) == dim for c in coords),
+                 f"atom coordinates must have dim = {dim} entries")
+        coords = np.array(coords).T
         return SpectralMeasure(kind, dim, coords=coords, weights=weights)
     if kind == "density":
         dens = spec.get("density")
@@ -181,7 +219,8 @@ def map_from_spec(spec: dict) -> SphereMap:
     if kind == "quadrant_snap":
         return quadrant_snap_map()
     if kind == "step":
-        return step_map(spec["breakpoints"], spec["values"])
+        return step_map(_numbers(spec["breakpoints"], "breakpoints"),
+                        _numbers(spec["values"], "values"))
     if kind == "quantile_transform":
         return quantile_transform_map(measure_from_spec(spec["target"]))
     raise SpecError(f"unknown map kind {kind!r}")
@@ -200,11 +239,12 @@ def gain_from_spec(spec: dict) -> RadialGain:
         return RadialGain(angle_fn=lambda t: base + amp * np.cos(t),
                           declared_bound=base + abs(amp))
     if kind == "step":
-        return step_gain(spec["breakpoints"], spec["values"])
+        return step_gain(_numbers(spec["breakpoints"], "breakpoints"),
+                         _numbers(spec["values"], "values"))
     if kind == "example2_gain":
         return Example2Gain(_number(spec, "beta"))
     if kind == "indicator_arc":
-        return indicator_gain(ArcSet(spec["arcs"]))
+        return indicator_gain(_arcs(spec))
     if kind == "power_cusp":
         return power_cusp_gain(_number(spec, "center"),
                                _number(spec, "gamma"))

@@ -151,11 +151,11 @@ class TransformedModel(RegVarModel):
                 return float(np.sum(sigma.weights[keep] * tails))
 
             def integrand(t):
-                v = gain.at_angles(np.atleast_1d(t))
+                v = gain.at_angles(t)
                 out = np.zeros_like(v)
                 pos = v > 0
                 out[pos] = base.radial.tail(float(r) / v[pos])
-                return (sigma.density_fn(np.atleast_1d(t)) * out)[0]
+                return sigma.density_fn(t) * out
 
             hints = set(sigma.singular_points) | set(gain.singular_points)
             return arc_integral(integrand, sets.arcs, hints)

@@ -1,11 +1,11 @@
 """What a fresh interpreter loads, checked in subprocesses.
 
-`import regvar` loads numpy and scipy's small core only; scipy's
-quadrature and special-function submodules load on the first call that
-needs them. The file pipeline loads neither them nor `fractions` and
-`decimal`. These checks run in a new interpreter because the test process
-has already imported `scipy.integrate` (pytest's `filterwarnings` setting
-names `scipy.integrate.IntegrationWarning`).
+regvar's runtime needs numpy alone: importing it, running every verify
+scenario and sampling every model load no scipy module at all. The file
+pipeline also loads neither `fractions` nor `decimal`. These checks run in
+a new interpreter because the test process has already imported scipy,
+the tests' oracle (pytest's `filterwarnings` setting names
+`scipy.integrate.IntegrationWarning`).
 """
 
 import json
@@ -35,6 +35,17 @@ values = [
                      power_cusp_gain(3.0, 0.2), 1.0, 0.5),
     example2_moment(1.0, 0.5, 1.2, 0.05),
 ]
+"""
+
+
+# every scenario at a small size, and the accumulating-atom sampler
+EVERYTHING = """
+from regvar.models import Example2Model
+from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
+
+for name in SCENARIO_NAMES:
+    run_scenario(Scenario(name, n=20_000))
+Example2Model(1.0, 0.5, 1.2).sample(20_000, seed=1)
 """
 
 
@@ -88,6 +99,15 @@ for argv in argvs:
     assert _loaded_after(code, tmp_path, HEAVY + EXACT) == []
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["k_used"] == 200 and set(report["distances"]) == {"tv", "ks"}
+
+
+def test_scenarios_and_sampling_load_no_scipy(tmp_path):
+    loaded = _run_cold(EVERYTHING + """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+""", tmp_path)
+    assert loaded == []
 
 
 def test_analytic_values_equal_from_cold_start(tmp_path):

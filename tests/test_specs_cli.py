@@ -613,6 +613,39 @@ def test_cli_names_spec_field_of_wrong_type(tmp_path, capsys, args, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["transform", "--gain",
+      '{"kind": "step", "breakpoints": [0.0, "a"], "values": [1, 2]}'],
+     "spec field 'breakpoints[1]' must be a number, got 'a'"),
+    (["transform", "--map",
+      '{"kind": "step", "breakpoints": [0.0, 1.0], "values": [1, null]}'],
+     "spec field 'values[1]' must be a number, got None"),
+    (["transform", "--gain", '{"kind": "step", "breakpoints": 0.0, "values": 1}'],
+     "spec field 'breakpoints' must be a list of numbers, got 0.0"),
+    (["transform", "--gain", '{"kind": "indicator_arc", "arcs": [[0.0, "b"]]}'],
+     "spec field 'arcs[0][1]' must be a number, got 'b'"),
+    (["transform", "--gain", '{"kind": "indicator_arc", "arcs": [[0.0, 1.0, 2.0]]}'],
+     "spec field 'arcs' must be a list of [start, stop] pairs"),
+    (["estimate", "--top", "2", "--target",
+      '{"kind": "discrete", "dim": "x", "atoms": [{"angle": 0.0, "weight": 1}]}'],
+     "spec field 'dim' must be an integer, got 'x'"),
+    (["estimate", "--top", "2", "--target",
+      '{"kind": "discrete", "dim": 3, "atoms": [{"coords": [1, "c", 0], "weight": 1}]}'],
+     "spec field 'atoms[0].coords[1]' must be a number, got 'c'"),
+    (["estimate", "--top", "2", "--target",
+      '{"kind": "discrete", "dim": 3, "atoms": [{"coords": [1, 0], "weight": 1}]}'],
+     "atom coordinates must have dim = 3 entries"),
+], ids=["step-breakpoint", "step-value", "step-not-list", "arc-end",
+        "arc-triple", "dim", "coords", "coords-length"])
+def test_cli_names_list_and_dim_spec_fields(tmp_path, capsys, args, message):
+    src = tmp_path / "x.csv"
+    src.write_text("x1,x2\n1.0,0.5\n-2.0,1.0\n3.0,1.0\n")
+    out = tmp_path / "out"
+    assert cli_main(args + ["--input", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "step", "breakpoints": [0.0], "values": [float("nan")]},
     {"kind": "constant", "value": float("inf")},
