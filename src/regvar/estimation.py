@@ -43,11 +43,9 @@ def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
     if not 1 <= k_top <= batch.size:
         raise ValueError("k_top must lie in [1, batch size]")
     top = top_indices(batch.norms, k_top)
-    w = np.full(k_top, 1.0 / k_top)
-    if batch.dim == 2:
-        return SpectralMeasure.empirical(batch.angles()[top], w, total_mass=1.0)
     return SpectralMeasure("empirical", batch.dim, coords=batch.dirs[:, top],
-                           weights=w, total_mass=1.0)
+                           weights=np.full(k_top, 1.0 / k_top), merge=True,
+                           total_mass=1.0)
 
 
 def _mean_log_spacing(top: np.ndarray, threshold: float, k: int,

@@ -57,15 +57,24 @@ def arc_integral(fn, arcs, singular_points) -> float:
     return float(sum(integrate(fn, a, b, singular_points)[0] for a, b in arcs))
 
 
-def _merge_sorted_atoms(angles: np.ndarray, weights: np.ndarray, tol: float):
-    """Merge atoms whose angles agree within tol; input need not be sorted.
-
-    Clusters are contiguous runs after sorting; the first and last cluster
-    merge across the 0/2*pi seam when they are within tol of it. Each
-    cluster keeps its smallest angle as representative.
+def merge_atoms(at: np.ndarray, weights: np.ndarray, tol: float):
+    """Merge atoms that lie within tol; at holds angles (m,) or unit
+    columns (d, m). Sorted angles merge in runs of steps at most tol, and
+    across the 0/2*pi seam, at each run's smallest angle. Columns merge by
+    cell of a grid of pitch tol, at each cell's first member, in order of
+    first appearance; two columns within tol can straddle a cell edge and
+    stay apart. An atom that merges with none keeps its weight bit for bit.
     """
-    order = np.argsort(angles, kind="stable")
-    a = angles[order]
+    if at.ndim == 2:
+        _, first, cell = np.unique(np.round(at / tol), axis=1,
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return at[:, first[order]], np.bincount(rank[cell], weights=weights,
+                                                minlength=order.size)
+    order = np.argsort(at, kind="stable")
+    a = at[order]
     w = weights[order]
     if a.size == 0:
         return a, w
@@ -85,7 +94,10 @@ class SpectralMeasure:
 
     kind is "discrete", "empirical" (same shape, flagged as estimated) or
     "density" (d = 2 only, density with respect to the angle coordinate).
-    total_mass is cached; weights are strictly positive.
+    Atoms come as angles (d = 2) or unit columns coords (d, m); atoms
+    within 1e-12 are rejected, or merged when merge is set. atoms holds
+    them as sorted angles when d = 2 (coords derived) and as columns
+    otherwise. total_mass is cached; weights are strictly positive.
     """
 
     def __init__(self, kind, dim, angles=None, weights=None, coords=None,
@@ -100,57 +112,45 @@ class SpectralMeasure:
         self.singular_points = tuple(singular_points)
         self._cdf_cache = None
         self._normalized = None
+        self.atoms = self.angles = self.weights = self.coords = None
         if kind in ("discrete", "empirical"):
-            if self.dim == 2:
+            weights = np.asarray(weights, dtype=float)
+            if self.dim == 2 and coords is None:
                 angles = np.asarray(angles, dtype=float)
                 if not np.all(np.isfinite(angles)):
                     raise InvalidParameter("atom angles must be finite")
-                angles = wrap_angle(angles)
-                weights = np.asarray(weights, dtype=float)
-                if angles.shape != weights.shape or angles.ndim != 1:
+                at = wrap_angle(angles)
+                if at.shape != weights.shape or at.ndim != 1:
                     raise ValueError("angles and weights must be 1-d, same length")
-                if np.any(weights <= 0):
-                    raise ValueError("weights must be positive")
-                if merge:
-                    angles, weights = _merge_sorted_atoms(angles, weights,
-                                                          ATOM_MERGE_TOL)
-                else:
-                    order = np.argsort(angles, kind="stable")
-                    angles, weights = angles[order], weights[order]
-                    if angles.size > 1 and (np.min(np.diff(angles)) <= ATOM_MERGE_TOL
-                                            or (angles[0] + TWO_PI) - angles[-1] <= ATOM_MERGE_TOL):
-                        raise ValueError("atoms closer than the merge tolerance; "
-                                         "pass merge=True to combine them")
-                self.angles = angles
-                self.weights = weights
-                self.coords = directions_of(angles)
             else:
                 coords = np.asarray(coords, dtype=float)
-                weights = np.asarray(weights, dtype=float)
-                if coords.shape[0] != self.dim or coords.shape[1] != weights.size:
+                if coords.shape != (self.dim, weights.size):
                     raise ValueError("coords must be (d, m) matching weights")
                 if not np.all(np.isfinite(coords)):
                     raise InvalidParameter("atom coordinates must be finite")
-                if np.any(weights <= 0):
-                    raise ValueError("weights must be positive")
                 norms = np.sqrt(np.sum(coords * coords, axis=0))
                 if np.any(np.abs(norms - 1.0) > 1e-12):
                     raise ValueError("atom coordinates must be unit vectors")
-                self.angles = None
-                self.weights = weights
-                self.coords = coords
+                at = angles_of(coords) if self.dim == 2 else coords
+            if np.any(weights <= 0):
+                raise ValueError("weights must be positive")
             if weights.size == 0:
                 raise EmptyMeasure("measure has no atoms")
+            self.atoms, self.weights = merge_atoms(at, weights, ATOM_MERGE_TOL)
+            if not merge and self.weights.size < weights.size:
+                raise ValueError("atoms closer than the merge tolerance; "
+                                 "pass merge=True to combine them")
+            if at.ndim == 1:
+                self.angles, self.coords = self.atoms, directions_of(self.atoms)
+            else:
+                self.coords = self.atoms
             self.total_mass = float(total_mass) if total_mass is not None \
                 else float(math.fsum(self.weights.tolist()))
         elif kind == "density":
             if self.dim != 2:
-                raise DimensionMismatch("density measures are d = 2 only")
+                raise DimensionMismatch("a density is in the angle, so d = 2 only")
             if density_fn is None:
                 raise ValueError("density measure needs a density function")
-            self.angles = None
-            self.weights = None
-            self.coords = None
             self.total_mass = float(total_mass) if total_mass is not None \
                 else arc_integral(density_fn, [(0.0, TWO_PI)], self.singular_points)
         else:
@@ -214,36 +214,47 @@ class SpectralMeasure:
     def scaled(self, factor: float) -> "SpectralMeasure":
         f = positive_finite(factor, "scale factor")
         if self.is_discrete:
-            return SpectralMeasure(self.kind, self.dim, angles=self.angles,
-                                   weights=None if self.weights is None else self.weights * f,
-                                   coords=self.coords if self.dim > 2 else None,
-                                   total_mass=self.total_mass * f)
+            return self._with_atoms(self.atoms, self.weights * f,
+                                    total_mass=self.total_mass * f)
         fn = self.density_fn
         return SpectralMeasure.density(lambda t, _fn=fn: _fn(t) * f,
                                        singular_points=self.singular_points,
                                        total_mass=self.total_mass * f)
 
+    def _with_atoms(self, at, weights, **kwargs) -> "SpectralMeasure":
+        """A measure of this kind and dimension on the atoms at, given in
+        the form of self.atoms."""
+        place = {"angles": at} if at.ndim == 1 else {"coords": at}
+        return SpectralMeasure(self.kind, self.dim, weights=weights,
+                               **place, **kwargs)
+
     # ------------------------------------------------------------------
     # evaluation
 
-    def mass_on(self, sets) -> float:
-        """Measure of an ArcSet (d = 2) or CapSet (d >= 3)."""
+    def atoms_in(self, sets) -> np.ndarray:
+        """Membership mask of the atoms in an ArcSet (d = 2) or a CapSet."""
         if isinstance(sets, ArcSet):
             if self.dim != 2:
-                raise DimensionMismatch("arc evaluation needs d = 2")
-            if self.is_discrete:
-                return float(np.sum(self.weights[sets.contains(self.angles)]))
-            return arc_integral(self.density_fn, sets.arcs, self.singular_points)
+                raise DimensionMismatch("arcs are sets of angles, so d = 2 only")
+            return sets.contains(self.angles)
         if isinstance(sets, CapSet):
-            if not self.is_discrete:
-                raise UnsupportedPair("cap evaluation needs a discrete measure")
-            return float(np.sum(self.weights[sets.contains(self.coords)]))
+            return sets.contains(self.coords)
         raise TypeError("sets must be an ArcSet or a CapSet")
+
+    def mass_on(self, sets) -> float:
+        """Measure of an ArcSet (d = 2) or CapSet (d >= 3)."""
+        if self.is_discrete:
+            return float(np.sum(self.weights[self.atoms_in(sets)]))
+        if isinstance(sets, CapSet):
+            raise UnsupportedPair("cap evaluation needs a discrete measure")
+        if not isinstance(sets, ArcSet):
+            raise TypeError("sets must be an ArcSet or a CapSet")
+        return arc_integral(self.density_fn, sets.arcs, self.singular_points)
 
     def boundary_mass(self, arcset: ArcSet) -> float:
         """Atom mass sitting exactly (within 1e-12) on arc endpoints."""
         if self.dim != 2:
-            raise DimensionMismatch("boundary_mass needs d = 2")
+            raise DimensionMismatch("boundary_mass is on arc ends, so d = 2 only")
         if not self.is_discrete:
             return 0.0
         ends = arcset.endpoints()
@@ -269,7 +280,7 @@ class SpectralMeasure:
     def cdf(self, theta):
         """F(theta) = mass of [0, theta]; right-continuous, in [0, total]."""
         if self.dim != 2:
-            raise DimensionMismatch("cdf needs d = 2")
+            raise DimensionMismatch("cdf is of the angle, so d = 2 only")
         t = np.asarray(theta, dtype=float)
         if self.is_discrete:
             cum = np.cumsum(self.weights)
@@ -289,7 +300,7 @@ class SpectralMeasure:
         the support, so that atoms at 0 behave like every other atom.
         """
         if self.dim != 2:
-            raise DimensionMismatch("quantile needs d = 2")
+            raise DimensionMismatch("quantile inverts the angle cdf, so d = 2 only")
         if abs(self.total_mass - 1.0) > 1e-6:
             raise ValueError("quantile requires a normalized measure")
         u_arr = np.asarray(u, dtype=float)
@@ -314,7 +325,7 @@ class SpectralMeasure:
     def sample_angles(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. angles from the normalized measure (d = 2)."""
         if self.dim != 2:
-            raise DimensionMismatch("sample_angles needs d = 2")
+            raise DimensionMismatch("sample_angles draws angles, so d = 2 only")
         if self.is_discrete:
             p = self.weights / self.total_mass
             idx = rng.choice(self.weights.size, size=n, p=p)
@@ -330,7 +341,7 @@ class SpectralMeasure:
 
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(d, n) i.i.d. directions from the normalized measure."""
-        if self.dim == 2:
+        if not self.is_discrete:
             return directions_of(self.sample_angles(rng, n))
         p = self.weights / self.total_mass
         idx = rng.choice(self.weights.size, size=n, p=p)
@@ -379,34 +390,66 @@ class StepAngles:
         return zip(self.breaks, stops, self.values)
 
 
-class SphereMap:
+class _SphereFunction:
+    """What a sphere map and a radial gain share: an action on planar
+    angles, on (d, n) coordinate columns, or both, and the one dispatch
+    between them. Planar input takes the angle action when there is one,
+    so d = 2 results come from the exact angles."""
+
+    def __init__(self, angle_fn, coords_fn):
+        if angle_fn is None and coords_fn is None:
+            raise ValueError(f"{type(self).__name__} needs an angle or "
+                             "coordinate action")
+        self.angle_fn = angle_fn
+        self.coords_fn = coords_fn
+
+    def _on_angles(self, theta):
+        if self.angle_fn is None:
+            raise DimensionMismatch(f"{type(self).__name__} has no planar angle action")
+        vals = self.angle_fn(np.asarray(theta, dtype=float))
+        return self._finish(np.asarray(vals, dtype=float), planar=True)
+
+    def _on_dirs(self, dirs: np.ndarray):
+        if dirs.shape[0] == 2 and self.angle_fn is not None:
+            return self._planar_dirs(self._on_angles(angles_of(dirs)))
+        if self.coords_fn is None:
+            raise DimensionMismatch(f"{type(self).__name__} has no coordinate action")
+        return self._finish(np.asarray(self.coords_fn(dirs), dtype=float),
+                            planar=False)
+
+    # the result at planar directions, from the result at their angles
+    _planar_dirs = staticmethod(np.asarray)
+
+    def on_atoms(self, sigma: "SpectralMeasure"):
+        """The action at the atoms of a discrete measure, in the form of
+        sigma.atoms: on the angles when d = 2, on the columns otherwise."""
+        if sigma.dim == 2:
+            return self._on_angles(sigma.atoms)
+        return self._on_dirs(sigma.atoms)
+
+
+class SphereMap(_SphereFunction):
     """Map of the sphere into itself, applied to directions.
 
     For d = 2 the map acts on canonical angles; a StepAngles representation,
-    when present, makes pushforwards of density measures exact.
+    when present, makes pushforwards of density measures exact. apply_dirs
+    maps a (d, n) array of unit vectors and re-normalizes the output.
     """
 
     def __init__(self, angle_fn=None, coords_fn=None, steps: StepAngles | None = None):
         if angle_fn is None and steps is not None:
             angle_fn = steps.apply
-        if angle_fn is None and coords_fn is None:
-            raise ValueError("SphereMap needs an angle or coordinate action")
-        self.angle_fn = angle_fn
-        self.coords_fn = coords_fn
+        super().__init__(angle_fn, coords_fn)
         self.steps = steps
 
-    def apply_angles(self, theta):
-        if self.angle_fn is None:
-            raise DimensionMismatch("map has no planar angle action")
-        return wrap_angle(self.angle_fn(np.asarray(theta, dtype=float)))
+    apply_angles = _SphereFunction._on_angles
+    apply_dirs = _SphereFunction._on_dirs
+    _planar_dirs = staticmethod(directions_of)
 
-    def apply_dirs(self, dirs: np.ndarray) -> np.ndarray:
-        """Apply to a (d, n) array of unit vectors; output re-normalized."""
-        if dirs.shape[0] == 2 and self.angle_fn is not None:
-            return directions_of(self.apply_angles(angles_of(dirs)))
-        if self.coords_fn is None:
-            raise DimensionMismatch("map has no coordinate action")
-        out = np.asarray(self.coords_fn(dirs), dtype=float)
+    @staticmethod
+    def _finish(out, planar):
+        if planar:
+            return wrap_angle(out)
         norms = np.sqrt(np.sum(out * out, axis=0))
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("map output is not a unit vector")
@@ -433,7 +476,7 @@ def step_map(breaks, values) -> SphereMap:
     return SphereMap(steps=StepAngles(breaks, values))
 
 
-class RadialGain:
+class RadialGain(_SphereFunction):
     """Nonnegative direction-dependent factor applied to norms.
 
     declared_bound, when present, asserts a finite supremum; evaluation
@@ -444,10 +487,7 @@ class RadialGain:
 
     def __init__(self, angle_fn=None, coords_fn=None, declared_bound=None,
                  singular_points=()):
-        if angle_fn is None and coords_fn is None:
-            raise ValueError("RadialGain needs an angle or coordinate action")
-        self.angle_fn = angle_fn
-        self.coords_fn = coords_fn
+        super().__init__(angle_fn, coords_fn)
         self.declared_bound = None if declared_bound is None else float(declared_bound)
         self.singular_points = tuple(singular_points)
 
@@ -455,25 +495,15 @@ class RadialGain:
     def is_bounded(self) -> bool:
         return self.declared_bound is not None
 
-    def _check(self, vals: np.ndarray) -> np.ndarray:
+    at_angles = _SphereFunction._on_angles
+    at_dirs = _SphereFunction._on_dirs
+
+    def _finish(self, vals: np.ndarray, planar) -> np.ndarray:
         if np.any(np.isnan(vals)) or np.any(vals < 0):
             raise InvalidGain("gain evaluated negative or NaN")
         if self.declared_bound is not None and np.any(vals > self.declared_bound * (1 + 1e-12)):
             raise InvalidGain("gain exceeds its declared bound")
         return vals
-
-    def at_angles(self, theta):
-        if self.angle_fn is None:
-            raise DimensionMismatch("gain has no planar angle action")
-        vals = np.asarray(self.angle_fn(np.asarray(theta, dtype=float)), dtype=float)
-        return self._check(vals)
-
-    def at_dirs(self, dirs: np.ndarray):
-        if dirs.shape[0] == 2 and self.angle_fn is not None:
-            return self.at_angles(angles_of(dirs))
-        if self.coords_fn is None:
-            raise DimensionMismatch("gain has no coordinate action")
-        return self._check(np.asarray(self.coords_fn(dirs), dtype=float))
 
 
 def constant_gain(value: float) -> RadialGain:
@@ -493,7 +523,7 @@ def step_gain(breaks, values) -> RadialGain:
 
 
 def indicator_gain(arcset: ArcSet) -> RadialGain:
-    return RadialGain(angle_fn=lambda t: arcset.contains(t).astype(float),
+    return RadialGain(angle_fn=lambda t: np.asarray(arcset.contains(t), float),
                       declared_bound=1.0,
                       singular_points=tuple(arcset.endpoints()))
 
@@ -600,15 +630,8 @@ def pushforward(sigma: SpectralMeasure, f: SphereMap) -> SpectralMeasure:
     exact only for maps constant on each cell.
     """
     if sigma.is_discrete:
-        if sigma.dim == 2:
-            mapped = f.apply_angles(sigma.angles)
-            return SpectralMeasure(sigma.kind, 2, angles=mapped,
-                                   weights=sigma.weights.copy(), merge=True,
-                                   total_mass=sigma.total_mass)
-        mapped = f.apply_dirs(sigma.coords)
-        return SpectralMeasure(sigma.kind, sigma.dim, coords=mapped,
-                               weights=sigma.weights.copy(),
-                               total_mass=sigma.total_mass)
+        return sigma._with_atoms(f.on_atoms(sigma), sigma.weights, merge=True,
+                                 total_mass=sigma.total_mass)
     if f.steps is not None:
         atoms = []
         masses = []
@@ -636,21 +659,10 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
     """
     a = positive_finite(alpha, "alpha")
     if sigma.is_discrete:
-        if sigma.dim == 2:
-            mult = h.at_angles(sigma.angles) ** a
-        else:
-            mult = h.at_dirs(sigma.coords) ** a
+        mult = h.on_atoms(sigma) ** a
         if np.any(~np.isfinite(mult)):
             raise InvalidGain("gain not finite at an atom of the measure")
-        keep = mult > 0
-        if not np.any(keep):
-            raise EmptyMeasure("reweighting removed all mass")
-        if sigma.dim == 2:
-            return SpectralMeasure(sigma.kind, 2, angles=sigma.angles[keep],
-                                   weights=sigma.weights[keep] * mult[keep])
-        return SpectralMeasure(sigma.kind, sigma.dim,
-                               coords=sigma.coords[:, keep],
-                               weights=sigma.weights[keep] * mult[keep])
+        return _reweighted_atoms(sigma, mult)
     dens = sigma.density_fn
 
     def new_density(t, _d=dens, _h=h, _a=a):
@@ -658,6 +670,15 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
 
     sing = tuple(sorted(set(sigma.singular_points) | set(h.singular_points)))
     return SpectralMeasure.density(new_density, singular_points=sing)
+
+
+def _reweighted_atoms(sigma: SpectralMeasure, mult: np.ndarray) -> SpectralMeasure:
+    """sigma's atoms with their weights times mult; atoms whose multiplier
+    is zero are dropped."""
+    keep = mult > 0
+    if not np.any(keep):
+        raise EmptyMeasure("reweighting removed all mass")
+    return sigma._with_atoms(sigma.atoms[..., keep], sigma.weights[keep] * mult[keep])
 
 
 def expected_gain_reweight(sigma: SpectralMeasure, z: RandomGainProcess,
@@ -671,13 +692,8 @@ def expected_gain_reweight(sigma: SpectralMeasure, z: RandomGainProcess,
     a = positive_finite(alpha, "alpha")
     if sigma.is_discrete:
         if sigma.dim != 2:
-            raise DimensionMismatch("random-gain reweighting is planar only")
-        mult = z.moment(sigma.angles, a, rng)
-        keep = mult > 0
-        if not np.any(keep):
-            raise EmptyMeasure("reweighting removed all mass")
-        return SpectralMeasure(sigma.kind, 2, angles=sigma.angles[keep],
-                               weights=sigma.weights[keep] * mult[keep])
+            raise DimensionMismatch("random gains act on planar angles (d = 2)")
+        return _reweighted_atoms(sigma, z.moment(sigma.angles, a, rng))
     if z.moment_fn is None:
         raise MomentDivergence("density reweighting needs an analytic moment")
     dens = sigma.density_fn
@@ -698,7 +714,7 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
     density is positive.
     """
     if mu.dim != 2:
-        raise DimensionMismatch("quantile transform needs d = 2")
+        raise DimensionMismatch("the quantile transform maps angles, so d = 2 only")
     if abs(mu.total_mass - 1.0) > 1e-6:
         raise ValueError("quantile transform requires a normalized measure")
     if mu.is_discrete:
@@ -712,40 +728,24 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
 # distances
 
 
-def _cluster_differences(a: SpectralMeasure, b: SpectralMeasure, atol: float):
-    """Cluster the union of atom locations within atol and return, per
-    cluster, the weight of a minus the weight of b."""
-    w = np.concatenate([a.weights, -b.weights])
-    if a.dim == 2:
-        angles = np.concatenate([a.angles, b.angles])
-        return _merge_sorted_atoms(angles, w, atol)[1]
-    # d >= 3: greedy clustering on chord distance
-    coords = np.concatenate([a.coords.T, b.coords.T])
-    chord = 2.0 * np.sin(min(atol, np.pi) / 2.0)
-    unassigned = np.ones(len(coords), bool)
-    diffs = []
-    for i in range(len(coords)):
-        if not unassigned[i]:
-            continue
-        d = np.sqrt(np.sum((coords - coords[i]) ** 2, axis=1))
-        members = unassigned & (d <= chord)
-        unassigned &= ~members
-        diffs.append(np.sum(w[members]))
-    return np.asarray(diffs)
-
-
 def distance_tv(a: SpectralMeasure, b: SpectralMeasure,
                 atol: float = TV_MATCH_TOL) -> float:
     """Total variation distance between two atomic measures.
 
-    Atoms are matched within the angular tolerance; unmatched mass counts
-    fully. Density measures are not supported (use distance_ks).
+    Atoms are matched as merge_atoms merges them at tolerance atol, and
+    each group contributes |mass of a - mass of b|, so unmatched mass
+    counts fully. For d >= 3 the groups are the cells of a grid of pitch
+    atol, and two atoms within atol of each other can straddle a cell edge
+    and count as unmatched. Density measures are not supported (use
+    distance_ks).
     """
     if not (a.is_discrete and b.is_discrete):
         raise UnsupportedPair("total variation needs two atomic measures")
     if a.dim != b.dim:
         raise DimensionMismatch("measures live on different spheres")
-    return 0.5 * float(np.sum(np.abs(_cluster_differences(a, b, atol))))
+    w = np.concatenate([a.weights, -b.weights])
+    at = np.concatenate([a.atoms, b.atoms], axis=-1)
+    return 0.5 * float(np.sum(np.abs(merge_atoms(at, w, atol)[1])))
 
 
 def distance_ks(a: SpectralMeasure, b: SpectralMeasure) -> float:
@@ -755,7 +755,7 @@ def distance_ks(a: SpectralMeasure, b: SpectralMeasure) -> float:
     which attains it exactly for step CDFs.
     """
     if a.dim != 2 or b.dim != 2:
-        raise DimensionMismatch("Kolmogorov distance needs d = 2")
+        raise DimensionMismatch("Kolmogorov distance compares angle cdfs, so d = 2 only")
     pts = [np.linspace(0.0, TWO_PI, KS_GRID, endpoint=False)]
     for m in (a, b):
         if m.is_discrete:
@@ -784,11 +784,7 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
         raise ValueError("epsilon must be positive")
     p = float(alpha) + float(epsilon)
     if sigma.is_discrete:
-        if sigma.dim == 2:
-            vals = h.at_angles(sigma.angles) ** p
-        else:
-            vals = h.at_dirs(sigma.coords) ** p
-        total = float(np.sum(sigma.weights * vals))
+        total = float(np.sum(sigma.weights * h.on_atoms(sigma) ** p))
         if not np.isfinite(total):
             raise MomentDivergence("moment sum is infinite")
         return total

@@ -141,7 +141,7 @@ def direction_of(theta):
 def angles_of(dirs: np.ndarray) -> np.ndarray:
     """Canonical angles of a (2, n) array of planar directions."""
     if dirs.shape[0] != 2:
-        raise DimensionMismatch("angles_of is defined for d = 2 only")
+        raise DimensionMismatch("only planar directions have an angle (d = 2)")
     return wrap_angle(np.arctan2(dirs[1], dirs[0]))
 
 

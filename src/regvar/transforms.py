@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import UnboundedGain
+from .errors import DimensionMismatch, UnboundedGain
 from .measures import (
     RadialGain,
     RandomGainProcess,
@@ -27,7 +27,6 @@ from .measures import (
     reweight,
 )
 from .models import Example2Gain, Example2Model, PolarIndependentModel, RegVarModel
-from .sphere import ArcSet
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def randomized_scale_apply(batch: SampleBatch, z: RandomGainProcess,
     removes the point, as a zero gain does.
     """
     if batch.dim != 2:
-        raise NotImplementedError("randomized gains are planar")
+        raise DimensionMismatch("random gains act on planar angles (d = 2)")
     return _scale_by(batch, z.sample(batch.angles(), rng))
 
 
@@ -138,13 +137,11 @@ class TransformedModel(RegVarModel):
             if abs(gain.beta - base.beta) > 1e-12:
                 return None
             return base.transformed_tail(float(r), sets)
-        if isinstance(base, PolarIndependentModel) and base.dim == 2:
+        if isinstance(base, PolarIndependentModel):
             sigma = base.sigma
             if sigma.is_discrete:
-                vals = gain.at_angles(sigma.angles)
-                member = sets.contains(sigma.angles) if isinstance(sets, ArcSet) \
-                    else sets.contains(sigma.coords)
-                keep = member & (vals > 0.0)
+                vals = gain.on_atoms(sigma)
+                keep = sigma.atoms_in(sets) & (vals > 0.0)
                 if not np.any(keep):
                     return 0.0
                 tails = base.radial.tail(float(r) / vals[keep])

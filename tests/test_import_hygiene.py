@@ -10,6 +10,10 @@ __init__.py, so no definition lives on for the tests alone.
 
 No module imports scipy, at any level: the runtime needs numpy alone,
 and scipy is an oracle of the tests only.
+
+Every `raise NotImplementedError` is bare: it marks an abstract method. A
+refusal a user can meet carries a message and is a RegvarError, the one
+error the CLI turns into exit code 2.
 """
 
 import ast
@@ -114,3 +118,15 @@ def test_every_definition_is_used_or_exported():
                 for name, definition in _module_level_definitions(tree)
                 if reads[name] == _reads(definition)[name] and name not in exported]
     assert not problems, "defined but never used: " + ", ".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_not_implemented_error_is_bare(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    problems = [f"line {node.lineno}: NotImplementedError raised with "
+                "arguments; a user-facing refusal is a RegvarError"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "NotImplementedError"]
+    assert not problems, f"{path.name}: " + "; ".join(problems)

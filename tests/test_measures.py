@@ -15,10 +15,12 @@ from regvar.errors import (
     UnsupportedPair,
 )
 from regvar.measures import (
+    ATOM_MERGE_TOL,
     MC_CHUNK_ROWS,
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
+    SphereMap,
     constant_gain,
     constant_map,
     degenerate_gain_process,
@@ -28,6 +30,7 @@ from regvar.measures import (
     exponential_gain_process,
     identity_map,
     indicator_gain,
+    merge_atoms,
     moment_condition,
     power_cusp_gain,
     pushforward,
@@ -39,7 +42,7 @@ from regvar.measures import (
 )
 from regvar.models import PolarIndependentModel
 from regvar.radial import ParetoLaw
-from regvar.sphere import TWO_PI, ArcSet
+from regvar.sphere import TWO_PI, ArcSet, angles_of, directions_of
 
 HALF_PI = np.pi / 2
 
@@ -634,7 +637,6 @@ def test_indicator_gain_zero_weight_removal():
 
 
 def test_d3_measure_operations():
-    from regvar.measures import SphereMap
     from regvar.sphere import CapSet
 
     m = SpectralMeasure.discrete_dirs(np.eye(3), [1.0, 2.0, 1.0])
@@ -649,3 +651,149 @@ def test_d3_measure_operations():
     h = RadialGain(coords_fn=lambda x: 1.0 + x[2] ** 2)
     out = reweight(n, h, 1.0)
     np.testing.assert_allclose(out.weights, [0.25, 0.5, 0.5])
+
+
+def test_indicator_gain_scalar_and_array_agree():
+    h = indicator_gain(ArcSet([(0.0, 1.0), (3.0, 4.0)]))
+    theta = [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0]
+    assert [float(h.at_angles(t)) for t in theta] == h.at_angles(theta).tolist()
+    assert h.at_angles(theta).tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+
+
+# ----------------------------------------------------------------------
+# one atom path in every dimension
+
+OCTANT = 1.0 / np.sqrt(3.0)
+SPHERE_ATOMS = [np.array(c) for c in (
+    [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+    [OCTANT, OCTANT, OCTANT], [-OCTANT, OCTANT, -OCTANT],
+    [OCTANT, -OCTANT, -OCTANT])]
+PLANE_ATOMS = [k * np.pi / 4 for k in range(8)]
+
+
+def ulp_step(x, direction):
+    """x moved by `direction` ulps (elementwise, direction in -2..2)."""
+    x = np.asarray(x, dtype=float)
+    for _ in range(abs(direction)):
+        x = np.nextafter(x, np.sign(direction) * np.inf)
+    return x
+
+
+@st.composite
+def atom_sets(draw):
+    """(at, weights): angles (m,) or unit columns (3, m) drawn near axis and
+    octant-centre atoms, some exact copies and some a few ulps off, plus
+    random atoms."""
+    planar = draw(st.booleans())
+    pool = PLANE_ATOMS if planar else SPHERE_ATOMS
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(-2, 2)), min_size=1, max_size=12))
+    atoms = [ulp_step(pool[i], step) for i, step in picks]
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), max_size=4))
+    for seed in seeds:
+        v = np.random.default_rng(seed).normal(size=3)
+        atoms.append(math.atan2(v[1], v[0]) % TWO_PI if planar
+                     else v / np.sqrt(np.sum(v * v)))
+    weights = np.asarray(draw(st.lists(st.floats(1e-3, 10.0), min_size=len(atoms),
+                                       max_size=len(atoms))))
+    at = np.asarray(atoms, dtype=float) if planar else np.stack(atoms, axis=1)
+    return at, weights
+
+
+@given(atom_sets())
+def test_merge_atoms_conserves_mass_and_is_idempotent(atoms):
+    at, weights = atoms
+    merged_at, merged_w = merge_atoms(at, weights, ATOM_MERGE_TOL)
+    assert math.fsum(merged_w.tolist()) == pytest.approx(
+        math.fsum(weights.tolist()), rel=1e-14)
+    again_at, again_w = merge_atoms(merged_at, merged_w, ATOM_MERGE_TOL)
+    assert again_at.tobytes() == merged_at.tobytes()
+    assert again_w.tobytes() == merged_w.tobytes()
+
+
+@pytest.mark.parametrize("atom", PLANE_ATOMS + SPHERE_ATOMS,
+                         ids=[f"angle{k}" for k in range(8)]
+                         + [f"column{k}" for k in range(6)])
+def test_exact_and_ulp_duplicates_merge(atom):
+    copies = [atom, atom, ulp_step(atom, 1), ulp_step(atom, -1)]
+    at = np.asarray(copies) if np.ndim(atom) == 0 else np.stack(copies, axis=1)
+    merged_at, merged_w = merge_atoms(at, np.full(4, 0.25), ATOM_MERGE_TOL)
+    assert merged_w.tolist() == [1.0]
+    if np.ndim(atom) == 0:
+        m = SpectralMeasure.discrete(at, np.full(4, 0.25), merge=True)
+    else:
+        m = SpectralMeasure("discrete", 3, coords=at, weights=np.full(4, 0.25),
+                            merge=True)
+        with pytest.raises(ValueError, match="merge tolerance"):
+            SpectralMeasure.discrete_dirs(at, np.full(4, 0.25))
+    assert m.n_atoms == 1 and m.total_mass == 1.0
+
+
+def embedded(m):
+    """A planar discrete measure as one on S^2, atoms (cos t, sin t, 0)."""
+    coords = np.vstack([m.coords, np.zeros(m.n_atoms)])
+    return SpectralMeasure(m.kind, 3, coords=coords, weights=m.weights)
+
+
+def by_angle(m3):
+    """Weights of a measure on the equator of S^2, ordered by angle."""
+    return m3.weights[np.argsort(angles_of(m3.coords[:2]))]
+
+
+def _snap(t):
+    return (np.floor(t / HALF_PI) + 0.5) * HALF_PI
+
+
+SNAP_3D = SphereMap(coords_fn=lambda x: np.vstack(
+    [directions_of(_snap(angles_of(x[:2]))), x[2]]))
+HALF_GAIN = (lambda t: (np.sin(t) >= 0.0) * (1.5 + np.cos(t)),
+             lambda x: (x[1] >= 0.0) * (1.5 + x[0]))
+
+
+@given(discrete_measures())
+def test_embedded_measure_takes_the_same_path(m):
+    # atoms off the quadrant edges, where an angle read back from its
+    # coordinates could land in the neighbouring quadrant
+    assume(np.all(np.abs(m.angles - np.round(m.angles / HALF_PI) * HALF_PI) > 1e-9))
+    m3 = embedded(m)
+    image, image3 = pushforward(m, quadrant_snap_map()), pushforward(m3, SNAP_3D)
+    assert image3.n_atoms == image.n_atoms
+    np.testing.assert_allclose(by_angle(image3), image.weights, rtol=1e-14)
+    angle_fn, coords_fn = HALF_GAIN
+    h, h3 = RadialGain(angle_fn=angle_fn), RadialGain(coords_fn=coords_fn)
+    assume(np.any(h.at_angles(m.angles) > 0.0))
+    np.testing.assert_allclose(by_angle(reweight(m3, h3, 1.5)),
+                               reweight(m, h, 1.5).weights, rtol=1e-14)
+    assert moment_condition(m3, h3, 1.0, 0.5) == pytest.approx(
+        moment_condition(m, h, 1.0, 0.5), rel=1e-14)
+
+
+@given(discrete_measures())
+def test_discrete_dirs_on_planar_coords(m):
+    via_coords = SpectralMeasure.discrete_dirs(m.coords, m.weights)
+    assert via_coords.dim == 2
+    np.testing.assert_allclose(via_coords.angles, m.angles, rtol=0, atol=1e-15)
+    assert via_coords.weights.tobytes() == m.weights.tobytes()
+
+
+def test_constant_coords_map_collapses_atoms_on_the_sphere():
+    m = SpectralMeasure.discrete_dirs(np.eye(3), [0.2, 0.3, 0.5])
+    pole = SphereMap(coords_fn=lambda x: np.repeat([[0.0], [0.0], [1.0]],
+                                                   x.shape[1], axis=1))
+    image = pushforward(m, pole)
+    assert image.n_atoms == 1 and image.total_mass == m.total_mass
+    assert image.weights[0] == pytest.approx(1.0, rel=1e-15)
+    assert image.coords[:, 0].tolist() == [0.0, 0.0, 1.0]
+
+
+@given(st.lists(st.tuples(st.integers(0, 39), st.floats(0.01, 1.0)),
+                min_size=2, max_size=30))
+def test_tv_on_the_sphere_matches_the_plane(picks):
+    # atoms from one pool: shared atoms are exact copies, others far apart
+    pool = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+    a_picks, b_picks = dict(picks[::2]), dict(picks[1::2])
+    assume(a_picks and b_picks)
+    a = disc(pool[list(a_picks)], list(a_picks.values()))
+    b = disc(pool[list(b_picks)], list(b_picks.values()))
+    assert distance_tv(embedded(a), embedded(b)) == pytest.approx(
+        distance_tv(a, b), rel=1e-14, abs=1e-15)

@@ -421,6 +421,18 @@ def test_cli_transform_removing_everything(tmp_path):
     assert lines == ["x1,x2"]
 
 
+def test_cli_random_gain_on_3d_input_exits_2(tmp_path, capsys):
+    src = tmp_path / "d3.csv"
+    src.write_text("x1,x2,x3\n1.0,2.0,3.0\n-1.0,0.5,2.0\n")
+    out = tmp_path / "out.csv"
+    gain = {"kind": "exp_cosine", "amplitude": 0.5}
+    assert cli_main(["transform", "--input", str(src), "--gain",
+                     json.dumps(gain), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: random gains act on planar angles (d = 2)\n"
+    assert not out.exists()
+
+
 def test_cli_estimate(tmp_path):
     src = tmp_path / "src.csv"
     rep = tmp_path / "rep.json"

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from regvar.batch import SampleBatch
-from regvar.errors import MomentDivergence, NonFiniteInput, UnboundedGain
+from regvar.errors import (
+    DimensionMismatch,
+    MomentDivergence,
+    NonFiniteInput,
+    UnboundedGain,
+)
 from regvar.measures import (
+    RadialGain,
     RandomGainProcess,
     SpectralMeasure,
     constant_gain,
@@ -25,7 +31,7 @@ from regvar.models import (
     PolarIndependentModel,
 )
 from regvar.radial import ParetoLaw
-from regvar.sphere import TWO_PI, ArcSet
+from regvar.sphere import TWO_PI, ArcSet, CapSet
 from regvar.transforms import (
     LimitMeasure,
     TransformedModel,
@@ -265,6 +271,23 @@ def test_transformed_model_discrete_exact_tail():
     assert b.zero_count > 0
     freq = np.count_nonzero(b.norms > 3.0) / 200_000
     assert freq == pytest.approx(t.exact_tail(3.0, FULL), abs=4e-3)
+
+
+def test_transformed_model_discrete_exact_tail_on_the_sphere():
+    sigma = SpectralMeasure.discrete_dirs(np.eye(3), [0.2, 0.3, 0.5])
+    base = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
+    # h = 1 + x3 doubles the norms on the pole and keeps the others
+    t = TransformedModel(base, RadialGain(coords_fn=lambda x: 1.0 + x[2]))
+    pole = CapSet([(np.array([0.0, 0.0, 1.0]), 0.9)])
+    equator = CapSet([(np.array([1.0, 0.0, 0.0]), 0.9),
+                      (np.array([0.0, 1.0, 0.0]), 0.9)])
+    assert t.exact_tail(4.0, pole) == pytest.approx(0.5 * 2.0 / 4.0, rel=1e-15)
+    assert t.exact_tail(4.0, equator) == pytest.approx(0.5 / 4.0, rel=1e-15)
+    b = t.sample(200_000, 6)
+    freq = np.count_nonzero(pole.contains(b.dirs) & (b.norms > 4.0)) / 200_000
+    assert freq == pytest.approx(t.exact_tail(4.0, pole), abs=4e-3)
+    with pytest.raises(DimensionMismatch, match="arcs are sets of angles"):
+        t.exact_tail(4.0, FULL)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
