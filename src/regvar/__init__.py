@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteInput,
     RegvarError,
     SpecError,
-    UnboundedGain,
     UnsupportedPair,
 )
 from .estimation import (
@@ -42,7 +41,6 @@ from .measures import (
     StepAngles,
     constant_gain,
     constant_map,
-    degenerate_gain_process,
     distance_ks,
     distance_tv,
     expected_gain_reweight,
@@ -73,17 +71,12 @@ from .scenarios import SCENARIO_NAMES, Check, Report, Scenario, run_scenario
 from .sphere import (
     ArcSet,
     CapSet,
-    angle_of,
-    direction_of,
     polar,
     unit_vector,
     wrap_angle,
 )
 from .transforms import (
-    LimitMeasure,
     TransformedModel,
-    limit_pushforward_radial,
-    limit_pushforward_spherical,
     radial_scale_apply,
     randomized_scale_apply,
     spherical_map_apply,

@@ -47,10 +47,6 @@ class EmptyInput(RegvarError):
     """An estimator received an empty sample."""
 
 
-class UnboundedGain(RegvarError):
-    """Bounded gain required but no finite bound was declared."""
-
-
 class SpecError(RegvarError):
     """Malformed JSON spec for a measure, model, gain or map."""
 

@@ -491,10 +491,6 @@ class RadialGain(_SphereFunction):
         self.declared_bound = None if declared_bound is None else float(declared_bound)
         self.singular_points = tuple(singular_points)
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.declared_bound is not None
-
     at_angles = _SphereFunction._on_angles
     at_dirs = _SphereFunction._on_dirs
 
@@ -608,12 +604,6 @@ def exponential_gain_process(mean_fn) -> RandomGainProcess:
         return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)
 
     return RandomGainProcess(sample, moment)
-
-
-def degenerate_gain_process(gain: RadialGain) -> RandomGainProcess:
-    """Deterministic process Z(theta) = h(theta)."""
-    return RandomGainProcess(lambda t, rng: gain.at_angles(t),
-                             lambda t, p: gain.at_angles(t) ** p)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import RegvarError, SpecError
 from .measures import (
+    ATOM_MERGE_TOL,
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
@@ -141,13 +142,20 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
                      "planar atoms need an 'angle' field")
             angles = [_number(a, "angle", where=f"atoms[{i}].")
                       for i, a in enumerate(atoms)]
-            return SpectralMeasure(kind, 2, angles=angles, weights=weights)
-        coords = [_numbers(a["coords"], f"atoms[{i}].coords")
-                  for i, a in enumerate(atoms)]
-        _require(all(len(c) == dim for c in coords),
-                 f"atom coordinates must have dim = {dim} entries")
-        coords = np.array(coords).T
-        return SpectralMeasure(kind, dim, coords=coords, weights=weights)
+            m = SpectralMeasure(kind, 2, angles=angles, weights=weights,
+                                merge=True)
+        else:
+            coords = [_numbers(a["coords"], f"atoms[{i}].coords")
+                      for i, a in enumerate(atoms)]
+            _require(all(len(c) == dim for c in coords),
+                     f"atom coordinates must have dim = {dim} entries")
+            m = SpectralMeasure(kind, dim, coords=np.array(coords).T,
+                                weights=weights, merge=True)
+        _require(m.weights.size == len(atoms),
+                 "spec field 'atoms' lists directions within "
+                 f"{ATOM_MERGE_TOL:g} of each other; give each once, with "
+                 "the sum of their weights")
+        return m
     if kind == "density":
         dens = spec.get("density")
         _require(isinstance(dens, dict) and "name" in dens,

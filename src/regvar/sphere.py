@@ -124,20 +124,6 @@ def polar(point):
     return n, p / n
 
 
-def angle_of(direction) -> float:
-    """Canonical angle in [0, 2*pi) of a planar direction."""
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (2,):
-        raise DimensionMismatch("angle_of is defined for d = 2 only")
-    return wrap_angle(np.arctan2(d[1], d[0]))
-
-
-def direction_of(theta):
-    """Planar unit vector at angle theta; inverse of angle_of."""
-    t = float(theta)
-    return np.array([np.cos(t), np.sin(t)])
-
-
 def angles_of(dirs: np.ndarray) -> np.ndarray:
     """Canonical angles of a (2, n) array of planar directions."""
     if dirs.shape[0] != 2:

@@ -1,48 +1,22 @@
-"""The two transformation families, applied to sample batches and to limit
-measures.
+"""The two transformation families applied to sample batches, and the
+model that composes a base law with a radial gain.
 
 A sphere map rewrites directions and leaves norms untouched; a radial gain
 rescales norms direction by direction and leaves surviving directions
-untouched. On the analytic side the same operations act on the limit
-measure (power radial part times spectral measure): the map pushes the
-spectral part forward, the gain reweights it by h^alpha, and neither ever
-changes the tail index.
+untouched. The limit side needs no object of its own: neither transform
+changes the tail index, so the limit of a mapped vector is the spectral
+measure's `pushforward` and that of a rescaled vector its `reweight` by
+h^alpha, both in regvar.measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import DimensionMismatch, UnboundedGain
-from .measures import (
-    RadialGain,
-    RandomGainProcess,
-    SpectralMeasure,
-    SphereMap,
-    arc_integral,
-    pushforward,
-    reweight,
-)
+from .errors import DimensionMismatch
+from .measures import RadialGain, RandomGainProcess, SphereMap, arc_integral
 from .models import Example2Gain, Example2Model, PolarIndependentModel, RegVarModel
-
-
-@dataclass(frozen=True)
-class LimitMeasure:
-    """Product limit measure: radial power part times spectral measure.
-
-    eval((r, inf) x B) = spectral(B) * r^-alpha.
-    """
-
-    alpha: float
-    spectral: SpectralMeasure
-
-    def eval(self, r: float, sets) -> float:
-        if r <= 0:
-            raise ValueError("radial threshold must be positive")
-        return self.spectral.mass_on(sets) * float(r) ** -self.alpha
 
 
 def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
@@ -87,28 +61,6 @@ def randomized_scale_apply(batch: SampleBatch, z: RandomGainProcess,
     if batch.dim != 2:
         raise DimensionMismatch("random gains act on planar angles (d = 2)")
     return _scale_by(batch, z.sample(batch.angles(), rng))
-
-
-def limit_pushforward_spherical(q: LimitMeasure, f: SphereMap) -> LimitMeasure:
-    """Limit measure of the mapped vector: same index, spectral part pushed
-    forward."""
-    return LimitMeasure(q.alpha, pushforward(q.spectral, f))
-
-
-def limit_pushforward_radial(q: LimitMeasure, h: RadialGain) -> LimitMeasure:
-    """Limit measure of the rescaled vector: same index, spectral part
-    reweighted by h^alpha.
-
-    Requires a declared finite bound: with an unbounded gain the rescaled
-    vector may fail to have a power tail at all (the accumulating-atom
-    construction proves it), so callers must route unbounded gains through
-    the independence path with a finite moment certificate.
-    """
-    if not h.is_bounded:
-        raise UnboundedGain("limit pushforward needs a declared bound; "
-                            "unbounded gains need the independence route "
-                            "with a finite moment certificate")
-    return LimitMeasure(q.alpha, reweight(q.spectral, h, q.alpha))
 
 
 class TransformedModel(RegVarModel):

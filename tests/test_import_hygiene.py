@@ -13,7 +13,9 @@ and scipy is an oracle of the tests only.
 
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
 refusal a user can meet carries a message and is a RegvarError, the one
-error the CLI turns into exit code 2.
+error the CLI turns into exit code 2. Every RegvarError subclass that
+errors.py defines is raised or constructed by some other library module,
+so no error type outlives its last raiser.
 """
 
 import ast
@@ -130,3 +132,23 @@ def test_not_implemented_error_is_bare(path):
                 and isinstance(node.exc.func, ast.Name)
                 and node.exc.func.id == "NotImplementedError"]
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def test_every_error_type_is_raised_elsewhere():
+    """Every class errors.py defines below RegvarError counts as used when
+    another library module calls it (raise X(...), or X(...) handed on) or
+    raises it bare."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    errors = {node.name for node in trees.pop("errors.py").body
+              if isinstance(node, ast.ClassDef) and node.name != "RegvarError"}
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            target = node.func if isinstance(node, ast.Call) else (
+                node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, ast.Name):
+                raised.add(target.id)
+    assert errors, "no error types found in errors.py"
+    unused = sorted(errors - raised)
+    assert not unused, "error types no other module raises: " + ", ".join(unused)

@@ -23,7 +23,6 @@ from regvar.measures import (
     SphereMap,
     constant_gain,
     constant_map,
-    degenerate_gain_process,
     distance_ks,
     distance_tv,
     expected_gain_reweight,
@@ -259,7 +258,8 @@ def test_reweight_density_matches_quadrature():
 def test_expected_gain_degenerate_process_matches_reweight():
     m = disc([0.5, 4.0], [0.4, 0.6])
     h = step_gain([0.0, 2.0], [2.0, 5.0])
-    z = degenerate_gain_process(h)
+    z = RandomGainProcess(lambda t, rng: h.at_angles(t),
+                          lambda t, p: h.at_angles(t) ** p)
     np.testing.assert_allclose(expected_gain_reweight(m, z, 2.0).weights,
                                reweight(m, h, 2.0).weights, rtol=1e-14)
 

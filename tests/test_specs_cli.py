@@ -527,6 +527,29 @@ def test_cli_estimate_rejects_nan_target_atom(tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("header, atoms", [
+    ("x1,x2", [{"angle": 1.0, "weight": 0.5},
+               {"angle": 1.0 + 1e-13, "weight": 0.5}]),
+    ("x1,x2,x3", [{"coords": [1, 0, 0], "weight": 0.5},
+                  {"coords": [1, 0, 0], "weight": 0.5}]),
+], ids=["d2", "d3"])
+def test_cli_estimate_rejects_duplicate_target_atoms(tmp_path, capsys, header,
+                                                     atoms):
+    # the JSON spec has no way to ask for merging: the message names the
+    # field to fix, not the library's merge keyword
+    dim = header.count(",") + 1
+    src, rep = tmp_path / "x.csv", tmp_path / "rep.json"
+    src.write_text(header + "\n" + "\n".join(
+        ",".join(["1.0"] * dim) for _ in range(3)) + "\n")
+    target = {"kind": "discrete", "dim": dim, "atoms": atoms}
+    assert cli_main(["estimate", "--input", str(src), "--top", "2",
+                     "--target", json.dumps(target), "-o", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec field 'atoms' lists directions within")
+    assert "merge" not in err
+    assert not rep.exists()
+
+
 def test_cli_estimate_rejects_non_finite_report(tmp_path, capsys, monkeypatch):
     # no estimate on valid input holds an infinite number any more, so an
     # interval end is forced to infinity to reach the report check

@@ -11,9 +11,7 @@ from regvar.sphere import (
     TWO_PI,
     ArcSet,
     CapSet,
-    angle_of,
     angles_of,
-    direction_of,
     directions_of,
     norms_of,
     polar,
@@ -25,11 +23,11 @@ from regvar.sphere import (
 def test_polar_axis_points():
     norm, d = polar(np.array([3.0, 0.0]))
     assert norm == 3.0
-    assert angle_of(d) == 0.0
+    assert angles_of(d[:, None])[0] == 0.0
 
     norm, d = polar(np.array([0.0, -5.0]))
     assert norm == 5.0
-    assert angle_of(d) == pytest.approx(3 * np.pi / 2, abs=1e-15)
+    assert angles_of(d[:, None])[0] == pytest.approx(3 * np.pi / 2, abs=1e-15)
 
 
 def test_polar_hand_3d():
@@ -120,18 +118,18 @@ def test_angle_direction_roundtrip_grid():
 
 
 def test_angle_of_trivials():
-    assert angle_of(np.array([0.0, 1.0])) == pytest.approx(np.pi / 2, abs=1e-15)
-    assert angle_of(np.array([-1.0, 0.0])) == pytest.approx(np.pi, abs=1e-15)
+    got = angles_of(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(got, [np.pi / 2, np.pi], rtol=0.0, atol=1e-15)
 
 
 def test_direction_of_hand():
-    d = direction_of(7 * np.pi / 4)
+    d = directions_of(7 * np.pi / 4)
     np.testing.assert_allclose(d, [np.sqrt(2) / 2, -np.sqrt(2) / 2], atol=1e-15)
 
 
 def test_angle_of_wrong_dim():
     with pytest.raises(DimensionMismatch):
-        angle_of(np.array([1.0, 0.0, 0.0]))
+        angles_of(np.array([[1.0], [0.0], [0.0]]))
 
 
 def test_unit_vector_validation():
@@ -182,7 +180,8 @@ def test_directions_of_equals_cos_sin_stack():
     theta = np.concatenate([np.linspace(-7.0, 7.0, 1001), [-0.0, 0.0]])
     np.testing.assert_array_equal(directions_of(theta),
                                   np.stack([np.cos(theta), np.sin(theta)]))
-    np.testing.assert_array_equal(directions_of(1.25), direction_of(1.25))
+    np.testing.assert_array_equal(directions_of(1.25),
+                                  [np.cos(1.25), np.sin(1.25)])
 
 
 def test_arc_membership_basics():

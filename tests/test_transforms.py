@@ -2,26 +2,23 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from regvar.batch import SampleBatch
-from regvar.errors import (
-    DimensionMismatch,
-    MomentDivergence,
-    NonFiniteInput,
-    UnboundedGain,
-)
+from regvar.errors import DimensionMismatch, MomentDivergence, NonFiniteInput
 from regvar.measures import (
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
     constant_gain,
     constant_map,
-    degenerate_gain_process,
     identity_map,
     indicator_gain,
     moment_condition,
     power_cusp_gain,
     quadrant_snap_map,
+    reweight,
     step_gain,
 )
 from regvar.models import (
@@ -31,12 +28,11 @@ from regvar.models import (
     PolarIndependentModel,
 )
 from regvar.radial import ParetoLaw
+from regvar.scenarios import _finite_r_identity_rel_err, _theorem2_closed_mass
+from regvar.specs import gain_from_spec
 from regvar.sphere import TWO_PI, ArcSet, CapSet
 from regvar.transforms import (
-    LimitMeasure,
     TransformedModel,
-    limit_pushforward_radial,
-    limit_pushforward_spherical,
     radial_scale_apply,
     randomized_scale_apply,
     spherical_map_apply,
@@ -163,7 +159,8 @@ def test_randomized_degenerate_equals_deterministic():
     # the second gain is zero on [2, 4), which holds the point at angle pi
     for h in (step_gain([0.0, 2.0], [2.0, 3.0]),
               step_gain([0.0, 2.0, 4.0], [2.0, 0.0, 3.0])):
-        z = degenerate_gain_process(h)
+        z = RandomGainProcess(lambda t, rng: h.at_angles(t),
+                              lambda t, p: h.at_angles(t) ** p)
         out_z = randomized_scale_apply(b, z, np.random.default_rng(0))
         out_h = radial_scale_apply(b, h)
         np.testing.assert_array_equal(out_z.norms, out_h.norms)
@@ -192,56 +189,74 @@ def test_randomized_uniform_mean_ratio():
 
 
 # ----------------------------------------------------------------------
-# limit measures
-
-
-def test_limit_eval_rectangle():
-    q = LimitMeasure(1.0, SpectralMeasure.uniform())
-    assert q.eval(2.0, FULL) == pytest.approx(0.5, rel=1e-12)
-    assert q.eval(2.0, ArcSet([(0.0, np.pi)])) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_limit_spherical_identity_and_constant():
-    q = LimitMeasure(1.0, SpectralMeasure.discrete([0.1, 2.0], [0.4, 0.6]))
-    same = limit_pushforward_spherical(q, identity_map())
-    np.testing.assert_allclose(same.spectral.weights, q.spectral.weights)
-    col = limit_pushforward_spherical(q, constant_map(2.0))
-    assert col.spectral.n_atoms == 1
-    assert col.eval(3.0, ArcSet([(1.9, 2.1)])) == pytest.approx(1.0 / 3.0)
-
-
-def test_limit_spherical_snap_quadrant_value():
-    q = LimitMeasure(1.0, SpectralMeasure.uniform())
-    out = limit_pushforward_spherical(q, quadrant_snap_map())
-    arc = ArcSet([(np.pi / 4 - 0.01, np.pi / 4 + 0.01)])
-    assert out.eval(2.0, arc) == pytest.approx(0.125, rel=1e-10)
-    assert out.alpha == q.alpha
+# the limit side: reweight, and the finite-r identity that ties it to the
+# rescaled model's exact tail
 
 
 def test_limit_radial_constant_gains():
-    q = LimitMeasure(1.0, SpectralMeasure.uniform())
-    same = limit_pushforward_radial(q, constant_gain(1.0))
-    assert same.eval(2.0, FULL) == pytest.approx(0.5, rel=1e-10)
-    double = limit_pushforward_radial(q, constant_gain(2.0))
-    assert double.eval(4.0, FULL) == pytest.approx(0.5, rel=1e-10)
+    u = SpectralMeasure.uniform()
+    same = reweight(u, constant_gain(1.0), 1.0)
+    assert same.mass_on(FULL) == pytest.approx(1.0, rel=1e-10)
+    assert same.mass_on(ArcSet([(0.0, np.pi)])) == pytest.approx(0.5, rel=1e-12)
+    double = reweight(u, constant_gain(2.0), 1.0)
+    assert double.mass_on(FULL) == pytest.approx(2.0, rel=1e-10)
 
 
-def test_limit_radial_discrete_hand_case():
-    sigma = SpectralMeasure.discrete([0.0, np.pi], [0.5, 0.5])
-    q = LimitMeasure(2.0, sigma)
-    h = step_gain([0.0, 1.0], [1.0, 3.0])
-    out = limit_pushforward_radial(q, h)
-    arc = ArcSet([(np.pi - 0.1, np.pi + 0.1)])
-    assert out.eval(10.0, arc) == pytest.approx(0.045, rel=1e-14)
-    assert out.alpha == 2.0
+@st.composite
+def identity_cases(draw):
+    """(model, gain, b, arc): a Pareto(alpha) base with uniform, cosine-bump
+    or discrete directions, a step gain with values in [0.1, b], an arc."""
+    alpha = draw(st.floats(min_value=0.5, max_value=3.0))
+    kind = draw(st.sampled_from(["uniform", "cosine_bump", "discrete"]))
+    if kind == "uniform":
+        sigma = SpectralMeasure.uniform()
+    elif kind == "cosine_bump":
+        sigma = SpectralMeasure.cosine_bump(draw(st.floats(-1.0, 1.0)))
+    else:
+        angles = draw(st.lists(st.floats(0.0, TWO_PI - 1e-6), min_size=1,
+                               max_size=8))
+        weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(angles),
+                                max_size=len(angles)))
+        sigma = SpectralMeasure.discrete(angles, weights,
+                                         merge=True).normalized()
+    b = draw(st.floats(min_value=0.1, max_value=5.0))
+    inner = draw(st.lists(st.floats(1e-9, TWO_PI - 1e-9), max_size=6,
+                          unique=True))
+    breaks = [0.0] + sorted(inner)
+    values = draw(st.lists(st.floats(0.1, b), min_size=len(breaks),
+                           max_size=len(breaks)))
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, TWO_PI), min_size=2,
+                                  max_size=2, unique=True)))
+    # a subnormal arc mass has fewer than 53 bits: no relative bound holds
+    assume(hi - lo > 1e-9)
+    model = PolarIndependentModel(sigma, alpha, ParetoLaw(alpha))
+    return model, step_gain(breaks, values), b, ArcSet([(lo, hi)])
 
 
-def test_limit_radial_refuses_unbounded():
-    q = LimitMeasure(1.0, SpectralMeasure.uniform())
-    with pytest.raises(UnboundedGain):
-        limit_pushforward_radial(q, power_cusp_gain(np.pi, 0.2))
-    with pytest.raises(UnboundedGain):
-        limit_pushforward_radial(q, Example2Gain(1.2))
+@given(identity_cases(), st.floats(min_value=1.0, max_value=1e3))
+def test_exact_tail_equals_reweighted_limit_from_gain_bound(case, factor):
+    # R >= 1 and h <= b: for r >= b, P{R h > r} = (h / r)^alpha exactly
+    model, gain, b, arc = case
+    r = b * factor
+    limit = reweight(model.sigma, gain, model.alpha).mass_on(arc)
+    tail = TransformedModel(model, gain).exact_tail(r, arc)
+    assert tail * r ** model.alpha == pytest.approx(limit, rel=1e-12, abs=0.0)
+
+
+def test_theorem2_identity_fails_below_the_gain_bound():
+    model = PolarIndependentModel(SpectralMeasure.uniform(), 2.0, ParetoLaw(2.0))
+    gain = gain_from_spec({"kind": "cosine", "base": 1.0, "amplitude": 0.5})
+    transformed = TransformedModel(model, gain)
+    limit = reweight(model.sigma, gain, 2.0)
+
+    def closed(a, b):
+        return _theorem2_closed_mass(a, b, 1.0, 0.5)
+
+    assert _finite_r_identity_rel_err(transformed, limit, closed,
+                                      [1.5, 10.0, 1e3]) <= 1e-12
+    # at r = 1 < sup h = 1.5, r / h < 1 where h > 1, and there
+    # P{R > r / h} is 1, not (h / r)^alpha
+    assert _finite_r_identity_rel_err(transformed, limit, closed, [1.0]) > 0.1
 
 
 # ----------------------------------------------------------------------
