@@ -4,29 +4,46 @@ Exit codes: 0 success (all checks pass), 1 a scenario or estimation check
 failed, 2 usage or configuration error. Sample CSVs carry a x1,...,xd
 header and 17-significant-digit floats (%.17g), which round-trip doubles
 exactly, so piping stages through files reproduces in-memory results bit
-for bit. Rows are formatted a block at a time by regvar.g17's exact array
-kernel, and np.loadtxt parses them straight from the file. A 1e6-point,
-d = 2 file (39.6 MB) writes in 0.55-0.72 s CPU and reads in 0.93-1.20 s,
-against 1.61-1.92 s and 1.22-1.45 s for the per-value '%.17g' % writer and
-the streamed read before (best of 3 per process, five processes per
-version, 2-core x86-64, Python 3.11.7, numpy 2.4.6). A malformed CSV, or a
-report holding a NaN or infinite value, exits 2.
+for bit. A malformed CSV, or a report holding a NaN or infinite value,
+exits 2.
+
+The file steps parse once, then work block by block, and none holds a
+whole batch. `sample` writes each chunk as RegVarModel.chunks draws it.
+`transform` and `estimate` parse their input once with np.loadtxt, then
+take the (n, d) rows 65 536 at a time as SampleBatch blocks: `transform`
+maps and writes each block, and `estimate` keeps the n norms and the
+directions of the top k alone. Every output is written to a temporary
+sibling that replaces it on success, so a step that fails leaves no output
+and an earlier file as it was. At n = 1e6, d = 2, each step run in a fresh
+process peaks at 49.8 MiB RSS (sample, 1 worker), 59.2 (transform) and
+62.5 (estimate), against 85.5, 109.3 and 85.3 when each held whole
+batches, with an import baseline of 31.
+
+Rows are formatted 16 384 at a time by regvar.g17's exact array kernel,
+and np.loadtxt parses them straight from the file. A 1e6-point, d = 2 file
+(39.6 MB) writes in 0.55-0.72 s CPU and reads in 0.93-1.20 s, against
+1.61-1.92 s and 1.22-1.45 s for the per-value '%.17g' % writer and the
+streamed read before (best of 3 per process, five processes per version,
+2-core x86-64, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
 
 from .batch import SampleBatch
 from .errors import DegeneratePoint, NonFiniteInput, RegvarError
-from .estimation import estimate, tail_scan
+from .estimation import check_top, estimate_from_top, tail_scan, top_indices
 from .g17 import format_rows
-from .rng import GAIN_STREAM, substream
+from .rng import CHUNK, GAIN_STREAM, substream
 from .scenarios import (
     DEFAULT_N,
     DEFAULT_SEED,
@@ -52,24 +69,59 @@ from .transforms import (
     spherical_map_apply,
 )
 
+# rows that transform and estimate take from the parsed file at a time:
+# one sampling chunk
+_BLOCK_ROWS = CHUNK
 # rows formatted per write: bounds the kernel's working arrays, 7.3 MB
 # at d = 2 by tracemalloc (29 MB at 65 536 rows, which raised the file
 # pipeline's peak RSS by 15%; the per-value writer used 8 MB there)
 _CSV_BLOCK_ROWS = 16_384
 
 
-def write_csv(path: str, batch: SampleBatch) -> None:
-    """Write a x1,...,xd header and one %.17g row per point.
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file opened on a temporary sibling of path, which replaces path
+    when the block completes. On any error the sibling is removed and path
+    keeps what it held, so a step that fails writes no output. A path that
+    exists but is no regular file (/dev/null, a pipe) is written directly:
+    there is nothing there to leave half written."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
-    Rows are formatted a block at a time by g17.format_rows, which emits the
-    same bytes as formatting each value with f"{v:.17g}".
+
+def write_csv(path: str, dim: int, batches) -> tuple[int, int]:
+    """Write a x1,...,xd header and one %.17g row per point of each batch
+    in turn; return the number of points written and the batches' summed
+    zero_count.
+
+    Batches are consumed one at a time, so a generator of blocks is never
+    held whole, and the file appears at path only once the last is written
+    (_replacing). Rows are formatted a block at a time by g17.format_rows,
+    which emits the same bytes as formatting each value with f"{v:.17g}".
     """
-    with open(path, "wb") as fh:
-        header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
-        fh.write(header.encode("utf-8"))
-        for start in range(0, batch.size, _CSV_BLOCK_ROWS):
-            block = batch.points[:, start:start + _CSV_BLOCK_ROWS].T
-            fh.write(format_rows(block))
+    size = zero_count = 0
+    with _replacing(path, "wb") as fh:
+        fh.write((",".join(f"x{i + 1}" for i in range(dim)) + "\n").encode("utf-8"))
+        for batch in batches:
+            for start in range(0, batch.size, _CSV_BLOCK_ROWS):
+                fh.write(format_rows(batch.points[:, start:start + _CSV_BLOCK_ROWS].T))
+            size += batch.size
+            zero_count += batch.zero_count
+            del batch  # before the next batch is made
+    return size, zero_count
 
 
 def _text(line: str) -> str:
@@ -124,9 +176,10 @@ def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
     return RegvarError(f"{path}: {cause}")
 
 
-def _rejected_row(path: str, start: int, points: np.ndarray) -> RegvarError:
-    """Error naming the first column of the (d, n) points that
-    SampleBatch.from_points rejects, as a file line.
+def _rejected_row(path: str, start: int, first: int,
+                  points: np.ndarray) -> RegvarError:
+    """Error naming the first column of the (d, m) points, data rows first
+    to first + m - 1, that SampleBatch.from_points rejects, as a file line.
 
     Bisects on prefixes for the first rejected column and takes the cause
     from that column alone, then counts data rows from file line start.
@@ -146,18 +199,53 @@ def _rejected_row(path: str, start: int, points: np.ndarray) -> RegvarError:
         cause = "the zero vector"
     except RegvarError as e:
         cause = str(e)
-    lineno, _ = next(itertools.islice(_data_lines(path, start), ok, None))
+    lineno, _ = next(itertools.islice(_data_lines(path, start), first + ok, None))
     return RegvarError(f"{path}, line {lineno}: {cause}")
 
 
-def read_csv(path: str) -> SampleBatch:
+class CsvRows:
+    """The rows of a sample CSV, parsed once by read_csv.
+
+    rows is numpy's (n, d) array, and its data rows start at file line
+    start. batches() serves them as SampleBatch blocks of _BLOCK_ROWS rows,
+    each built by SampleBatch.from_points from a view of rows, so no whole
+    batch is ever made.
+    """
+
+    def __init__(self, path: str, rows: np.ndarray, start: int):
+        self.path = path
+        self.rows = rows
+        self.start = start
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.rows.shape[0]
+
+    def batches(self):
+        """The blocks in file order. A zero or non-finite point raises
+        RegvarError naming its file line; an empty file gives one empty
+        block, so a transform still checks the file's dimension."""
+        for first in range(0, max(self.size, 1), _BLOCK_ROWS):
+            points = self.rows[first:first + _BLOCK_ROWS].T
+            try:
+                yield SampleBatch.from_points(points)
+            except (DegeneratePoint, NonFiniteInput) as e:
+                raise _rejected_row(self.path, self.start, first, points) from e
+
+
+def read_csv(path: str) -> CsvRows:
     """Parse a CSV written by write_csv; numpy reads the rows from the file.
 
-    A body of blank and comment lines gives an empty batch. Ragged rows,
-    cells that are not numbers, rows that do not match the header, and zero
-    or non-finite points raise RegvarError naming the file line. Bytes that
-    are not UTF-8 stop numpy's strict decoding; the rescan decodes them to
-    U+FFFD, so a cell holding them is named as not a number.
+    A body of blank and comment lines gives no rows. Ragged rows, cells
+    that are not numbers and rows that do not match the header raise
+    RegvarError naming the file line here; zero and non-finite points do
+    when CsvRows.batches reaches them. Bytes that are not UTF-8 stop numpy's
+    strict decoding; the rescan decodes them to U+FFFD, so a cell holding
+    them is named as not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -169,46 +257,46 @@ def read_csv(path: str) -> SampleBatch:
             if _text(first).strip():
                 break
         else:
-            return SampleBatch.from_points(np.empty((d, 0)))
+            return CsvRows(path, np.empty((0, d)), 2)
     try:
         # UnicodeDecodeError is a ValueError
-        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start - 1,
+        rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start - 1,
                           encoding="utf-8")
     except ValueError as e:
         raise _bad_line(path, d, start, str(e)) from e
-    if data.shape[1] != d:
+    if rows.shape[1] != d:
         raise _bad_line(path, d, start, "rows do not match the header")
-    # numpy's (n, d) rows are dropped as soon as the (d, n) copy exists
-    points = np.ascontiguousarray(data.T)
-    del data
-    try:
-        return SampleBatch.from_points(points)
-    except (DegeneratePoint, NonFiniteInput) as e:
-        raise _rejected_row(path, start, points) from e
+    return CsvRows(path, rows, start)
 
 
 def _cmd_sample(args) -> int:
     model = model_from_spec(load_spec(args.model))
-    batch = model.sample(args.n, args.seed, args.workers)
-    write_csv(args.output, batch)
-    print(f"wrote {batch.size} points (d={batch.dim}, seed={args.seed}) "
+    size, _ = write_csv(args.output, model.dim,
+                        model.chunks(args.n, args.seed, args.workers))
+    print(f"wrote {size} points (d={model.dim}, seed={args.seed}) "
           f"-> {args.output}")
     return 0
 
 
 def _cmd_transform(args) -> int:
-    batch = read_csv(args.input)
+    parsed = read_csv(args.input)
     if args.map is not None:
-        out = spherical_map_apply(batch, map_from_spec(load_spec(args.map)))
+        step = functools.partial(spherical_map_apply,
+                                 f=map_from_spec(load_spec(args.map)))
     else:
         spec = load_spec(args.gain)
         if is_random_gain_spec(spec):
-            rng = substream(args.gain_seed, GAIN_STREAM)
-            out = randomized_scale_apply(batch, random_gain_from_spec(spec), rng)
+            # one generator across the blocks draws what one whole-batch
+            # draw would
+            step = functools.partial(randomized_scale_apply,
+                                     z=random_gain_from_spec(spec),
+                                     rng=substream(args.gain_seed, GAIN_STREAM))
         else:
-            out = radial_scale_apply(batch, gain_from_spec(spec))
-    write_csv(args.output, out)
-    print(f"wrote {out.size} points (zero_count={out.zero_count}) "
+            step = functools.partial(radial_scale_apply,
+                                     h=gain_from_spec(spec))
+    size, zero_count = write_csv(args.output, parsed.dim,
+                                 map(step, parsed.batches()))
+    print(f"wrote {size} points (zero_count={zero_count}) "
           f"-> {args.output}")
     return 0
 
@@ -223,14 +311,25 @@ def _parse_top(raw: str, n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    batch = read_csv(args.input)
-    k = _parse_top(args.top, batch.size)
+    parsed = read_csv(args.input)
+    norms = np.empty(parsed.size)
+    end = 0
+    for block in parsed.batches():
+        norms[end:end + block.size] = block.norms
+        end += block.size
+        del block
+    k = _parse_top(args.top, parsed.size)
     target = None
     if args.target is not None:
         target = measure_from_spec(load_spec(args.target))
-    report = estimate(batch, k, target=target, seed=args.seed)
+    check_top(parsed.size, k)
+    # directions of the top k alone, the bits from_points gives them
+    top = top_indices(norms, k)
+    top_dirs = parsed.rows[top].T / norms[top]
+    del parsed  # the parsed rows go before the bootstrap
+    report = estimate_from_top(norms, top_dirs, target=target, seed=args.seed)
     text = report_json(report.to_dict())
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     print(f"alpha_hat={report.alpha_hat:.6g} "
           f"ci=[{report.alpha_ci[0]:.6g}, {report.alpha_ci[1]:.6g}] "
@@ -244,7 +343,7 @@ def _cmd_verify(args) -> int:
     report = run_scenario(scenario)
     text = report.to_json()
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     for check in report.checks:
         verdict = "pass" if check.passed else "FAIL"
@@ -287,7 +386,7 @@ def _cmd_scan(args) -> int:
     if probe is None:
         source = source.sample(args.n, args.seed, args.workers)
     scan = tail_scan(source, args.alpha, arcs, grid)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("r,arc_id,value,mode\n")
         for i, r in enumerate(scan.r_grid):
             for j in range(len(arcs)):

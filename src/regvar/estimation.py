@@ -36,16 +36,21 @@ def top_indices(norms: np.ndarray, k: int) -> np.ndarray:
     return top[np.lexsort((top, -norms[top]))]
 
 
+def _uniform_on(dirs: np.ndarray) -> SpectralMeasure:
+    """Weights 1/k on the k columns of a (d, k) array of directions."""
+    k = dirs.shape[1]
+    return SpectralMeasure("empirical", dirs.shape[0], coords=dirs,
+                           weights=np.full(k, 1.0 / k), merge=True,
+                           total_mass=1.0)
+
+
 def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
     """Uniform weights 1/k on the directions of the k largest norms."""
     if batch.size == 0:
         raise EmptyInput("cannot estimate a spectral measure from no points")
     if not 1 <= k_top <= batch.size:
         raise ValueError("k_top must lie in [1, batch size]")
-    top = top_indices(batch.norms, k_top)
-    return SpectralMeasure("empirical", batch.dim, coords=batch.dirs[:, top],
-                           weights=np.full(k_top, 1.0 / k_top), merge=True,
-                           total_mass=1.0)
+    return _uniform_on(batch.dirs[:, top_indices(batch.norms, k_top)])
 
 
 def _mean_log_spacing(top: np.ndarray, threshold: float, k: int,
@@ -217,18 +222,24 @@ def bootstrap_alpha_ci(norms: np.ndarray, k: int, seed: int,
     return float(lo), float(hi)
 
 
-def estimate(batch: SampleBatch, k_top: int,
-             target: SpectralMeasure | None = None,
-             seed: int = 0) -> EstimationReport:
-    """Hill estimate with bootstrap interval, empirical spectral measure,
-    and distances to a declared target when one is given."""
-    if batch.size == 0:
+def check_top(n: int, k_top: int) -> None:
+    """Refuse what estimate refuses: no points, or k_top outside [1, n)."""
+    if n == 0:
         raise EmptyInput("empty batch")
-    if not 1 <= k_top < batch.size:
+    if not 1 <= k_top < n:
         raise ValueError("k_top must satisfy 1 <= k_top < batch size")
-    alpha_hat = hill_estimator(batch, k_top)
-    ci = bootstrap_alpha_ci(batch.norms, k_top, seed)
-    spectral_hat = empirical_spectral(batch, k_top)
+
+
+def estimate_from_top(norms: np.ndarray, top_dirs: np.ndarray,
+                      target: SpectralMeasure | None = None,
+                      seed: int = 0) -> EstimationReport:
+    """estimate() from the norms of all n points and the (d, k) directions
+    of the k largest, in the order of top_indices(norms, k), for k passing
+    check_top: a caller that holds no whole batch computes only these."""
+    k_top = top_dirs.shape[1]
+    alpha_hat = hill_estimator(norms, k_top)
+    ci = bootstrap_alpha_ci(norms, k_top, seed)
+    spectral_hat = _uniform_on(top_dirs)
     distances: dict[str, float] = {}
     if target is not None:
         try:
@@ -240,3 +251,13 @@ def estimate(batch: SampleBatch, k_top: int,
         except DimensionMismatch:
             pass
     return EstimationReport(alpha_hat, ci, k_top, spectral_hat, distances)
+
+
+def estimate(batch: SampleBatch, k_top: int,
+             target: SpectralMeasure | None = None,
+             seed: int = 0) -> EstimationReport:
+    """Hill estimate with bootstrap interval, empirical spectral measure,
+    and distances to a declared target when one is given."""
+    check_top(batch.size, k_top)
+    top = top_indices(batch.norms, k_top)
+    return estimate_from_top(batch.norms, batch.dirs[:, top], target, seed)

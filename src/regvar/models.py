@@ -17,8 +17,8 @@ Monte Carlo output against exact values.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,38 +27,62 @@ from .batch import SampleBatch
 from .errors import InvalidConstruction, MomentDivergence, positive_finite
 from .measures import RadialGain, SpectralMeasure
 from .radial import OscillatingTailLaw, ParetoLaw, RadialLaw
-from .rng import SAMPLE_STREAM, chunk_seeds, chunk_sizes
+from .rng import CHUNK, SAMPLE_STREAM, chunk_seeds, chunk_sizes
 from .sphere import TWO_PI, ArcSet, directions_of
 
 
-def _close_gaps(a: np.ndarray, spans) -> np.ndarray:
-    """a cut down to the (start, length) spans of each row, in place.
+def _leading(a: np.ndarray, kept: int) -> np.ndarray:
+    """a[..., :kept] moved into place as a C-contiguous view of a's leading
+    elements.
 
-    The spans move up against each other, row by row and in span order, and
-    the result is a C-contiguous view of a's leading elements. Each move goes
-    to a lower address than its source and ends at or before the next one's
-    source, so no span is overwritten before it moves.
+    Row after row moves down to follow the one before, CHUNK elements at a
+    time and in order. Each move goes to a lower address than its source,
+    so no element is overwritten before it moves, and numpy buffers at most
+    one move where a move overlaps its own source.
     """
     n = a.shape[-1]
     flat = a.reshape(-1)
     end = 0
     for row_start in range(0, flat.size, n):
-        for start, length in spans:
-            src = row_start + start
-            flat[end:end + length] = flat[src:src + length]
+        for start in range(row_start, row_start + kept, CHUNK):
+            length = min(CHUNK, row_start + kept - start)
+            flat[end:end + length] = flat[start:start + length]
             end += length
     return flat[:end].reshape(a.shape[:-1] + (-1,))
+
+
+def _drawn_ahead(draw, count: int, workers: int):
+    """draw(0), ..., draw(count - 1) in order, computed by a pool of worker
+    threads.
+
+    At most `workers` draws are in flight, the one the caller holds
+    included, so a caller that copies each result out as it comes holds no
+    more chunks than the workers draw. A draw that raises stops the
+    generator, and the draws not yet started are cancelled.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        try:
+            for i in range(count):
+                ahead.append(pool.submit(draw, i))
+                if len(ahead) == workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 class RegVarModel:
     """Sampleable law with tail index alpha and optional exact tail.
 
-    sample() splits n into fixed-size chunks and draws each chunk from its
+    chunks() splits n into fixed-size chunks and draws each chunk from its
     own deterministic substream, so the result depends only on (n, seed),
-    not on the worker count. The worker that draws a chunk writes it into
-    the chunk's own slice of the output, which is allocated once; a chunk
-    that drops points (a zero gain) leaves a gap at the end of its slice,
-    and the gaps close up in chunk order once every chunk is in.
+    not on the worker count. sample() copies the chunks into an output that
+    is allocated once, each after the last; a chunk that drops points (a
+    zero gain) leaves the unused tail of the output, which closes up once
+    every chunk is in.
     """
 
     alpha: float
@@ -68,39 +92,42 @@ class RegVarModel:
     def _sample_chunk(self, rng: np.random.Generator, m: int) -> SampleBatch:
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int, workers: int = 1) -> SampleBatch:
+    def chunks(self, n: int, seed: int, workers: int = 1):
+        """An iterator over the chunks of sample(n, seed, workers), as
+        SampleBatch, in order. Bad n or workers raise here, before any
+        chunk is drawn; with workers > 1 a thread pool draws ahead
+        (_drawn_ahead)."""
         if workers < 1:
             raise ValueError("workers must be at least 1")
         sizes = chunk_sizes(n)
-        starts = [0, *itertools.accumulate(sizes)][:len(sizes)]
         seeds = chunk_seeds(seed, SAMPLE_STREAM, len(sizes))
-        points, dirs = np.empty((self.dim, n)), np.empty((self.dim, n))
-        norms = np.empty(n)
 
-        def draw(i: int) -> tuple[int, int]:
+        def draw(i: int) -> SampleBatch:
             # an overflowing draw becomes an infinite norm, which from_polar
             # rejects; errstate is per thread, so it is set here in the worker
             with np.errstate(over="ignore"):
-                part = self._sample_chunk(np.random.default_rng(seeds[i]),
+                return self._sample_chunk(np.random.default_rng(seeds[i]),
                                           sizes[i])
-            lo, hi = starts[i], starts[i] + part.size
-            points[:, lo:hi] = part.points
-            norms[lo:hi] = part.norms
-            dirs[:, lo:hi] = part.dirs
-            return part.size, part.zero_count
 
-        if workers > 1 and len(sizes) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(draw, range(len(sizes))))
-        else:
-            counts = [draw(i) for i in range(len(sizes))]
-        kept = [size for size, _ in counts]
-        if sum(kept) < n:
-            spans = list(zip(starts, kept))
-            points, norms, dirs = (_close_gaps(a, spans)
-                                   for a in (points, norms, dirs))
-        return SampleBatch(points, norms, dirs, seed=seed,
-                           zero_count=sum(zeros for _, zeros in counts))
+        if workers == 1 or len(sizes) < 2:
+            return map(draw, range(len(sizes)))
+        return _drawn_ahead(draw, len(sizes), workers)
+
+    def sample(self, n: int, seed: int, workers: int = 1) -> SampleBatch:
+        chunks = self.chunks(n, seed, workers)
+        points, dirs = np.empty((self.dim, n)), np.empty((self.dim, n))
+        norms = np.empty(n)
+        size = zero_count = 0
+        for part in chunks:
+            end = size + part.size
+            points[:, size:end] = part.points
+            norms[size:end] = part.norms
+            dirs[:, size:end] = part.dirs
+            size, zero_count = end, zero_count + part.zero_count
+            del part  # before the next chunk is drawn
+        if size < n:
+            points, norms, dirs = (_leading(a, size) for a in (points, norms, dirs))
+        return SampleBatch(points, norms, dirs, seed=seed, zero_count=zero_count)
 
     def exact_tail(self, r: float, sets) -> float | None:
         """P{direction in sets, norm > r} in closed form, when available."""
@@ -163,11 +190,15 @@ class Example1Model(RegVarModel):
 
     def _sample_chunk(self, rng, m):
         plus = rng.random(m) < 0.5
-        u = 1.0 - rng.random(m)
-        sign = np.where(plus, 1.0, -1.0)
-        radii = OscillatingTailLaw.inverse_tail(u, self.alpha, self.amplitude, sign)
-        ray = np.maximum(1.0, np.floor(radii))
-        theta = np.where(plus, 1.0 / ray, TWO_PI - 1.0 / ray)
+        radii = OscillatingTailLaw.inverse_tail(
+            1.0 - rng.random(m), self.alpha, self.amplitude,
+            np.where(plus, 1.0, -1.0))
+        # theta is 1 / ray on the plus side and 2 pi - 1 / ray on the other,
+        # built in one array
+        theta = np.floor(radii)
+        np.maximum(theta, 1.0, out=theta)
+        np.divide(1.0, theta, out=theta)
+        np.subtract(TWO_PI, theta, out=theta, where=~plus)
         return SampleBatch.from_polar(radii, directions_of(theta))
 
     def _side_tail_on(self, r: float, arcs: ArcSet, sign: int) -> float:

@@ -19,6 +19,8 @@ _TABLE_CELLS = 4096
 # Newton steps that solve each table node, and each draw after its start
 _NODE_STEPS = 6
 _NEWTON_STEPS = 2
+# draws solved at once: bounds the solver's dozen work arrays to 1.6 MB
+_SOLVE_BLOCK = 16_384
 
 
 @functools.lru_cache(maxsize=8)
@@ -163,6 +165,49 @@ def _tabulated_start(log_u, sa, alpha, amplitude):
     return t, lo, hi
 
 
+def _newton(log_u, sa, alpha, amplitude, out):
+    """OscillatingTailLaw.inverse_tail on one block, written into out:
+    log_u is ln u and sa is sign * amplitude, elementwise."""
+    t, lo, hi = _tabulated_start(log_u, sa, alpha, amplitude)
+    g = np.empty_like(t)
+    w = np.empty_like(t)
+    dg = np.empty_like(t)
+    above = np.empty(t.shape, dtype=bool)
+    # t = 0, where g = -ln u, is the first candidate: the root for u = 1
+    best_t = np.zeros_like(t)
+    best_g = np.negative(log_u)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(_NEWTON_STEPS + 1):
+            np.sin(t, out=w)
+            w *= sa
+            np.log1p(w, out=g)
+            np.multiply(t, alpha, out=dg)
+            g -= dg
+            g -= log_u
+            np.abs(g, out=dg)
+            np.less(dg, best_g, out=above)
+            np.copyto(best_g, dg, where=above)
+            np.copyto(best_t, t, where=above)
+            if i == _NEWTON_STEPS:
+                break
+            np.greater(g, 0.0, out=above)
+            np.copyto(lo, t, where=above)
+            np.logical_not(above, out=above)
+            np.copyto(hi, t, where=above)
+            np.cos(t, out=dg)
+            dg *= sa
+            w += 1.0
+            dg /= w
+            dg -= alpha
+            g /= dg
+            t -= g
+            np.clip(t, lo, hi, out=t)
+            np.isnan(t, out=above)
+            np.copyto(t, hi, where=above)
+    np.exp(best_t, out=out)
+
+
 class RadialLaw:
     """Base class; subclasses implement tail() and sample()."""
 
@@ -299,53 +344,19 @@ class OscillatingTailLaw(RadialLaw):
         the model, 2 steps left up to 700 ulp where the flat point's bend is
         0.01 to 3 cells wide. That scale is the rounding floor: exp rounds r,
         which g' ~ -alpha magnifies, and log1p magnifies the rounding of
-        a*sin t by up to 1/(1 - a). u and sign may be scalars or arrays.
+        a*sin t by up to 1/(1 - a). u and sign may be scalars or arrays;
+        the draws are solved _SOLVE_BLOCK at a time, each from its own u and
+        sign alone.
         """
         shape = np.broadcast_shapes(np.shape(u), np.shape(sign))
-        sa, log_u = (np.broadcast_to(x, shape).ravel() for x in (
-            np.asarray(sign, dtype=float) * amplitude,
-            np.log(np.asarray(u, dtype=float))))
-        t, lo, hi = _tabulated_start(log_u, sa, alpha, amplitude)
-        g = np.empty_like(t)
-        w = np.empty_like(t)
-        dg = np.empty_like(t)
-        t_next = np.empty_like(t)
-        above = np.empty(t.shape, dtype=bool)
-        # t = 0, where g = -ln u, is the first candidate: the root for u = 1
-        best_t = np.zeros_like(t)
-        best_g = np.negative(log_u)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(_NEWTON_STEPS + 1):
-                np.sin(t, out=w)
-                w *= sa
-                np.log1p(w, out=g)
-                np.multiply(t, alpha, out=dg)
-                g -= dg
-                g -= log_u
-                np.abs(g, out=dg)
-                np.less(dg, best_g, out=above)
-                np.copyto(best_g, dg, where=above)
-                np.copyto(best_t, t, where=above)
-                if i == _NEWTON_STEPS:
-                    break
-                np.greater(g, 0.0, out=above)
-                np.copyto(lo, t, where=above)
-                np.logical_not(above, out=above)
-                np.copyto(hi, t, where=above)
-                np.cos(t, out=dg)
-                dg *= sa
-                w += 1.0
-                dg /= w
-                dg -= alpha
-                g /= dg
-                np.subtract(t, g, out=t_next)
-                np.clip(t_next, lo, hi, out=t_next)
-                np.isnan(t_next, out=above)
-                np.copyto(t_next, hi, where=above)
-                t, t_next = t_next, t
-        np.exp(best_t, out=best_t)
-        return best_t.reshape(shape)[()]
+        u, sign = (np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1)
+                   for x in (u, sign))
+        out = np.empty(u.size)
+        for lo in range(0, u.size, _SOLVE_BLOCK):
+            hi = lo + _SOLVE_BLOCK
+            _newton(np.log(u[lo:hi]), sign[lo:hi] * amplitude, alpha, amplitude,
+                    out[lo:hi])
+        return out.reshape(shape)[()]
 
     def sample(self, rng, n):
         u = 1.0 - rng.random(n)  # in (0, 1]

@@ -2,8 +2,10 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -23,10 +25,11 @@ from regvar.cli import (
     read_csv,
     write_csv,
 )
-from regvar.errors import RegvarError, SpecError
+from regvar.errors import NonFiniteInput, RegvarError, SpecError
 from regvar.estimation import estimate
 from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
+from regvar.rng import CHUNK, GAIN_STREAM, substream
 from regvar.scenarios import Check, Report, Scenario, run_scenario
 from regvar.specs import (
     gain_from_spec,
@@ -36,8 +39,10 @@ from regvar.specs import (
     measure_to_spec,
     model_from_spec,
     radial_from_spec,
+    random_gain_from_spec,
     report_json,
 )
+from regvar.transforms import radial_scale_apply, randomized_scale_apply
 
 UNIFORM_PARETO = {
     "kind": "polar_independent", "alpha": 1.0,
@@ -128,21 +133,30 @@ def test_unknown_specs_raise():
 # CSV round trips
 
 
+def read_batch(path: str) -> SampleBatch:
+    """A CSV's whole sample: read_csv's rows as one batch, once its blocks
+    have passed the checks that name a rejected point's line."""
+    parsed = read_csv(path)
+    for _ in parsed.batches():
+        pass
+    return SampleBatch.from_points(parsed.rows.T)
+
+
 def test_csv_roundtrip_bit_exact(tmp_path):
     model = model_from_spec(UNIFORM_PARETO)
     batch = model.sample(10_000, 5)
     path = tmp_path / "pts.csv"
-    write_csv(str(path), batch)
-    again = read_csv(str(path))
+    write_csv(str(path), batch.dim, [batch])
+    again = read_batch(str(path))
     np.testing.assert_array_equal(again.points, batch.points)
 
 
 def test_csv_empty_batch(tmp_path):
     empty = SampleBatch(np.empty((2, 0)), np.empty(0), np.empty((2, 0)))
     path = tmp_path / "empty.csv"
-    write_csv(str(path), empty)
+    write_csv(str(path), empty.dim, [empty])
     assert path.read_text().strip() == "x1,x2"
-    again = read_csv(str(path))
+    again = read_batch(str(path))
     assert again.size == 0 and again.dim == 2
 
 
@@ -177,7 +191,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_write_csv_matches_reference_formatter(tmp_path_factory, rows):
     batch = raw_batch(rows)
     path = tmp_path_factory.mktemp("csv") / "pts.csv"
-    write_csv(str(path), batch)
+    write_csv(str(path), batch.dim, [batch])
     assert path.read_text(encoding="utf-8") == reference_csv(batch.points)
 
 
@@ -192,14 +206,15 @@ coordinate = st.floats(-1e150, 1e150)
 def test_csv_roundtrip_property(tmp_path_factory, rows):
     batch = raw_batch(rows)
     path = tmp_path_factory.mktemp("csv") / "pts.csv"
-    write_csv(str(path), batch)
-    assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
+    write_csv(str(path), batch.dim, [batch])
+    assert read_batch(str(path)).points.tobytes() == batch.points.tobytes()
 
 
 def assert_writes_reference(path, points):
     """write_csv's file of these (rows, d) points equals reference_csv,
     compared line by line."""
-    write_csv(str(path), raw_batch(points))
+    batch = raw_batch(points)
+    write_csv(str(path), batch.dim, [batch])
     got = path.read_text(encoding="utf-8").splitlines()
     want = reference_csv(points.T).splitlines()
     # a plain == on long texts makes pytest diff them for minutes
@@ -215,7 +230,7 @@ def test_csv_block_boundary(tmp_path, offset):
     batch = SampleBatch.from_points(rng.standard_cauchy((2, n)))
     path = tmp_path / "pts.csv"
     assert_writes_reference(path, batch.points.T)
-    assert read_csv(str(path)).points.tobytes() == batch.points.tobytes()
+    assert read_batch(str(path)).points.tobytes() == batch.points.tobytes()
 
 
 def test_write_csv_rounds_exact_ties_half_to_even(tmp_path):
@@ -281,7 +296,7 @@ def test_read_csv_blank_body_is_empty(tmp_path, body):
     path.write_text("x1,x2\n" + body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = read_csv(str(path))
+        batch = read_batch(str(path))
     assert batch.points.shape == (2, 0)
 
 
@@ -340,6 +355,144 @@ def test_read_csv_names_line_of_rejected_point(tmp_path, capsys, body,
     assert capsys.readouterr().err == f"error: {path}, {message}\n"
 
 
+# a row past two blocks, after blank and comment lines, and what the CLI
+# says of it: the steps take the parsed rows 65 536 at a time
+LATE_ROWS = [
+    ("nan,1", "a coordinate is NaN or infinite"),
+    ("0,0", "the zero vector"),
+    ("1.5e308,1.5e308", "a norm exceeds the double range"),
+    ("1.0,2.0,3.0", "expected 2 values, found 3"),
+    ("1.0,\udcff", "'\ufffd' is not a number"),
+]
+
+
+def write_late_row(path, row: str) -> int:
+    """A CSV whose row 2 * CHUNK + 3 is row, with a blank and a comment line
+    before the data and another comment in the first block; a row written
+    as a surrogate escape becomes that raw byte. Returns row's file line."""
+    good = "1.5,2.5\n"
+    head = "x1,x2\n\n# leading comment\n"
+    body = good * 10 + "# a comment inside the first block\n" \
+        + good * (2 * CHUNK - 8)
+    text = head + body + row + "\n" + good * 5
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8", "surrogateescape"))
+    return (head + body).count("\n") + 1
+
+
+@pytest.mark.parametrize("step", ["transform", "estimate"])
+@pytest.mark.parametrize("row, message", LATE_ROWS,
+                         ids=["nan", "zero", "overflowing-norm", "ragged",
+                              "non-utf8"])
+def test_cli_names_line_of_rejected_row_in_a_later_block(tmp_path, capsys, step,
+                                                         row, message):
+    path = tmp_path / "late.csv"
+    lineno = write_late_row(path, row)
+    assert lineno > 2 * CHUNK
+    out = tmp_path / "out"
+    args = ["--map", '{"kind": "identity"}'] if step == "transform" \
+        else ["--top", "10"]
+    assert cli_main([step, "--input", str(path), *args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}, line {lineno}: {message}\n"
+    # no output, and no temporary file beside it
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("step", ["transform", "estimate"])
+def test_cli_failing_in_third_block_keeps_existing_output(tmp_path, capsys,
+                                                          step):
+    path = tmp_path / "late.csv"
+    lineno = write_late_row(path, "nan,1")
+    out = tmp_path / "out"
+    out.write_text("earlier output\n")
+    args = ["--map", '{"kind": "identity"}'] if step == "transform" \
+        else ["--top", "10"]
+    assert cli_main([step, "--input", str(path), *args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}, line {lineno}: a coordinate is NaN or infinite\n"
+    assert sorted(tmp_path.iterdir()) == [path, out]
+    assert out.read_text() == "earlier output\n"
+
+
+# Pareto norms with alpha 0.02 overflow in about one chunk in three; with
+# this seed the first two chunks are finite and the third is not
+OVERFLOWING = dict(UNIFORM_PARETO, alpha=0.02,
+                   radial={"kind": "pareto", "alpha": 0.02})
+OVERFLOW_SEED = 17
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_cli_sample_failing_in_third_chunk_writes_nothing(tmp_path, capsys,
+                                                          workers, existing):
+    chunks = model_from_spec(OVERFLOWING).chunks(3 * CHUNK, OVERFLOW_SEED)
+    assert [next(chunks).size for _ in range(2)] == [CHUNK, CHUNK]
+    with pytest.raises(NonFiniteInput):
+        next(chunks)
+    out = tmp_path / "x.csv"
+    if existing:
+        out.write_text("earlier output\n")
+    assert cli_main(["sample", "--model", json.dumps(OVERFLOWING),
+                     "-n", str(3 * CHUNK), "--seed", str(OVERFLOW_SEED),
+                     "--workers", workers, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a norm is NaN or infinite\n"
+    assert sorted(tmp_path.iterdir()) == ([out] if existing else [])
+    if existing:
+        assert out.read_text() == "earlier output\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_writes_into_a_pipe_directly(tmp_path):
+    # a pipe holds nothing to leave half written, and a file renamed over
+    # it would cut its reader off
+    ref, fifo = tmp_path / "ref.csv", tmp_path / "pipe"
+    argv = ["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "5",
+            "--seed", "1", "-o"]
+    assert cli_main(argv + [str(ref)]) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert cli_main(argv + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [ref.read_bytes()]
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 1])
+def test_streamed_steps_equal_whole_batch_steps(tmp_path, capsys, n):
+    spec = json.dumps(UNIFORM_PARETO)
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    for workers, out in (("1", one), ("2", two)):
+        assert cli_main(["sample", "--model", spec, "-n", str(n), "--seed", "5",
+                         "--workers", workers, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {n} points (d=2, seed=5) -> {out}\n"
+    assert one.read_bytes() == two.read_bytes()
+    batch = read_batch(str(one))
+    ref = tmp_path / "ref.csv"
+    # a randomized gain draws from one generator, block after block
+    gain = {"kind": "exp_cosine", "amplitude": 0.5}
+    whole = randomized_scale_apply(batch, random_gain_from_spec(gain),
+                                   substream(9, GAIN_STREAM))
+    # an indicator gain drops the points outside its arc in every block
+    arc = {"kind": "indicator_arc", "arcs": [[0.0, 2.0]]}
+    dropped = radial_scale_apply(batch, gain_from_spec(arc))
+    assert dropped.zero_count > 0
+    for flags, expected in ((["--gain", json.dumps(gain), "--gain-seed", "9"],
+                             whole),
+                            (["--gain", json.dumps(arc)], dropped)):
+        out = tmp_path / "t.csv"
+        assert cli_main(["transform", "--input", str(one), *flags,
+                         "-o", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {expected.size} points (zero_count={expected.zero_count}) "
+            f"-> {out}\n")
+        write_csv(str(ref), 2, [expected])
+        assert out.read_bytes() == ref.read_bytes()
+
+
 def test_bad_line_falls_back_to_numpy_message(tmp_path):
     path = tmp_path / "good.csv"
     path.write_text("x1,x2\n1.0,2.0\n")
@@ -373,7 +526,7 @@ def test_read_csv_errors_name_a_line(tmp_path_factory, body):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x1,x2\n" + body)
     try:
-        read_csv(str(path))
+        read_batch(str(path))
     except RegvarError as e:
         # a rejected file names its line; numpy's fallback message is unused
         assert not str(e).startswith(f"{path}: ")
@@ -386,7 +539,7 @@ def test_read_csv_tiny_and_huge_rows(tmp_path, row, norm):
     path.write_text("x1,x2\n" + row + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = read_csv(str(path))
+        batch = read_batch(str(path))
     assert batch.norms.tolist() == [norm]
     assert batch.dirs[0, 0] == 1.0
 
@@ -839,6 +992,6 @@ def test_pipeline_equivalence_theorem2(tmp_path):
 
     gain = gain_from_spec({"kind": "cosine", "base": 1.0, "amplitude": 0.5})
     target = reweight(SpectralMeasure.uniform(), gain, 2.0).normalized()
-    est = estimate(read_csv(str(scaled)), 500, target=target)
+    est = estimate(read_batch(str(scaled)), 500, target=target)
     assert est.distances["ks"] == ks_mem
     assert est.alpha_hat == alpha_mem

@@ -313,9 +313,9 @@ def test_transformed_model_discrete_exact_tail_on_the_sphere():
      step_gain([0.0, np.pi], [2.0, 0.5])),
 ], ids=["example2", "indicator", "no-zero"])
 def test_transformed_model_equals_scaled_base_sample(base, gain, workers):
-    # chunks scale one at a time and close their gaps in chunk order; three
+    # chunks scale one at a time and follow each other in chunk order; three
     # full chunks and a partial one, each dropping a different count. Worker
-    # threads switch often, so a slice written to the wrong place would show.
+    # threads switch often, so a chunk handed out of order would show.
     n = 3 * 65536 + 17
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
