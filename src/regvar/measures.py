@@ -52,8 +52,8 @@ _GL_W = np.array([0.34785484513745385, 0.6521451548625461,
 
 
 def arc_integral(fn, arcs, singular_points) -> float:
-    """Integral of fn over a union of arcs [(a, b), ...], each arc split at
-    the singular points inside it and refined toward those at its ends."""
+    """Integral of fn over a union of arcs [(a, b), ...], each arc cut at
+    the singular points {angle: order} inside it (see integrate)."""
     return float(sum(integrate(fn, a, b, singular_points)[0] for a, b in arcs))
 
 
@@ -97,11 +97,13 @@ class SpectralMeasure:
     Atoms come as angles (d = 2) or unit columns coords (d, m); atoms
     within 1e-12 are rejected, or merged when merge is set. atoms holds
     them as sorted angles when d = 2 (coords derived) and as columns
-    otherwise. total_mass is cached; weights are strictly positive.
+    otherwise. total_mass is cached; weights are strictly positive. A
+    density's singular_points map angles c to orders s: near c the density
+    behaves like |t - c|^-s, and s = 0 marks a jump.
     """
 
     def __init__(self, kind, dim, angles=None, weights=None, coords=None,
-                 density_fn=None, density_spec=None, singular_points=(),
+                 density_fn=None, density_spec=None, singular_points=None,
                  total_mass=None, merge=False):
         self.kind = kind
         self.dim = int(dim)
@@ -109,7 +111,7 @@ class SpectralMeasure:
             raise DimensionMismatch("measures live on S^{d-1} with d >= 2")
         self.density_fn = density_fn
         self.density_spec = density_spec
-        self.singular_points = tuple(singular_points)
+        self.singular_points = dict(singular_points or {})
         self._cdf_cache = None
         self._normalized = None
         self.atoms = self.angles = self.weights = self.coords = None
@@ -176,7 +178,7 @@ class SpectralMeasure:
                    total_mass=total_mass)
 
     @classmethod
-    def density(cls, density_fn, spec=None, singular_points=(), total_mass=None):
+    def density(cls, density_fn, spec=None, singular_points=None, total_mass=None):
         return cls("density", 2, density_fn=density_fn, density_spec=spec,
                    singular_points=singular_points, total_mass=total_mass)
 
@@ -481,18 +483,33 @@ class RadialGain(_SphereFunction):
 
     declared_bound, when present, asserts a finite supremum; evaluation
     enforces nonnegativity and the declared bound on every probe.
-    singular_points list angles where the gain blows up or jumps, used as
-    quadrature split hints.
+    singular_points map the angles c where the gain jumps or blows up to
+    orders s: near c the gain behaves like |t - c|^-s, and s = 0 marks a
+    jump. Quadrature cuts at them and integrates each with its order.
     """
 
     def __init__(self, angle_fn=None, coords_fn=None, declared_bound=None,
-                 singular_points=()):
+                 singular_points=None):
         super().__init__(angle_fn, coords_fn)
         self.declared_bound = None if declared_bound is None else float(declared_bound)
-        self.singular_points = tuple(singular_points)
+        self.singular_points = dict(singular_points or {})
 
     at_angles = _SphereFunction._on_angles
     at_dirs = _SphereFunction._on_dirs
+
+    def product_orders(self, sigma: SpectralMeasure, p: float) -> dict:
+        """Singular points of sigma's density times this gain to the power p:
+        p multiplies the gain's orders, and orders at one angle add. An order
+        of 1 or more is not integrable and raises MomentDivergence."""
+        orders = dict(sigma.singular_points)
+        for angle, s in self.singular_points.items():
+            orders[angle] = orders.get(angle, 0.0) + p * s
+        for angle, s in orders.items():
+            if s >= 1.0:
+                raise MomentDivergence(
+                    f"density times gain^{p:g} is not integrable: it grows like "
+                    f"|t - c|^-{s:g} at c = {angle!r}, and an order >= 1 diverges")
+        return orders
 
     def _finish(self, vals: np.ndarray, planar) -> np.ndarray:
         if np.any(np.isnan(vals)) or np.any(vals < 0):
@@ -515,17 +532,17 @@ def step_gain(breaks, values) -> RadialGain:
         raise InvalidGain("step gain values must be nonnegative")
     return RadialGain(angle_fn=steps.apply,
                       declared_bound=float(np.max(steps.values)),
-                      singular_points=tuple(steps.breaks[1:]))
+                      singular_points=dict.fromkeys(steps.breaks[1:].tolist(), 0.0))
 
 
 def indicator_gain(arcset: ArcSet) -> RadialGain:
     return RadialGain(angle_fn=lambda t: np.asarray(arcset.contains(t), float),
                       declared_bound=1.0,
-                      singular_points=tuple(arcset.endpoints()))
+                      singular_points=dict.fromkeys(arcset.endpoints().tolist(), 0.0))
 
 
 def power_cusp_gain(center: float, gamma: float) -> RadialGain:
-    """h(theta) = (circular distance to center)^(-gamma); unbounded."""
+    """h(theta) = (circular distance to center)^(-gamma), of order gamma."""
     c = wrap_angle(center)
     g = positive_finite(gamma, "gamma")
 
@@ -535,7 +552,7 @@ def power_cusp_gain(center: float, gamma: float) -> RadialGain:
         with np.errstate(divide="ignore"):
             return dist ** (-g)
 
-    return RadialGain(angle_fn=fn, declared_bound=None, singular_points=(c,))
+    return RadialGain(angle_fn=fn, declared_bound=None, singular_points={c: g})
 
 
 class RandomGainProcess:
@@ -658,8 +675,8 @@ def reweight(sigma: SpectralMeasure, h: RadialGain, alpha: float) -> SpectralMea
     def new_density(t, _d=dens, _h=h, _a=a):
         return _d(t) * _h.at_angles(t) ** _a
 
-    sing = tuple(sorted(set(sigma.singular_points) | set(h.singular_points)))
-    return SpectralMeasure.density(new_density, singular_points=sing)
+    return SpectralMeasure.density(new_density,
+                                   singular_points=h.product_orders(sigma, a))
 
 
 def _reweighted_atoms(sigma: SpectralMeasure, mult: np.ndarray) -> SpectralMeasure:
@@ -764,11 +781,11 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
 
     Returns the finite value, or raises MomentDivergence when the sum or
     integral is infinite. For atoms the sum is checked directly. For a
-    density the integral is refined toward every singular point in
-    geometric shells; it diverges when the deepest shell holds at least as
-    much as the one before it (the ratio 2^(s - 1) of a cusp |t - c|^-s
-    reaches 1 at s = 1), and it has failed when the error estimate exceeds
-    1e-6 relative or 1e-8 absolute.
+    density the integral is cut at every singular point of the integrand,
+    whose orders the gain's power gives (product_orders): it diverges
+    when an order reaches 1, the exact condition for a cusp |t - c|^-s,
+    and it has failed when the error estimate exceeds 1e-6 relative or
+    1e-8 absolute.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -782,8 +799,7 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
     def integrand(t):
         return sigma.density_fn(t) * h.at_angles(t) ** p
 
-    hints = set(sigma.singular_points) | set(h.singular_points)
-    value, abserr = integrate(integrand, 0.0, TWO_PI, hints)
+    value, abserr = integrate(integrand, 0.0, TWO_PI, h.product_orders(sigma, p))
     if not np.isfinite(value) or abserr > max(1e-6 * abs(value), 1e-8):
         raise MomentDivergence("moment integral diverges or failed to converge")
     return value

@@ -49,12 +49,16 @@ def _require(cond: bool, msg: str):
 
 
 def _float(value, path: str) -> float:
-    """value as a float; anything else raises SpecError naming its path."""
+    """value as a finite float; anything else, NaN and infinities too,
+    raises SpecError naming its path."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as e:
         raise SpecError(f"spec field {path!r} must be a number, "
                         f"got {value!r}") from e
+    _require(math.isfinite(x),
+             f"spec field {path!r} must be a finite number, got {value!r}")
+    return x
 
 
 def _number(spec: dict, field: str, default: float | None = None,
@@ -157,6 +161,8 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
                  "the sum of their weights")
         return m
     if kind == "density":
+        _require(_integer(spec, "dim", 2) == 2,
+                 "a density is in the angle, so its spec has dim = 2")
         dens = spec.get("density")
         _require(isinstance(dens, dict) and "name" in dens,
                  "density spec needs a name")

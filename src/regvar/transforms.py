@@ -106,6 +106,6 @@ class TransformedModel(RegVarModel):
                 out[pos] = base.radial.tail(float(r) / v[pos])
                 return sigma.density_fn(t) * out
 
-            hints = set(sigma.singular_points) | set(gain.singular_points)
-            return arc_integral(integrand, sets.arcs, hints)
+            # P{R > r / h} <= 1 is bounded: the gain's points are cuts
+            return arc_integral(integrand, sets.arcs, gain.product_orders(sigma, 0.0))
         return None

@@ -131,3 +131,14 @@ from regvar.radial import _start_table
 print(json.dumps({"tables": _start_table.cache_info().currsize}))
 """, tmp_path)
     assert out["tables"] == 0
+
+
+def test_import_builds_no_jacobi_rule(tmp_path):
+    # the quadrature's Gauss-Jacobi rules are built per order on first use
+    out = _run_cold("""
+import json
+import regvar, regvar.cli
+from regvar.quadrature import _jacobi_rule
+print(json.dumps({"rules": _jacobi_rule.cache_info().currsize}))
+""", tmp_path)
+    assert out["rules"] == 0

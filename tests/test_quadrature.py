@@ -1,9 +1,11 @@
 """Accuracy of the numpy quadrature and Hurwitz zeta.
 
 Masses of densities on arc unions agree with `scipy.integrate.quad`
-within 1e-12, cusp moments agree with their closed form, and the Hurwitz
-zeta agrees with `scipy.special.zeta`; scipy is an oracle of the tests
-only.
+within 1e-12, cusp integrals agree with their closed form and with
+QUADPACK's weighted rule (`quad(..., weight="alg")`) within the reported
+error, a rescaled tail with a kink agrees with its closed form, and the
+Hurwitz zeta agrees with `scipy.special.zeta`; scipy is an oracle of the
+tests only.
 """
 
 import numpy as np
@@ -23,9 +25,11 @@ from regvar.measures import (
     step_gain,
     step_map,
 )
-from regvar.models import _hurwitz_zeta
+from regvar.models import PolarIndependentModel, _hurwitz_zeta
 from regvar.quadrature import integrate as numpy_integrate
+from regvar.radial import ParetoLaw
 from regvar.sphere import TWO_PI, ArcSet
+from regvar.transforms import TransformedModel
 
 ARC_UNIONS = [
     [(0.0, TWO_PI)],
@@ -109,10 +113,50 @@ def test_cusp_moment_divergence(center, s):
         _cusp_moment(center, s)
 
 
-def test_divergent_shells_return_infinity():
+def test_end_of_order_one_or_more_returns_infinity():
     h = power_cusp_gain(2.0, 1.0)
+    assert h.singular_points == {2.0: 1.0}
     assert numpy_integrate(h.at_angles, 0.0, TWO_PI, h.singular_points) \
         == (np.inf, np.inf)
+    # an end of order 1 makes the integral diverge whichever piece holds it
+    assert numpy_integrate(h.at_angles, 2.0, 3.0, h.singular_points) \
+        == (np.inf, np.inf)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+def test_cusp_under_smooth_factor_matches_qaws(s):
+    # a cusp of order s at 3 under a non-constant factor; scipy's QAWS
+    # integrates the weight |t - 3|^-s exactly on each side
+    def smooth(t):
+        return (1.0 + 0.5 * np.cos(t)) / TWO_PI
+
+    ref = sum(integrate.quad(smooth, lo, hi, weight="alg", wvar=wvar,
+                             epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+              for lo, hi, wvar in [(0.0, 3.0, (0.0, -s)),
+                                   (3.0, TWO_PI, (-s, 0.0))])
+    value, abserr = numpy_integrate(lambda t: smooth(t) * np.abs(t - 3.0) ** -s,
+                                    0.0, TWO_PI, {3.0: s})
+    assert abs(value - ref) <= 1e-10 * ref
+    assert abs(value - ref) <= abserr
+
+
+def test_reweight_by_non_integrable_cusp_names_angle_and_order():
+    with pytest.raises(MomentDivergence, match=r"\|t - c\|\^-1 at c = 3\.14159"):
+        reweight(SpectralMeasure.uniform(), power_cusp_gain(np.pi, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("r, closed", [(2.0, 0.98924078373330),
+                                       (10.0, 0.99420641795777),
+                                       (100.0, 0.99421437490915)])
+def test_cusp_gain_tail_with_kink_matches_closed_form(r, closed):
+    # uniform sigma, Pareto(1) norms, gain |t - pi|^-0.2: r P{R h > r} is
+    # (pi^0.8 / 0.8 - r^-4 / 0.8 + r^-4) / pi, with a kink where h = r
+    model = PolarIndependentModel(SpectralMeasure.uniform(), 1.0, ParetoLaw(1.0))
+    tail = TransformedModel(model, power_cusp_gain(np.pi, 0.2)).exact_tail(
+        r, ArcSet.full_circle())
+    assert (np.pi ** 0.8 / 0.8 - r ** -4 / 0.8 + r ** -4) / np.pi \
+        == pytest.approx(closed, rel=1e-13)
+    assert r * tail == pytest.approx(closed, rel=1e-12)
 
 
 @given(st.floats(min_value=1.0, max_value=60.0, exclude_min=True),

@@ -1,3 +1,5 @@
+import copy
+import functools
 import io
 import json
 import os
@@ -30,9 +32,10 @@ from regvar.estimation import estimate
 from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
 from regvar.rng import CHUNK, GAIN_STREAM, substream
-from regvar.scenarios import Check, Report, Scenario, run_scenario
+from regvar.scenarios import SCENARIO_NAMES, Check, Report, Scenario, run_scenario
 from regvar.specs import (
     gain_from_spec,
+    is_random_gain_spec,
     load_spec,
     map_from_spec,
     measure_from_spec,
@@ -659,6 +662,77 @@ def test_cli_scan_rejects_non_finite_numbers(tmp_path, capsys, flag, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gain, field", [
+    ('{"kind":"constant","value":Infinity}', "value"),
+    ('{"kind":"power_cusp","center":Infinity,"gamma":0.2}', "center"),
+    ('{"kind":"power_cusp","center":3.0,"gamma":NaN}', "gamma"),
+])
+def test_cli_scan_rejects_non_finite_gain_field(tmp_path, capsys, gain, field):
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["scan", "--model", json.dumps(UNIFORM_PARETO),
+                         "--gain", gain, "--alpha", "1.0", "--r-grid", "2:10:3",
+                         "-o", str(out)]) == 2
+    assert f"spec field '{field}' must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_scan_cusp_gain_tail_matches_closed_form(tmp_path):
+    # r P{R h > r} for uniform sigma, Pareto(1) norms and h = |t - pi|^-0.2
+    # is (pi^0.8 / 0.8 - r^-4 / 0.8 + r^-4) / pi; its integrand has a kink
+    # where h = r
+    out = tmp_path / "scan.csv"
+    assert cli_main(["scan", "--model", json.dumps(UNIFORM_PARETO), "--gain",
+                     '{"kind":"power_cusp","center":3.141592653589793,"gamma":0.2}',
+                     "--alpha", "1.0", "--r-grid", "10:100:2", "-o", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(r), mode) for r, _, _, mode in rows] == [(10.0, "exact"),
+                                                            (100.0, "exact")]
+    for (r, _, value, _), closed in zip(rows, [0.99420641795777, 0.99421437490915]):
+        assert float(value) == pytest.approx(closed, rel=1e-12)
+
+
+SPEC_BUILDERS = {"model": model_from_spec, "map": map_from_spec,
+                 "gain": gain_from_spec, "target": measure_from_spec}
+
+
+@functools.cache
+def _echoed_specs(name):
+    config = run_scenario(Scenario(name, n=2000)).config
+    return [(key, config[key]) for key in SPEC_BUILDERS if key in config]
+
+
+def _number_paths(spec, path=()):
+    """Key paths of the numbers (not booleans) in a JSON-like spec."""
+    if isinstance(spec, dict):
+        items = spec.items()
+    elif isinstance(spec, list):
+        items = enumerate(spec)
+    else:
+        number = isinstance(spec, (int, float)) and not isinstance(spec, bool)
+        return [path] if number else []
+    return [p for key, value in items for p in _number_paths(value, path + (key,))]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@given(data=st.data())
+def test_non_finite_spec_number_raises_regvar_error(name, data):
+    # any one number of an echoed spec made NaN or infinite fails at the
+    # spec boundary, with no RuntimeWarning on the way
+    key, spec = data.draw(st.sampled_from(
+        [(key, spec) for key, spec in _echoed_specs(name) if _number_paths(spec)]))
+    *parents, leaf = data.draw(st.sampled_from(_number_paths(spec)))
+    bad = copy.deepcopy(spec)
+    holder = functools.reduce(lambda node, k: node[k], parents, bad)
+    holder[leaf] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    build = random_gain_from_spec if is_random_gain_spec(bad) else SPEC_BUILDERS[key]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RegvarError):
+            build(bad)
+
+
 def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
     src = tmp_path / "nan.csv"
     src.write_text("x1,x2\n1.0,2.0\nnan,1.5\n3.0,0.5\n4.0,1.0\n")
@@ -676,7 +750,8 @@ def test_cli_estimate_rejects_nan_target_atom(tmp_path, capsys):
     assert cli_main(["estimate", "--input", str(src), "--top", "200", "--target",
                      '{"kind":"discrete","dim":2,"atoms":[{"angle":NaN,"weight":1.0}]}',
                      "-o", str(rep)]) == 2
-    assert "atom angles must be finite" in capsys.readouterr().err
+    assert "spec field 'atoms[0].angle' must be a finite number" \
+        in capsys.readouterr().err
     assert not rep.exists()
 
 
@@ -742,7 +817,8 @@ def test_cli_estimate_names_non_finite_report_field(tmp_path, capsys, top):
     ([1.0, 2.0], [1.0, 2.0], "breaks must start at 0"),
     ([0.0, 2.0], [1.0], "breaks and values must be"),
     ([], [], "breaks and values must be"),
-    ([0.0, float("nan")], [1.0, 2.0], "breaks must start at 0"),
+    ([0.0, float("nan")], [1.0, 2.0],
+     "spec field 'breakpoints[1]' must be a finite number, got nan"),
 ], ids=["not-from-zero", "fewer-values", "empty", "nan-break"])
 def test_cli_transform_rejects_bad_step_spec(tmp_path, capsys, flag,
                                              breakpoints, values, message):
@@ -834,18 +910,19 @@ def test_cli_names_list_and_dim_spec_fields(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "step", "breakpoints": [0.0], "values": [float("nan")]},
-    {"kind": "constant", "value": float("inf")},
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "step", "breakpoints": [0.0], "values": [float("nan")]}, "values[0]"),
+    ({"kind": "constant", "value": float("inf")}, "value"),
 ], ids=["step", "constant"])
-def test_cli_transform_rejects_non_finite_map_value(tmp_path, capsys, spec):
-    # a non-finite target angle would give NaN directions for every point
+def test_cli_transform_rejects_non_finite_map_value(tmp_path, capsys, spec, field):
+    # a non-finite target angle would give NaN directions for every point;
+    # the spec layer refuses it and names the field
     src = tmp_path / "x.csv"
     src.write_text("x1,x2\n1.0,0.5\n-2.0,1.0\n")
     out = tmp_path / "y.csv"
     assert cli_main(["transform", "--input", str(src), "--map",
                      json.dumps(spec), "-o", str(out)]) == 2
-    assert "step values must be finite" in capsys.readouterr().err
+    assert f"spec field '{field}' must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
