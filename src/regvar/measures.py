@@ -114,6 +114,7 @@ class SpectralMeasure:
         self.singular_points = dict(singular_points or {})
         self._cdf_cache = None
         self._normalized = None
+        self._arc_masses = {}
         self.atoms = self.angles = self.weights = self.coords = None
         if kind in ("discrete", "empirical"):
             weights = np.asarray(weights, dtype=float)
@@ -244,14 +245,18 @@ class SpectralMeasure:
         raise TypeError("sets must be an ArcSet or a CapSet")
 
     def mass_on(self, sets) -> float:
-        """Measure of an ArcSet (d = 2) or CapSet (d >= 3)."""
+        """Measure of an ArcSet (d = 2) or CapSet (d >= 3); a density
+        remembers the mass of each ArcSet it has integrated."""
         if self.is_discrete:
             return float(np.sum(self.weights[self.atoms_in(sets)]))
         if isinstance(sets, CapSet):
             raise UnsupportedPair("cap evaluation needs a discrete measure")
         if not isinstance(sets, ArcSet):
             raise TypeError("sets must be an ArcSet or a CapSet")
-        return arc_integral(self.density_fn, sets.arcs, self.singular_points)
+        if sets not in self._arc_masses:
+            self._arc_masses[sets] = arc_integral(self.density_fn, sets.arcs,
+                                                  self.singular_points)
+        return self._arc_masses[sets]
 
     def boundary_mass(self, arcset: ArcSet) -> float:
         """Atom mass sitting exactly (within 1e-12) on arc endpoints."""
@@ -273,6 +278,14 @@ class SpectralMeasure:
             nodes = mid[None, :] + half * _GL_X[:, None]
             vals = self.density_fn(nodes)
             cell = half * np.sum(_GL_W[:, None] * vals, axis=0)
+            # the cells that hold or end at a singular point are integrated
+            # with its order; cell -1, the last, ends at 2 pi, which is 0. A
+            # set, as numpy 2.4's np.unique imports numpy.ma (+1.4 MB RSS)
+            at = wrap_angle(list(self.singular_points))
+            ends = [np.searchsorted(grid, at, side) - 1 for side in ("left", "right")]
+            for i in set((np.concatenate(ends) % cell.size).tolist()):
+                cell[i] = integrate(self.density_fn, grid[i], grid[i + 1],
+                                    self.singular_points)[0]
             cum = np.concatenate(([0.0], np.cumsum(cell)))
             if cum[-1] > 0:
                 cum *= self.total_mass / cum[-1]
@@ -542,7 +555,8 @@ def indicator_gain(arcset: ArcSet) -> RadialGain:
 
 
 def power_cusp_gain(center: float, gamma: float) -> RadialGain:
-    """h(theta) = (circular distance to center)^(-gamma), of order gamma."""
+    """h(theta) = (circular distance to center)^(-gamma): of order gamma at
+    the center, and of order 0 at the antipode, where the distance kinks."""
     c = wrap_angle(center)
     g = positive_finite(gamma, "gamma")
 
@@ -552,7 +566,7 @@ def power_cusp_gain(center: float, gamma: float) -> RadialGain:
         with np.errstate(divide="ignore"):
             return dist ** (-g)
 
-    return RadialGain(angle_fn=fn, declared_bound=None, singular_points={c: g})
+    return RadialGain(angle_fn=fn, singular_points={c: g, wrap_angle(c + np.pi): 0.0})
 
 
 class RandomGainProcess:

@@ -12,7 +12,8 @@ constructions stress the transformation theory:
   and which loses half its mass under an indicator gain.
 
 All three expose closed-form tail probabilities so diagnostics can compare
-Monte Carlo output against exact values.
+Monte Carlo output against exact values. gained_tail is the tail after a
+radial gain: any gain for independent polar parts, the companion for atoms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .batch import SampleBatch
 from .errors import InvalidConstruction, MomentDivergence, positive_finite
-from .measures import RadialGain, SpectralMeasure
+from .measures import RadialGain, SpectralMeasure, arc_integral
 from .radial import OscillatingTailLaw, ParetoLaw, RadialLaw
 from .rng import CHUNK, SAMPLE_STREAM, chunk_seeds, chunk_sizes
 from .sphere import TWO_PI, ArcSet, directions_of
@@ -75,7 +76,8 @@ def _drawn_ahead(draw, count: int, workers: int):
 
 
 class RegVarModel:
-    """Sampleable law with tail index alpha and optional exact tail.
+    """Sampleable law with tail index alpha and optional exact tails, before
+    and after a radial gain (exact_tail, gained_tail).
 
     chunks() splits n into fixed-size chunks and draws each chunk from its
     own deterministic substream, so the result depends only on (n, seed),
@@ -133,6 +135,11 @@ class RegVarModel:
         """P{direction in sets, norm > r} in closed form, when available."""
         return None
 
+    def gained_tail(self, r: float, sets, gain: RadialGain) -> float | None:
+        """P{direction in sets, gain(direction) * norm > r} in closed form,
+        when available: the exact tail of the vector rescaled by the gain."""
+        return None
+
 
 class PolarIndependentModel(RegVarModel):
     """Direction ~ sigma and norm ~ radial law, drawn independently, so
@@ -158,6 +165,27 @@ class PolarIndependentModel(RegVarModel):
 
     def exact_tail(self, r, sets):
         return self.sigma.mass_on(sets) * float(self.radial.tail(r))
+
+    def gained_tail(self, r, sets, gain):
+        """sigma-average of P{R > r / h}, over atoms or a density's arcs."""
+        sigma = self.sigma
+        if sigma.is_discrete:
+            vals = gain.on_atoms(sigma)
+            keep = sigma.atoms_in(sets) & (vals > 0.0)
+            if not np.any(keep):
+                return 0.0
+            tails = self.radial.tail(float(r) / vals[keep])
+            return float(np.sum(sigma.weights[keep] * tails))
+
+        def integrand(t):
+            v = gain.at_angles(t)
+            out = np.zeros_like(v)
+            pos = v > 0
+            out[pos] = self.radial.tail(float(r) / v[pos])
+            return sigma.density_fn(t) * out
+
+        # P{R > r / h} <= 1 is bounded: the gain's points are cuts
+        return arc_integral(integrand, sets.arcs, gain.product_orders(sigma, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -294,12 +322,6 @@ def _qk_power_sum_from(m: int, s: float) -> float:
     return head + tail
 
 
-def _qk_range_sum(k_lo: int, k_hi: int | None) -> float:
-    """Sum of 1/(k(k+1)) over [k_lo, k_hi); telescopes to 1/k_lo - 1/k_hi."""
-    hi = 0.0 if k_hi is None else 1.0 / k_hi
-    return 1.0 / k_lo - hi
-
-
 class Example2Model(RegVarModel):
     """Atoms q_k = 1/(k(k+1)) at angles accumulating at pi, with per-atom
     radial law mixing an atom at 1 (mass 1 - k^-nu) and a Pareto tail of
@@ -331,10 +353,6 @@ class Example2Model(RegVarModel):
         weights = np.append(w, rest)
         return SpectralMeasure.discrete(angles, weights)
 
-    def sigma_total(self) -> float:
-        """Exact spectral total mass, sum of q_k k^-nu."""
-        return _qk_power_sum_from(1, -self.nu)
-
     def _sample_chunk(self, rng, m):
         u = rng.random(m)
         k = np.maximum(1, np.ceil(1.0 / (1.0 - u)).astype(np.int64) - 1)
@@ -343,65 +361,53 @@ class Example2Model(RegVarModel):
         radii = np.maximum(1.0, (coef / (1.0 - v)) ** (1.0 / self.alpha))
         return SampleBatch.from_polar(radii, directions_of(_atom_angle(k)))
 
-    def _atom_membership(self, sets: ArcSet):
-        """Explicit membership for k < 55 plus the cofinite near-pi flag."""
-        k = np.arange(1, _K_FLOAT_PI)
-        member = sets.contains(_atom_angle(k))
-        cofinite = bool(sets.contains(np.pi))
-        return k, member, cofinite
+    def _scaled_tail(self, r: float, sets: ArcSet, b: float) -> float:
+        """P{direction in sets, k^b R_k > r} for the atom index k.
 
-    def exact_tail(self, r, sets):
+        k^b R_k exceeds r surely when r < k^b, and with probability
+        k^(alpha b - nu) r^-alpha otherwise. Atoms from 55 on sit at the
+        float pi: their sure masses telescope to 1/(split + 1), and the
+        others sum as a Hurwitz series when split is infinite (b = 0).
+        """
         if not isinstance(sets, ArcSet):
             raise TypeError("example2 evaluation sets are arc unions")
-        k, member, cofinite = self._atom_membership(sets)
-        kf = k.astype(float)
-        if r >= 1.0:
-            head = float(np.sum((kf ** -self.nu / (kf * (kf + 1)))[member]))
-            if cofinite:
-                head += _qk_power_sum_from(_K_FLOAT_PI, -self.nu)
-            return head * float(r) ** -self.alpha
-        head = float(np.sum((1.0 / (kf * (kf + 1)))[member]))
-        if cofinite:
-            head += _qk_range_sum(_K_FLOAT_PI, None)
-        return head
-
-    def transformed_tail(self, r: float, sets: ArcSet | None = None) -> float:
-        """P{direction in sets, norm > r} after scaling by the companion gain.
-
-        On the k-th atom the gain equals k^beta, so the transformed radial
-        tail at r is the base tail at r / k^beta; atoms with k^beta > r
-        contribute their full mass. Over the full circle r^alpha times this
-        tail is at least r^alpha / (r^(1/beta) + 1), so it diverges as r
-        grows.
-        """
         r = float(r)
-        if r <= 1.0:
-            raise ValueError("transformed tail is defined for r > 1")
-        split = _beta_split(r, self.beta)
-        if sets is None:
-            sets = ArcSet.full_circle()
-        k, member, cofinite = self._atom_membership(sets)
-        kf = k.astype(float)
-        # k <= split: Pareto branch; k > split: full atom mass
-        pareto = member & (k <= split)
-        full = member & (k > split)
-        total = float(np.sum((kf ** (self.alpha * self.beta - self.nu)
-                              / (kf * (kf + 1)))[pareto])) * r ** -self.alpha
-        total += float(np.sum((1.0 / (kf * (kf + 1)))[full]))
+        s = self.alpha * b - self.nu
+        split = _beta_split(r, b)
+        k = np.arange(1, _K_FLOAT_PI, dtype=float)
+        member = sets.contains(_atom_angle(k))
+        cofinite = sets.contains(np.pi)
+        head = float(np.sum((k ** s / (k * (k + 1)))[member & (k <= split)]))
+        if cofinite and split == math.inf:
+            head += _qk_power_sum_from(_K_FLOAT_PI, s)
+        elif cofinite and split >= _K_FLOAT_PI:
+            ks = np.arange(_K_FLOAT_PI, split + 1, dtype=float)
+            head += float(np.sum(ks ** s / (ks * (ks + 1))))
+        # r < 1 leaves the head empty, and r^-alpha may overflow there
+        tail = head * r ** -self.alpha if head else 0.0
+        tail += float(np.sum((1.0 / (k * (k + 1)))[member & (k > split)]))
         if cofinite:
-            lo = _K_FLOAT_PI
-            if split >= lo:
-                ks = np.arange(lo, split + 1, dtype=float)
-                total += float(np.sum(ks ** (self.alpha * self.beta - self.nu)
-                                      / (ks * (ks + 1)))) * r ** -self.alpha
-                total += _qk_range_sum(split + 1, None)
-            else:
-                total += _qk_range_sum(lo, None)
-        return total
+            tail += 1.0 / (max(split, _K_FLOAT_PI - 1) + 1)
+        return tail
+
+    def exact_tail(self, r, sets):
+        return self._scaled_tail(r, sets, 0.0)
+
+    def gained_tail(self, r, sets, gain):
+        """The tail after the companion gain, k^beta on atom k; r^alpha times
+        it is at least r^alpha / (r^(1/beta) + 1), so it diverges."""
+        if not isinstance(gain, Example2Gain) or abs(gain.beta - self.beta) > 1e-12:
+            return None
+        return self._scaled_tail(r, sets, self.beta)
 
 
-def _beta_split(r: float, beta: float) -> int:
-    """Largest integer k with k^beta <= r, robust to rounding."""
+def _beta_split(r: float, beta: float) -> float:
+    """Largest integer k >= 0 with k^beta <= r, robust to rounding: 0 when
+    r < 1, and inf when beta = 0 and r >= 1."""
+    if r < 1.0:
+        return 0
+    if beta == 0.0:
+        return math.inf
     m = int(np.floor(r ** (1.0 / beta)))
     while (m + 1) ** beta <= r:
         m += 1

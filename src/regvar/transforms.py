@@ -1,5 +1,6 @@
 """The two transformation families applied to sample batches, and the
-model that composes a base law with a radial gain.
+model that composes a base law with a radial gain, whose exact tail the
+base law supplies (RegVarModel.gained_tail).
 
 A sphere map rewrites directions and leaves norms untouched; a radial gain
 rescales norms direction by direction and leaves surviving directions
@@ -15,8 +16,8 @@ import numpy as np
 
 from .batch import SampleBatch
 from .errors import DimensionMismatch
-from .measures import RadialGain, RandomGainProcess, SphereMap, arc_integral
-from .models import Example2Gain, Example2Model, PolarIndependentModel, RegVarModel
+from .measures import RadialGain, RandomGainProcess, SphereMap
+from .models import RegVarModel
 
 
 def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
@@ -68,9 +69,9 @@ class TransformedModel(RegVarModel):
 
     Each chunk is drawn from the base and rescaled at once, so the unscaled
     sample never exists whole; the result equals
-    radial_scale_apply(base.sample(n, seed), gain) bit for bit. Exact tails
-    are available when the base has independent polar parts (any gain) or
-    for the accumulating-atom construction with its companion gain.
+    radial_scale_apply(base.sample(n, seed), gain) bit for bit. The exact
+    tail is the base's gained_tail for this gain, or None where the base
+    has no closed form for it.
     """
 
     def __init__(self, base: RegVarModel, gain: RadialGain):
@@ -78,34 +79,9 @@ class TransformedModel(RegVarModel):
         self.gain = gain
         self.alpha = base.alpha
         self.dim = base.dim
-        self.spectral = None
 
     def _sample_chunk(self, rng, m):
         return radial_scale_apply(self.base._sample_chunk(rng, m), self.gain)
 
     def exact_tail(self, r, sets):
-        base, gain = self.base, self.gain
-        if isinstance(base, Example2Model) and isinstance(gain, Example2Gain):
-            if abs(gain.beta - base.beta) > 1e-12:
-                return None
-            return base.transformed_tail(float(r), sets)
-        if isinstance(base, PolarIndependentModel):
-            sigma = base.sigma
-            if sigma.is_discrete:
-                vals = gain.on_atoms(sigma)
-                keep = sigma.atoms_in(sets) & (vals > 0.0)
-                if not np.any(keep):
-                    return 0.0
-                tails = base.radial.tail(float(r) / vals[keep])
-                return float(np.sum(sigma.weights[keep] * tails))
-
-            def integrand(t):
-                v = gain.at_angles(t)
-                out = np.zeros_like(v)
-                pos = v > 0
-                out[pos] = base.radial.tail(float(r) / v[pos])
-                return sigma.density_fn(t) * out
-
-            # P{R > r / h} <= 1 is bounded: the gain's points are cuts
-            return arc_integral(integrand, sets.arcs, gain.product_orders(sigma, 0.0))
-        return None
+        return self.base.gained_tail(r, sets, self.gain)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from regvar import estimation
+from regvar import estimation, measures
 from regvar.batch import SampleBatch
 from regvar.errors import DegenerateTail, EmptyInput
 from regvar.estimation import (
@@ -19,7 +19,7 @@ from regvar.estimation import (
     tail_scan,
     top_indices,
 )
-from regvar.measures import SpectralMeasure
+from regvar.measures import SpectralMeasure, arc_integral
 from regvar.models import (
     Example1Model,
     Example2Gain,
@@ -271,6 +271,25 @@ def test_tail_scan_exact_constant_for_power_tail():
     scan = tail_scan(model, 1.0, [FULL], np.geomspace(1.5, 100.0, 9))
     assert scan.mode == "exact"
     assert np.max(scan.values) - np.min(scan.values) <= 1e-12
+
+
+def test_tail_scan_integrates_each_density_arc_once(monkeypatch):
+    # the density remembers each arc's mass: one integral per quadrant,
+    # not one per radius, and the same values
+    model = PolarIndependentModel(SpectralMeasure.cosine_bump(0.5), 1.0,
+                                  ParetoLaw(1.0))
+    quadrants = [ArcSet([(j * np.pi / 2, (j + 1) * np.pi / 2)]) for j in range(4)]
+    grid = np.geomspace(1.5, 1e3, 50)
+    masses = [arc_integral(model.sigma.density_fn, q.arcs, {}) for q in quadrants]
+    want = np.array([[r * (mass * float(model.radial.tail(r))) for mass in masses]
+                     for r in grid])
+    calls = []
+    integrate = measures.integrate
+    monkeypatch.setattr(measures, "integrate",
+                        lambda *args: calls.append(1) or integrate(*args))
+    scan = tail_scan(model, 1.0, quadrants, grid)
+    assert len(calls) == 4
+    assert scan.values.tobytes() == want.tobytes()
 
 
 def test_tail_scan_transformed_example2_diverges():

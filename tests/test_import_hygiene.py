@@ -11,6 +11,10 @@ __init__.py, so no definition lives on for the tests alone.
 No module imports scipy, at any level: the runtime needs numpy alone,
 and scipy is an oracle of the tests only.
 
+A model answers for itself: outside models.py no module asks isinstance
+about a class it imports from regvar.models. A closed form that holds for
+one kind of model is a method of that model (gained_tail is one).
+
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
 refusal a user can meet carries a message and is a RegvarError, the one
 error the CLI turns into exit code 2. Every RegvarError subclass that
@@ -85,6 +89,25 @@ def test_scipy_only_through_module_level_import(path):
             continue
         problems += [f"line {node.lineno}: imports {name}" for name in names
                      if name.split(".")[0] == "scipy"]
+    assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"],
+                         ids=lambda p: p.name)
+def test_no_isinstance_on_model_classes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    from_models = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level, node.module) in ((1, "models"), (0, "regvar.models"))
+                   for alias in node.names}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            problems += [f"line {node.lineno}: isinstance with {k.id}" for k in kinds
+                         if isinstance(k, ast.Name) and k.id in from_models]
     assert not problems, f"{path.name}: " + "; ".join(problems)
 
 

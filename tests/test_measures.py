@@ -372,6 +372,17 @@ def test_density_quantile_equals_plain_interp(u):
         np.testing.assert_array_equal(got, want)
 
 
+def test_density_cdf_table_is_accurate_next_to_a_cusp():
+    # theorem3's limit shape, with a cusp |t - pi|^-0.2 on a grid node; the
+    # two cells that end there are integrated with the cusp's order. Next
+    # to the cusp the linear interpolation between nodes bounds the error:
+    # h^2 / 8 times the density's slope, about 2e-7 at 1e-3 from pi
+    mu = reweight(SpectralMeasure.uniform(), power_cusp_gain(np.pi, 0.2),
+                  1.0).normalized()
+    for t, tol in ((2.0, 1e-10), (5.0, 1e-10), (np.pi - 1e-3, 5e-7)):
+        assert abs(mu.cdf(t) - mu.mass_on(ArcSet([(0.0, t)]))) <= tol
+
+
 @given(discrete_measures())
 def test_cdf_quantile_galois(m):
     m = m.normalized()

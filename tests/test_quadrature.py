@@ -14,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from regvar import quadrature
 from regvar.errors import MomentDivergence
 from regvar.measures import (
     SpectralMeasure,
@@ -115,7 +116,8 @@ def test_cusp_moment_divergence(center, s):
 
 def test_end_of_order_one_or_more_returns_infinity():
     h = power_cusp_gain(2.0, 1.0)
-    assert h.singular_points == {2.0: 1.0}
+    # the cusp, and the kink of the circular distance at its antipode
+    assert h.singular_points == {2.0: 1.0, 2.0 + np.pi: 0.0}
     assert numpy_integrate(h.at_angles, 0.0, TWO_PI, h.singular_points) \
         == (np.inf, np.inf)
     # an end of order 1 makes the integral diverge whichever piece holds it
@@ -138,6 +140,33 @@ def test_cusp_under_smooth_factor_matches_qaws(s):
                                     0.0, TWO_PI, {3.0: s})
     assert abs(value - ref) <= 1e-10 * ref
     assert abs(value - ref) <= abserr
+
+
+@pytest.mark.parametrize("center", [3.0, 1.0])
+def test_power_cusp_moment_is_cut_at_the_antipode(center, monkeypatch):
+    # |t - c|^-0.3 (1 + cos(t) / 2) / (2 pi): QAWS on the two pieces at the
+    # cusp, a plain rule beyond the antipode, where the distance is
+    # 2 pi + c - t
+    s = 0.3
+
+    def smooth(t):
+        return (1.0 + 0.5 * np.cos(t)) / TWO_PI
+
+    far = center + np.pi
+    opts = {"epsabs": 1e-15, "epsrel": 1e-13, "limit": 200}
+    ref = (integrate.quad(smooth, 0.0, center, weight="alg", wvar=(0.0, -s), **opts)[0]
+           + integrate.quad(smooth, center, far, weight="alg", wvar=(-s, 0.0), **opts)[0]
+           + integrate.quad(lambda t: smooth(t) * (TWO_PI + center - t) ** -s,
+                            far, TWO_PI, **opts)[0])
+    calls = []
+    rows = quadrature._rows
+    monkeypatch.setattr(quadrature, "_rows",
+                        lambda *args: calls.append(1) or rows(*args))
+    value = moment_condition(SpectralMeasure.cosine_bump(0.5),
+                             power_cusp_gain(center, 0.2), 1.0, 0.5)
+    assert value == pytest.approx(ref, rel=1e-12)
+    # every piece meets the tolerance at once: no row is bisected
+    assert len(calls) == 1
 
 
 def test_reweight_by_non_integrable_cusp_names_angle_and_order():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regvar.errors import (
@@ -520,7 +520,7 @@ def test_example2_normalized_tail_constant_in_r():
     m = Example2Model(1.0, 0.5, 1.2)
     vals = [r * m.exact_tail(r, FULL) for r in np.geomspace(1.5, 1e5, 23)]
     assert max(vals) - min(vals) <= 1e-9
-    assert vals[0] == pytest.approx(m.sigma_total(), rel=1e-12)
+    assert vals[0] == pytest.approx(m.spectral.total_mass, rel=1e-12)
 
 
 def test_example2_sigma_total_bracketed_by_brute_force():
@@ -529,7 +529,9 @@ def test_example2_sigma_total_bracketed_by_brute_force():
     k = np.arange(1, 10_000_000, dtype=float)
     partial = float(np.sum(k ** -0.5 / (k * (k + 1))))
     remainder_bound = (1e7) ** -0.5 / 1e7  # < sum_{k>K} k^-nu q_k < K^-nu / K
-    total = m.sigma_total()
+    # the spectral measure's total mass is the normalized tail at r = 1
+    total = m.spectral.total_mass
+    assert m.exact_tail(1.0, FULL) == pytest.approx(total, rel=1e-15)
     assert partial < total < partial + 2 * remainder_bound
     assert total == pytest.approx(0.7523502694643, abs=1e-9)
 
@@ -570,14 +572,13 @@ def test_example2_gain_matches_sampled_atoms():
 
 def test_example2_tail_after_gain_bound_and_growth():
     m = Example2Model(1.0, 0.5, 1.2)
-    vals = [r * m.transformed_tail(r) for r in (10., 100., 1000.)]
+    gain = Example2Gain(1.2)
+    vals = [r * m.gained_tail(r, FULL, gain) for r in (10., 100., 1000.)]
     assert vals[0] < vals[1] < vals[2]
     for r, v in zip((10., 100., 1000.), vals):
         assert v >= r / (r ** (1 / 1.2) + 1.0)
     assert vals[2] >= 1000.0 / (1000.0 ** (1 / 1.2) + 1.0)
     assert 1000.0 / (1000.0 ** (1 / 1.2) + 1.0) == pytest.approx(3.152, abs=5e-4)
-    with pytest.raises(ValueError):
-        m.transformed_tail(1.0)
 
 
 def test_example2_tail_after_gain_brute_force_oracle():
@@ -589,8 +590,81 @@ def test_example2_tail_after_gain_brute_force_oracle():
     x = r / k ** beta
     tail_k = np.where(x < 1.0, 1.0, k ** -nu * np.maximum(x, 1.0) ** -alpha)
     brute = float(np.sum(tail_k / (k * (k + 1)))) + 1.0 / big
-    assert Example2Model(alpha, nu, beta).transformed_tail(r) == pytest.approx(
-        brute, rel=1e-9)
+    assert Example2Model(alpha, nu, beta).gained_tail(
+        r, FULL, Example2Gain(beta)) == pytest.approx(brute, rel=1e-9)
+
+
+_BIG = 1_000_000
+_K = np.arange(1, _BIG, dtype=float)
+_Q = 1.0 / (_K * (_K + 1.0))
+# atom k sits at pi - pi / 2^(k-1); from k = 55 on that rounds to pi
+_ATOM_ANGLES = np.pi - np.pi * np.exp2(1.0 - _K)
+_ENDPOINTS = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.integers(1, 60).map(lambda j: float(np.pi - np.pi * 2.0 ** (1 - j))),
+    st.sampled_from([0.0, np.pi, TWO_PI]))
+
+
+@st.composite
+def atom_arcs(draw):
+    """Unions of arcs whose ends are random angles, atom angles or pi."""
+    ends = sorted(set(draw(st.lists(_ENDPOINTS, min_size=2, max_size=6))))
+    assume(len(ends) >= 2)
+    pairs = list(zip(ends[::2], ends[1::2]))
+    return ArcSet([(a, b) for a, b in pairs if a < b])
+
+
+def _direct_tail_sum(alpha, nu, b, r, member, holds_pi):
+    """P{direction in B, k^b R_k > r} summed over the atoms k < 10^6 that
+    member marks in B, plus, when B holds pi, the atoms beyond. For b > 0
+    the draws keep r below (10^6)^b, so those are whole atom masses and
+    telescope to 1 / 10^6; so they do for b = 0 and r < 1. For b = 0 and
+    r >= 1 they add r^-alpha times the integral of k^(-nu - 2) from 10^6 on.
+    """
+    s = alpha * b - nu
+    sure = r < (_K ** b if b else 1.0)
+    tail = np.where(sure, 1.0, _K ** s * r ** -alpha)
+    total = float(np.sum((tail * _Q)[member]))
+    if holds_pi:
+        if r < _BIG ** b:
+            total += 1.0 / _BIG
+        else:
+            total += _BIG ** (s - 1.0) / (1.0 - s) * r ** -alpha
+    return total
+
+
+# a direct sum costs about 20 ms: 30 draws keep the property near 1 s
+@settings(max_examples=30)
+@given(st.sampled_from([(1.0, 0.5, 1.2), (2.0, 1.0, 0.8)]),
+       st.floats(np.log(0.05), np.log(1e4)).map(np.exp), atom_arcs())
+@example((1.0, 0.5, 1.2), 1.0, FULL)
+@example((1.0, 0.5, 1.2), 0.5, ArcSet([(3.0, TWO_PI)]))
+@example((1.0, 0.5, 1.2), 122.0, ArcSet([(np.pi, TWO_PI)]))
+@example((1.0, 0.5, 1.2), 124.0, ArcSet([(0.0, np.pi), (np.pi, 4.0)]))
+def test_example2_tail_series_matches_direct_sum(params, r, arcs):
+    # before the gain (b = 0) and after it (b = beta), on both sides of
+    # r = 1 and of r = 55^beta, from where atoms at the float pi count
+    # through their Pareto branch
+    alpha, nu, beta = params
+    m = Example2Model(alpha, nu, beta)
+    member, holds_pi = arcs.contains(_ATOM_ANGLES), arcs.contains(np.pi)
+    for b, got in ((0.0, m.exact_tail(r, arcs)),
+                   (beta, m.gained_tail(r, arcs, Example2Gain(beta)))):
+        want = _direct_tail_sum(alpha, nu, b, r, member, holds_pi)
+        assert abs(got - want) <= 1e-9 * want, (b, got, want)
+
+
+def test_example2_gained_tail_below_one_is_full_atom_mass():
+    # at r <= 1 every scaled norm k^beta R_k >= 1 exceeds r, and r^-alpha
+    # would overflow at r = 1e-300
+    m = Example2Model(1.0, 0.5, 1.2)
+    gain = Example2Gain(1.2)
+    # atoms 2 and 3 (q = 1/6, 1/12), and atom 1 with all atoms from 55 on
+    pairs = [(ArcSet([(np.pi / 2, np.pi - np.pi / 8)]), 0.25),
+             (ArcSet([(0.0, 0.1), (np.pi, TWO_PI)]), 0.5 + 1.0 / 55)]
+    for arcs, mass in pairs:
+        for r in (1e-300, 0.3, 1.0):
+            assert m.gained_tail(r, arcs, gain) == pytest.approx(mass, rel=1e-15)
 
 
 def test_example2_moment_series():

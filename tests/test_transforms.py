@@ -340,14 +340,26 @@ def test_transformed_model_density_exact_tail_quadrature():
 
 
 def test_transformed_example2_matches_series():
+    # over the full circle: atoms with k^1.2 <= r keep the Pareto branch
+    # k^(1.2 - 0.5) / r, the others their whole mass, 1 / (split + 1) in all
     base = Example2Model(1.0, 0.5, 1.2)
     t = TransformedModel(base, Example2Gain(1.2))
     r = 300.0
-    assert r * t.exact_tail(r, FULL) == pytest.approx(
-        r * base.transformed_tail(r), rel=1e-14)
+    split = max(k for k in range(1, 200) if k ** 1.2 <= r)
+    k = np.arange(1, split + 1, dtype=float)
+    series = float(np.sum(k ** 0.7 / (k * (k + 1)))) / r + 1.0 / (split + 1)
+    assert t.exact_tail(r, FULL) == pytest.approx(series, rel=1e-14)
+    assert t.exact_tail(r, FULL) == base.gained_tail(r, FULL, t.gain)
 
 
 def test_transformed_model_unknown_pairs_return_none():
     base = Example3Model(1.0)
     t = TransformedModel(base, constant_gain(2.0))
     assert t.exact_tail(2.0, FULL) is None
+    # the accumulating atoms know their tail after their own gain only,
+    # whose beta must match to 1e-12
+    example2 = Example2Model(1.0, 0.5, 1.2)
+    for gain in (Example2Gain(1.2 + 1e-9), constant_gain(2.0)):
+        assert TransformedModel(example2, gain).exact_tail(2.0, FULL) is None
+    assert TransformedModel(example2, Example2Gain(1.2 + 1e-13)).exact_tail(
+        2.0, FULL) is not None
