@@ -47,6 +47,7 @@ from .measures import (
     exponential_gain_process,
     identity_map,
     indicator_gain,
+    matched_masses,
     moment_condition,
     power_cusp_gain,
     pushforward,

@@ -259,7 +259,7 @@ class SpectralMeasure:
         return self._arc_masses[sets]
 
     def boundary_mass(self, arcset: ArcSet) -> float:
-        """Atom mass sitting exactly (within 1e-12) on arc endpoints."""
+        """Atom mass sitting on arc endpoints, within ATOM_MERGE_TOL."""
         if self.dim != 2:
             raise DimensionMismatch("boundary_mass is on arc ends, so d = 2 only")
         if not self.is_discrete:
@@ -267,7 +267,7 @@ class SpectralMeasure:
         ends = arcset.endpoints()
         diff = np.abs(self.angles[:, None] - ends[None, :])
         circ = np.minimum(diff, TWO_PI - diff)
-        on_boundary = np.any(circ <= 1e-12, axis=1)
+        on_boundary = np.any(circ <= ATOM_MERGE_TOL, axis=1)
         return float(np.sum(self.weights[on_boundary]))
 
     def _density_cdf_table(self):
@@ -278,12 +278,14 @@ class SpectralMeasure:
             nodes = mid[None, :] + half * _GL_X[:, None]
             vals = self.density_fn(nodes)
             cell = half * np.sum(_GL_W[:, None] * vals, axis=0)
-            # the cells that hold or end at a singular point are integrated
-            # with its order; cell -1, the last, ends at 2 pi, which is 0. A
-            # set, as numpy 2.4's np.unique imports numpy.ma (+1.4 MB RSS)
+            # the cells that end at a singular point, or hold it together
+            # with their two neighbours, are integrated with its order; cell
+            # -1, the last, ends at 2 pi, which is 0. A set, as numpy 2.4's
+            # np.unique imports numpy.ma (+1.4 MB RSS)
             at = wrap_angle(list(self.singular_points))
-            ends = [np.searchsorted(grid, at, side) - 1 for side in ("left", "right")]
-            for i in set((np.concatenate(ends) % cell.size).tolist()):
+            lo, hi = (np.searchsorted(grid, at, side) - 1 for side in ("left", "right"))
+            cells = np.concatenate([lo, hi, lo[lo == hi] - 1, hi[lo == hi] + 1])
+            for i in set((cells % cell.size).tolist()):
                 cell[i] = integrate(self.density_fn, grid[i], grid[i + 1],
                                     self.singular_points)[0]
             cum = np.concatenate(([0.0], np.cumsum(cell)))
@@ -749,39 +751,45 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
 # distances
 
 
-def distance_tv(a: SpectralMeasure, b: SpectralMeasure,
-                atol: float = TV_MATCH_TOL) -> float:
-    """Total variation distance between two atomic measures.
-
-    Atoms are matched as merge_atoms merges them at tolerance atol, and
-    each group contributes |mass of a - mass of b|, so unmatched mass
-    counts fully. For d >= 3 the groups are the cells of a grid of pitch
-    atol, and two atoms within atol of each other can straddle a cell edge
-    and count as unmatched. Density measures are not supported (use
-    distance_ks).
-    """
+def matched_masses(a: SpectralMeasure, b: SpectralMeasure):
+    """The mass under a and the mass under b of each group that merge_atoms
+    makes of both measures' atoms at TV_MATCH_TOL: the one rule for which
+    atoms of two measures are the same. When d = 2 the groups come in angle
+    order, the group across the 0/2*pi seam first."""
     if not (a.is_discrete and b.is_discrete):
-        raise UnsupportedPair("total variation needs two atomic measures")
+        raise UnsupportedPair("matching atoms needs two atomic measures")
     if a.dim != b.dim:
         raise DimensionMismatch("measures live on different spheres")
-    w = np.concatenate([a.weights, -b.weights])
     at = np.concatenate([a.atoms, b.atoms], axis=-1)
-    return 0.5 * float(np.sum(np.abs(merge_atoms(at, w, atol)[1])))
+    return tuple(merge_atoms(at, np.concatenate(w), TV_MATCH_TOL)[1]
+                 for w in ((a.weights, np.zeros(b.n_atoms)),
+                           (np.zeros(a.n_atoms), b.weights)))
+
+
+def distance_tv(a: SpectralMeasure, b: SpectralMeasure) -> float:
+    """Total variation distance between two atomic measures: half the sum of
+    |mass of a - mass of b| over the groups of matched_masses, so unmatched
+    mass counts fully. For d >= 3 two atoms within TV_MATCH_TOL can straddle
+    a grid cell edge and count as unmatched (see merge_atoms)."""
+    ma, mb = matched_masses(a, b)
+    return 0.5 * float(np.sum(np.abs(ma - mb)))
 
 
 def distance_ks(a: SpectralMeasure, b: SpectralMeasure) -> float:
     """Kolmogorov distance sup |F_a - F_b| of the angle CDFs (d = 2).
 
-    The supremum is taken over a 2^14-point grid plus every atom location,
-    which attains it exactly for step CDFs.
+    Two atomic measures step at the groups of matched_masses, the atoms
+    that TV matches, so KS <= TV for equal masses; each side's masses are
+    summed apart, as cdf does. Against a density the supremum is taken over
+    a 2^14-point grid plus every atom location.
     """
     if a.dim != 2 or b.dim != 2:
         raise DimensionMismatch("Kolmogorov distance compares angle cdfs, so d = 2 only")
+    if a.is_discrete and b.is_discrete:
+        ma, mb = matched_masses(a, b)
+        return float(np.max(np.abs(np.cumsum(ma) - np.cumsum(mb))))
     pts = [np.linspace(0.0, TWO_PI, KS_GRID, endpoint=False)]
-    for m in (a, b):
-        if m.is_discrete:
-            pts.append(m.angles)
-    grid = np.unique(np.concatenate(pts))
+    grid = np.unique(np.concatenate(pts + [m.angles for m in (a, b) if m.is_discrete]))
     return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
 
 

@@ -367,7 +367,7 @@ class Example2Model(RegVarModel):
         k^b R_k exceeds r surely when r < k^b, and with probability
         k^(alpha b - nu) r^-alpha otherwise. Atoms from 55 on sit at the
         float pi: their sure masses telescope to 1/(split + 1), and the
-        others sum as a Hurwitz series when split is infinite (b = 0).
+        others sum as the Hurwitz series from 55 less the one past split.
         """
         if not isinstance(sets, ArcSet):
             raise TypeError("example2 evaluation sets are arc unions")
@@ -378,11 +378,9 @@ class Example2Model(RegVarModel):
         member = sets.contains(_atom_angle(k))
         cofinite = sets.contains(np.pi)
         head = float(np.sum((k ** s / (k * (k + 1)))[member & (k <= split)]))
-        if cofinite and split == math.inf:
-            head += _qk_power_sum_from(_K_FLOAT_PI, s)
-        elif cofinite and split >= _K_FLOAT_PI:
-            ks = np.arange(_K_FLOAT_PI, split + 1, dtype=float)
-            head += float(np.sum(ks ** s / (ks * (ks + 1))))
+        if cofinite and split >= _K_FLOAT_PI:
+            head += _qk_power_sum_from(_K_FLOAT_PI, s) - (
+                _qk_power_sum_from(split + 1, s) if split < math.inf else 0.0)
         # r < 1 leaves the head empty, and r^-alpha may overflow there
         tail = head * r ** -self.alpha if head else 0.0
         tail += float(np.sum((1.0 / (k * (k + 1)))[member & (k > split)]))

@@ -32,6 +32,7 @@ from .measures import (
     distance_ks,
     expected_gain_reweight,
     exponential_gain_process,
+    matched_masses,
     moment_condition,
     pushforward,
     reweight,
@@ -154,11 +155,6 @@ def _estimate_transformed(s: Scenario, model, transform,
                     target=target)
 
 
-def _mass_near(m: SpectralMeasure, theta: float, tol: float = 1e-6) -> float:
-    lo, hi = max(0.0, theta - tol), min(TWO_PI, theta + tol)
-    return m.mass_on(ArcSet([(lo, hi)]))
-
-
 def run_scenario(s: Scenario) -> Report:
     """Run a named scenario and report one pass/fail entry per check."""
     start = time.perf_counter()
@@ -213,10 +209,10 @@ def _run_corollary1(s: Scenario) -> Report:
         s, model, lambda b: spherical_map_apply(b, qmap), target)
 
     checks = [Check("exact_pushforward_ks", exact_ks, tol["exact_pushforward_ks"])]
-    for which, atom in zip(("first", "second"), target_spec["atoms"]):
-        weight = _mass_near(est.spectral_hat, atom["angle"])
-        checks.append(Check(f"weight_error_{which}_atom",
-                            abs(weight - atom["weight"]), tol["weight_error"]))
+    got, want = matched_masses(est.spectral_hat, target)
+    for which, error in zip(("first", "second"), np.abs(got - want)[want > 0]):
+        checks.append(Check(f"weight_error_{which}_atom", float(error),
+                            tol["weight_error"]))
     checks.append(Check("spectral_tv", est.distances["tv"], None, "info"))
     return Report("corollary1", config, checks)
 

@@ -17,6 +17,7 @@ from regvar.errors import (
 from regvar.measures import (
     ATOM_MERGE_TOL,
     MC_CHUNK_ROWS,
+    TV_MATCH_TOL,
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
@@ -383,6 +384,18 @@ def test_density_cdf_table_is_accurate_next_to_a_cusp():
         assert abs(mu.cdf(t) - mu.mass_on(ArcSet([(0.0, t)]))) <= tol
 
 
+def test_density_cdf_table_is_accurate_next_to_a_cusp_inside_a_cell():
+    # the cusp at 3.0 falls strictly inside a cell; that cell and its two
+    # neighbours are integrated with the cusp's order (the neighbours'
+    # 4-point rule alone left an error near 3e-9)
+    mu = reweight(SpectralMeasure.cosine_bump(0.5), power_cusp_gain(3.0, 0.2),
+                  1.0).normalized()
+    grid, _ = mu._density_cdf_table()
+    assert 3.0 not in grid
+    for t in (2.0, 5.0):
+        assert abs(mu.cdf(t) - mu.mass_on(ArcSet([(0.0, t)]))) <= 1e-10
+
+
 @given(discrete_measures())
 def test_cdf_quantile_galois(m):
     m = m.normalized()
@@ -486,6 +499,10 @@ def test_tv_hand_case():
     a = disc(centers, [0.25] * 4)
     b = disc(centers, [0.3, 0.2, 0.3, 0.2])
     assert distance_tv(a, b) == pytest.approx(0.1, abs=1e-15)
+    # atoms one ulp apart are the same atom to TV and to KS alike
+    moved = disc(np.nextafter(centers, 0.0), b.weights)
+    assert distance_tv(a, moved) == distance_tv(a, b)
+    assert distance_ks(a, moved) == distance_ks(a, b) <= distance_tv(a, b)
 
 
 def test_tv_rejects_density():
@@ -493,12 +510,11 @@ def test_tv_rejects_density():
         distance_tv(SpectralMeasure.uniform(), disc([0.0], [1.0]))
 
 
-TV_ATOL = 0.01
-# cluster centres 0.157 apart; atoms sit within 0.004 of their centre, so
-# a cluster spans at most 0.008 < TV_ATOL and neighbours stay 0.149 apart,
-# well clear of the tolerance either way
+# cluster centres 0.157 apart; atoms sit within 4e-7 of their centre, so
+# a cluster spans at most 8e-7 < TV_MATCH_TOL and neighbours stay 0.157
+# apart, well clear of the tolerance either way
 TV_CENTRES = TWO_PI * np.arange(40) / 40
-TV_OFFSETS = 0.001 * np.arange(-4, 5)
+TV_OFFSETS = 1e-7 * np.arange(-4, 5)
 
 
 @st.composite
@@ -550,9 +566,9 @@ def tv_oracle(a, b, atol):
 @given(clustered_pairs())
 def test_tv_matches_brute_force_clustering(pair):
     a, b = pair
-    want = tv_oracle(a, b, TV_ATOL)
-    assert distance_tv(a, b, atol=TV_ATOL) == pytest.approx(want, abs=1e-12)
-    assert distance_tv(b, a, atol=TV_ATOL) == pytest.approx(want, abs=1e-12)
+    want = tv_oracle(a, b, TV_MATCH_TOL)
+    assert distance_tv(a, b) == pytest.approx(want, abs=1e-12)
+    assert distance_tv(b, a) == pytest.approx(want, abs=1e-12)
 
 
 def test_distances_symmetric_nonnegative():
@@ -565,8 +581,32 @@ def test_distances_symmetric_nonnegative():
 
 def test_ks_attains_sup_for_steps():
     a = disc([1.0], [1.0])
-    b = disc([1.0 - 1e-7], [1.0])  # off-grid atom location still probed
+    b = disc([1.0 - 1e-5], [1.0])  # off-grid atom location still probed
     assert distance_ks(a, b) == pytest.approx(1.0)
+
+
+@st.composite
+def moved_pairs(draw):
+    """A normalized atomic measure and a normalized one on some of its
+    atoms, each moved by up to TV_MATCH_TOL / 2 and reweighted."""
+    a = draw(discrete_measures()).normalized()
+    keep = draw(st.lists(st.booleans(), min_size=a.n_atoms, max_size=a.n_atoms))
+    assume(any(keep))
+    shifts = draw(st.lists(st.floats(-TV_MATCH_TOL / 2, TV_MATCH_TOL / 2),
+                           min_size=a.n_atoms, max_size=a.n_atoms))
+    weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=a.n_atoms,
+                            max_size=a.n_atoms))
+    angles = (a.angles + np.asarray(shifts))[keep]
+    b = SpectralMeasure.discrete(angles, np.asarray(weights)[keep], merge=True)
+    return a, b.normalized()
+
+
+@given(moved_pairs())
+def test_ks_is_at_most_tv_for_matched_atoms(pair):
+    a, b = pair
+    ks, tv = distance_ks(a, b), distance_tv(a, b)
+    assert ks <= tv + 1e-12
+    assert distance_ks(b, a) == pytest.approx(ks, abs=1e-15)
 
 
 def test_ks_needs_planar():

@@ -25,6 +25,7 @@ from regvar.models import (
 )
 from regvar.radial import OscillatingTailLaw, ParetoLaw
 from regvar.rng import CHUNK
+from regvar.sphere import ArcSet
 from regvar.transforms import TransformedModel
 
 N = 1 << 20
@@ -94,6 +95,16 @@ def test_gained_sample_never_holds_the_unscaled_sample(workers):
     batch, peak = traced_peak(model.sample, N, 3, workers)
     assert batch.zero_count > 0
     assert peak <= 1.5 * nbytes(batch)
+
+
+def test_example2_gained_tail_peak_does_not_grow_with_r():
+    # atoms 55 to r^(1/beta), about 1e10 of them at r = 1e12, sum as two
+    # Hurwitz series rather than as an array
+    r = 1e12
+    tail, peak = traced_peak(Example2Model(1.0, 0.5, 1.2).gained_tail, r,
+                             ArcSet.full_circle(), Example2Gain(1.2))
+    assert peak < 1 << 20
+    assert r * tail >= r / (r ** (1 / 1.2) + 1.0)
 
 
 SIZES = [1 << 18, 1 << 20]

@@ -641,10 +641,11 @@ def _direct_tail_sum(alpha, nu, b, r, member, holds_pi):
 @example((1.0, 0.5, 1.2), 0.5, ArcSet([(3.0, TWO_PI)]))
 @example((1.0, 0.5, 1.2), 122.0, ArcSet([(np.pi, TWO_PI)]))
 @example((1.0, 0.5, 1.2), 124.0, ArcSet([(0.0, np.pi), (np.pi, 4.0)]))
+@example((1.0, 0.5, 1.2), 1e6, FULL)
 def test_example2_tail_series_matches_direct_sum(params, r, arcs):
     # before the gain (b = 0) and after it (b = beta), on both sides of
     # r = 1 and of r = 55^beta, from where atoms at the float pi count
-    # through their Pareto branch
+    # through their Pareto branch; at r = 1e6 atoms 55 to 99 999 do
     alpha, nu, beta = params
     m = Example2Model(alpha, nu, beta)
     member, holds_pi = arcs.contains(_ATOM_ANGLES), arcs.contains(np.pi)

@@ -33,6 +33,7 @@ from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
 from regvar.rng import CHUNK, GAIN_STREAM, substream
 from regvar.scenarios import SCENARIO_NAMES, Check, Report, Scenario, run_scenario
+from regvar.sphere import TWO_PI
 from regvar.specs import (
     gain_from_spec,
     is_random_gain_spec,
@@ -603,6 +604,34 @@ def test_cli_estimate(tmp_path):
     assert data["k_used"] == 200
     assert 0.5 < data["alpha_hat"] < 2.0
     assert "ks" in data["distances"]
+
+
+def test_cli_estimate_matches_target_atoms_one_ulp_away(tmp_path):
+    # quadrant_snap's atoms come back from the CSV one ulp from the
+    # centres pi/4 + j pi/2 written in the target: TV and KS both count
+    # them as the same atom, so KS stays at or below TV
+    bump, q = 0.5, np.pi / 2
+    model = dict(UNIFORM_PARETO, sigma={"kind": "density", "dim": 2, "density":
+                                        {"name": "cosine_bump", "amplitude": bump}})
+    centres = [q / 2 + j * q for j in range(4)]
+    masses = [(q + bump * (np.sin((j + 1) * q) - np.sin(j * q))) / TWO_PI
+              for j in range(4)]
+    x, y, rep = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "rep.json"
+    target = json.dumps({"kind": "discrete", "dim": 2, "atoms": [
+        {"angle": c, "weight": w} for c, w in zip(centres, masses)]})
+    assert cli_main(["sample", "--model", json.dumps(model), "-n", "20000",
+                     "--seed", "7", "-o", str(x)]) == 0
+    assert cli_main(["transform", "--input", str(x), "--map",
+                     '{"kind": "quadrant_snap"}', "-o", str(y)]) == 0
+    assert cli_main(["estimate", "--input", str(y), "--top", "0.01", "--target",
+                     target, "--seed", "8", "-o", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    atoms = data["spectral_hat"]["atoms"]
+    gaps = [abs(a["angle"] - c) for a, c in zip(atoms, centres)]
+    assert len(atoms) == 4 and 0.0 < max(gaps) < 1e-15
+    tv = 0.5 * sum(abs(a["weight"] - w) for a, w in zip(atoms, masses))
+    assert data["distances"]["tv"] == pytest.approx(tv, abs=1e-15)
+    assert data["distances"]["ks"] <= data["distances"]["tv"]
 
 
 def test_cli_verify_exit_codes(tmp_path):
