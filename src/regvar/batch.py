@@ -1,4 +1,4 @@
-"""Seeded, ordered batches of sample points with cached polar decomposition."""
+"""Ordered batches of sample points with cached polar decomposition."""
 
 from __future__ import annotations
 
@@ -31,11 +31,10 @@ class SampleBatch:
     """
 
     def __init__(self, points: np.ndarray, norms: np.ndarray, dirs: np.ndarray,
-                 seed: int | None = None, zero_count: int = 0):
+                 zero_count: int = 0):
         self.points = _read_only(np.ascontiguousarray(points, dtype=float))
         self.norms = _read_only(np.asarray(norms, dtype=float))
         self.dirs = _read_only(np.asarray(dirs, dtype=float))
-        self.seed = seed
         self.zero_count = int(zero_count)
         if self.points.ndim != 2:
             raise ValueError("points must be a (d, n) array")
@@ -44,19 +43,18 @@ class SampleBatch:
         self._angles = None
 
     @classmethod
-    def from_points(cls, points: np.ndarray, seed: int | None = None,
+    def from_points(cls, points: np.ndarray,
                     zero_count: int = 0) -> "SampleBatch":
         """Build a batch from raw coordinates, recomputing the polar cache."""
         points = np.ascontiguousarray(points, dtype=float)
         norms = norms_of(points)
         if np.any(norms == 0.0):
             raise DegeneratePoint("batch contains the zero vector")
-        return cls(points, norms, points / norms, seed=seed,
-                   zero_count=zero_count)
+        return cls(points, norms, points / norms, zero_count=zero_count)
 
     @classmethod
     def from_polar(cls, norms: np.ndarray, dirs: np.ndarray,
-                   seed: int | None = None, zero_count: int = 0) -> "SampleBatch":
+                   zero_count: int = 0) -> "SampleBatch":
         """Build a batch from native (norm, direction) data. A norm that is
         not positive raises DegeneratePoint; a NaN or infinite one, as an
         overflowed draw gives, raises NonFiniteInput."""
@@ -68,7 +66,7 @@ class SampleBatch:
                 raise DegeneratePoint("norms must be positive")
             if not (lo > 0.0 and hi < np.inf):
                 raise NonFiniteInput("a norm is NaN or infinite")
-        return cls(dirs * norms, norms, dirs, seed=seed, zero_count=zero_count)
+        return cls(dirs * norms, norms, dirs, zero_count=zero_count)
 
     @property
     def dim(self) -> int:
@@ -91,9 +89,8 @@ class SampleBatch:
         round-trip, so pipelines that canonicalize at stage boundaries give
         bit-identical results in memory and through files.
         """
-        return SampleBatch.from_points(self.points, seed=self.seed,
-                                       zero_count=self.zero_count)
+        return SampleBatch.from_points(self.points, zero_count=self.zero_count)
 
     def __repr__(self):
-        return (f"SampleBatch(d={self.dim}, n={self.size}, seed={self.seed}, "
+        return (f"SampleBatch(d={self.dim}, n={self.size}, "
                 f"zero_count={self.zero_count})")

@@ -174,11 +174,6 @@ class SpectralMeasure:
         return cls("discrete", coords.shape[0], coords=coords, weights=weights)
 
     @classmethod
-    def empirical(cls, angles, weights, total_mass=None):
-        return cls("empirical", 2, angles=angles, weights=weights, merge=True,
-                   total_mass=total_mass)
-
-    @classmethod
     def density(cls, density_fn, spec=None, singular_points=None, total_mass=None):
         return cls("density", 2, density_fn=density_fn, density_spec=spec,
                    singular_points=singular_points, total_mass=total_mass)

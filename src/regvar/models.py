@@ -129,7 +129,7 @@ class RegVarModel:
             del part  # before the next chunk is drawn
         if size < n:
             points, norms, dirs = (_leading(a, size) for a in (points, norms, dirs))
-        return SampleBatch(points, norms, dirs, seed=seed, zero_count=zero_count)
+        return SampleBatch(points, norms, dirs, zero_count=zero_count)
 
     def exact_tail(self, r: float, sets) -> float | None:
         """P{direction in sets, norm > r} in closed form, when available."""
@@ -217,10 +217,14 @@ class Example1Model(RegVarModel):
         return self.plus_law if sign > 0 else self.minus_law
 
     def _sample_chunk(self, rng, m):
-        plus = rng.random(m) < 0.5
-        radii = OscillatingTailLaw.inverse_tail(
-            1.0 - rng.random(m), self.alpha, self.amplitude,
-            np.where(plus, 1.0, -1.0))
+        # the mixture's norm is Pareto(alpha); by Bayes' rule, given R = r
+        # the side is + with probability half the plus law's density ratio
+        radii = ParetoLaw(self.alpha).sample(rng, m)
+        ratio = self.plus_law.density_ratio(radii)
+        u = rng.random(m)
+        u += u
+        plus = u < ratio
+        del ratio, u  # before theta and the directions are built
         # theta is 1 / ray on the plus side and 2 pi - 1 / ray on the other,
         # built in one array
         theta = np.floor(radii)

@@ -23,7 +23,7 @@ from .models import RegVarModel
 def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
     """Replace each direction by its image; the norms array is shared."""
     return SampleBatch.from_polar(batch.norms, f.apply_dirs(batch.dirs),
-                                  seed=batch.seed, zero_count=batch.zero_count)
+                                  zero_count=batch.zero_count)
 
 
 def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
@@ -41,7 +41,7 @@ def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
         norms, dirs, vals = norms[keep], dirs[:, keep], vals[keep]
     with np.errstate(over="ignore"):
         norms = norms * vals
-    return SampleBatch.from_polar(norms, dirs, seed=batch.seed,
+    return SampleBatch.from_polar(norms, dirs,
                                   zero_count=batch.zero_count + removed)
 
 

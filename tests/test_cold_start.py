@@ -122,17 +122,6 @@ print(json.dumps([repr(v) for v in values]))
     assert cold == warm
 
 
-def test_import_builds_no_inverse_table(tmp_path):
-    # the oscillating law's start table is built on first use
-    out = _run_cold("""
-import json
-import regvar, regvar.cli
-from regvar.radial import _start_table
-print(json.dumps({"tables": _start_table.cache_info().currsize}))
-""", tmp_path)
-    assert out["tables"] == 0
-
-
 def test_import_builds_no_jacobi_rule(tmp_path):
     # the quadrature's Gauss-Jacobi rules are built per order on first use
     out = _run_cold("""

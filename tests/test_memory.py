@@ -72,8 +72,8 @@ def oscillating_polar():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sample_peak_is_output_plus_chunks_in_flight(workers):
-    # the oscillating law's Newton solver works on small blocks, so its
-    # samplers meet the uniform/Pareto bound too
+    # the oscillating laws thin Pareto draws in place, so their samplers
+    # meet the uniform/Pareto bound too
     for model in (uniform_pareto(), Example1Model(1.0, 0.5), oscillating_polar()):
         batch, peak = traced_peak(model.sample, N, 3, workers)
         assert batch.size == N

@@ -72,9 +72,12 @@ def test_measure_spec_roundtrip_density_and_empirical():
     assert u.total_mass == 1.0
     bump = measure_from_spec(measure_to_spec(SpectralMeasure.cosine_bump(0.3)))
     assert bump.density_spec["amplitude"] == 0.3
-    e = SpectralMeasure.empirical([0.5, 1.0], [0.5, 0.5])
+    e = measure_from_spec({"kind": "empirical", "dim": 2, "atoms": [
+        {"angle": 0.5, "weight": 0.5}, {"angle": 1.0, "weight": 0.5}]})
     again = measure_from_spec(measure_to_spec(e))
     assert again.kind == "empirical"
+    np.testing.assert_array_equal(again.angles, [0.5, 1.0])
+    np.testing.assert_array_equal(again.weights, [0.5, 0.5])
 
 
 def test_measure_spec_roundtrip_d3():
