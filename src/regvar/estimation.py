@@ -11,11 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import DegenerateTail, DimensionMismatch, EmptyInput, UnsupportedPair
+from .errors import (
+    DegenerateTail,
+    DimensionMismatch,
+    EmptyInput,
+    InvalidParameter,
+    UnsupportedPair,
+    positive_finite,
+)
 from .measures import SpectralMeasure, distance_ks, distance_tv
-from .rng import BOOTSTRAP_STREAM, substream
+from .rng import BOOTSTRAP_STREAM, CHUNK, substream
 from .specs import measure_to_spec
-from .sphere import ArcSet, CapSet
+from .sphere import ArcSet, angles_of
 
 BOOTSTRAP_RESAMPLES = 200
 _TOP_FACTOR = 4  # the bootstrap's top M is _TOP_FACTOR * (k+1) norms
@@ -89,17 +96,32 @@ def hill_estimator(batch_or_norms, k: int) -> float:
 def qn_measure(batch: SampleBatch, model_alpha: float, r: float, sets) -> float:
     """n times the empirical frequency of {direction in sets, norm > r b_n},
     with b_n = n^(1/alpha)."""
+    model_alpha = positive_finite(model_alpha, "model_alpha")
+    r = positive_finite(r, "r")
     n = batch.size
     if n == 0:
         raise EmptyInput("empty batch")
-    threshold = r * n ** (1.0 / model_alpha)
-    if isinstance(sets, ArcSet):
-        member = sets.contains(batch.angles())
-    elif isinstance(sets, CapSet):
-        member = sets.contains(batch.dirs)
-    else:
-        raise TypeError("sets must be an ArcSet or CapSet")
-    return float(np.count_nonzero(member & (batch.norms > threshold)))
+    # b_n beyond the double range is infinite, and no norm exceeds it
+    with np.errstate(over="ignore"):
+        threshold = r * np.float64(n) ** (1.0 / model_alpha)
+    return float(_exceedance_counts(batch, [sets], np.array([threshold]))[0, 0])
+
+
+def _exceedance_counts(batch: SampleBatch, sets: list,
+                       radii: np.ndarray) -> np.ndarray:
+    """(len(radii), len(sets)) int64 counts of the points with direction in
+    sets[j] and norm > radii[i], taken CHUNK points at a time; angles are
+    computed only when some set is an ArcSet."""
+    counts = np.zeros((radii.size, len(sets)), dtype=np.int64)
+    arcs = any(isinstance(b, ArcSet) for b in sets)
+    for start in range(0, batch.size, CHUNK):
+        above = batch.norms[start:start + CHUNK] > radii[:, None]
+        dirs = batch.dirs[:, start:start + CHUNK]
+        theta = angles_of(dirs) if arcs else None
+        for j, b in enumerate(sets):
+            member = b.contains(theta if isinstance(b, ArcSet) else dirs)
+            counts[:, j] += np.count_nonzero(above & member, axis=1)
+    return counts
 
 
 @dataclass
@@ -126,21 +148,24 @@ def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
     """Scan r^alpha * P{direction in B, norm > r} over a grid of r.
 
     source is a model with exact tails (exact mode) or a SampleBatch of at
-    least 10^3 points (empirical mode).
+    least 10^3 points (empirical mode), whose exact counts are taken by
+    blocks of CHUNK points. alpha and every radius must be positive and
+    finite, and the grid strictly increasing.
     """
+    positive_finite(alpha, "alpha")
     r_grid = np.asarray(r_grid, dtype=float)
+    for r in r_grid.flat:
+        positive_finite(r, "r_grid radius")
+    if np.any(np.diff(r_grid) <= 0):
+        raise InvalidParameter("r_grid must be strictly increasing")
     sets = list(sets)
     values = np.empty((r_grid.size, len(sets)))
     if isinstance(source, SampleBatch):
         if source.size < 1000:
             raise ValueError("empirical scans need at least 10^3 points")
-        n = source.size
-        for j, b in enumerate(sets):
-            member = b.contains(source.angles()) if isinstance(b, ArcSet) \
-                else b.contains(source.dirs)
-            for i, r in enumerate(r_grid):
-                count = np.count_nonzero(member & (source.norms > r))
-                values[i, j] = r ** alpha * count / n
+        counts = _exceedance_counts(source, sets, r_grid)
+        for i, r in enumerate(r_grid):
+            values[i] = r ** alpha * counts[i] / source.size
         mode = "empirical"
     else:
         for j, b in enumerate(sets):

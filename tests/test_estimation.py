@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from regvar import estimation, measures
 from regvar.batch import SampleBatch
-from regvar.errors import DegenerateTail, EmptyInput
+from regvar.errors import (
+    DegenerateTail,
+    DimensionMismatch,
+    EmptyInput,
+    InvalidParameter,
+)
 from regvar.estimation import (
     _bootstrap_hill,
     bootstrap_alpha_ci,
@@ -27,11 +32,15 @@ from regvar.models import (
     PolarIndependentModel,
 )
 from regvar.radial import ParetoLaw
-from regvar.rng import BOOTSTRAP_STREAM, substream
-from regvar.sphere import TWO_PI, ArcSet
+from regvar.rng import BOOTSTRAP_STREAM, CHUNK, substream
+from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of, directions_of
 from regvar.transforms import TransformedModel
 
 FULL = ArcSet.full_circle()
+# 16 planar directions that many points of tied_batch share
+LATTICE = directions_of(np.arange(16) * (np.pi / 8))
+# batch sizes on both sides of the empirical counter's block edges
+EDGE_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
 
 
 def batch_from(points):
@@ -237,13 +246,48 @@ def test_bootstrap_ci_infinite_ends():
 # qn functional
 
 
-def test_qn_equals_direct_count():
-    model = uniform_pareto(1.0)
-    b = model.sample(10_000, 9)
-    r = 2.0
-    bn = 10_000.0
-    direct = float(np.count_nonzero(b.norms > r * bn))
-    assert qn_measure(b, 1.0, r, FULL) == direct
+def tied_batch(n, seed, levels):
+    """n planar points, half of them on the directions of LATTICE and half
+    with a norm from levels, so that arcs ending at a lattice angle and
+    radii from levels have points exactly on their boundaries."""
+    rng = np.random.default_rng(seed)
+    norms = 1.0 + rng.pareto(1.0, n)
+    tied = rng.random(n) < 0.5
+    norms[tied] = rng.choice(np.asarray(levels, dtype=float), np.count_nonzero(tied))
+    dirs = directions_of(rng.uniform(0.0, TWO_PI, n))
+    on = rng.random(n) < 0.5
+    dirs[:, on] = LATTICE[:, rng.integers(0, 16, np.count_nonzero(on))]
+    return SampleBatch.from_polar(norms, dirs)
+
+
+def lattice_arcs(picks):
+    """The full circle, two overlapping arcs and a two-arc set wrapping
+    through 0, all ending at the lattice angles picked (four, in 1..15)."""
+    e = angles_of(LATTICE)[sorted(picks)]
+    return [FULL, ArcSet([(e[0], e[2])]), ArcSet([(e[1], e[3])]),
+            ArcSet([(e[3], TWO_PI), (0.0, e[0])])]
+
+
+def direct_count(batch, b, r):
+    """Points with direction in b and norm > r, counted over the whole batch."""
+    member = b.contains(batch.angles() if isinstance(b, ArcSet) else batch.dirs)
+    return np.count_nonzero(member & (batch.norms > r))
+
+
+picks_st = st.lists(st.integers(1, 15), min_size=4, max_size=4, unique=True)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), picks=picks_st,
+       r=st.floats(1e-3, 1e-2), alpha=st.floats(0.5, 4.0))
+def test_qn_equals_direct_count(seed, picks, r, alpha):
+    # qn_measure is the exact count: norms tie with the threshold, and
+    # lattice points sit on the arcs' endpoints
+    for n in EDGE_SIZES:
+        b = tied_batch(n, seed, [r * n ** (1.0 / alpha)])
+        for arcs in lattice_arcs(picks):
+            want = float(direct_count(b, arcs, r * n ** (1.0 / alpha)))
+            assert qn_measure(b, alpha, r, arcs) == want
 
 
 def test_qn_replicate_mean_matches_limit():
@@ -260,6 +304,12 @@ def test_qn_empty_arc():
     b = model.sample(5_000, 2)
     tiny = ArcSet([(1.0, 1.0 + 1e-9)])
     assert qn_measure(b, 1.0, 5.0, tiny) == 0.0
+
+
+def test_qn_threshold_beyond_double_range_counts_nothing():
+    # b_n = n^(1/alpha) overflows at alpha = 0.01; no norm exceeds it
+    b = uniform_pareto(1.0).sample(10_000, 1)
+    assert qn_measure(b, 0.01, 1.0, FULL) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +366,73 @@ def test_tail_scan_empirical_needs_mass():
     model = uniform_pareto(1.0)
     with pytest.raises(ValueError):
         tail_scan(model.sample(100, 0), 1.0, [FULL], [2.0, 3.0])
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), picks=picks_st,
+       radii=st.lists(st.floats(1.0, 1e3), min_size=1, max_size=10, unique=True),
+       alpha=st.floats(0.5, 4.0))
+def test_tail_scan_empirical_counts_exactly(n, seed, picks, radii, alpha):
+    # counted by blocks, each value is r^alpha * count / n of the whole-batch
+    # count, bit for bit; norms equal to a radius are not above it, and a
+    # direction on an arc's start is in it, on its end out
+    grid = np.sort(radii)
+    b = tied_batch(n, seed, grid)
+    sets = lattice_arcs(picks)
+    assert np.all(np.isin(angles_of(LATTICE)[picks], b.angles()))
+    scan = tail_scan(b, alpha, sets, grid)
+    want = np.array([[r ** alpha * direct_count(b, s, r) / n for s in sets]
+                     for r in grid])
+    assert scan.values.tobytes() == want.tobytes()
+
+
+def test_empirical_scan_of_caps_in_three_dimensions():
+    rng = np.random.default_rng(4)
+    n = CHUNK + 1
+    b = SampleBatch.from_points(rng.standard_normal((3, n))
+                                * (1.0 + rng.pareto(1.0, n)))
+    caps = [CapSet([((0.0, 0.0, 1.0), 0.5)]),
+            CapSet([((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.9)])]
+    grid = np.geomspace(1.5, 50.0, 6)
+    scan = tail_scan(b, 1.5, caps, grid)
+    want = np.array([[r ** 1.5 * direct_count(b, c, r) / n for c in caps]
+                     for r in grid])
+    assert scan.values.tobytes() == want.tobytes()
+    assert qn_measure(b, 2.0, 0.01, caps[1]) == \
+        float(direct_count(b, caps[1], 0.01 * n ** 0.5))
+    with pytest.raises(DimensionMismatch):
+        tail_scan(b, 1.0, [caps[0], FULL], grid)
+    with pytest.raises(DimensionMismatch):
+        qn_measure(b, 1.0, 0.01, FULL)
+
+
+@pytest.mark.parametrize("alpha, grid, name", [
+    (1.0, [2.0, np.nan, 5.0], "r_grid"),
+    (1.5, [-1.0, 2.0], "r_grid"),
+    (1.0, [0.0, 2.0], "r_grid"),
+    (1.0, [2.0, np.inf], "r_grid"),
+    (1.0, [3.0, 2.0], "r_grid"),
+    (1.0, [2.0, 2.0], "r_grid"),
+    (np.nan, [2.0, 3.0], "alpha"),
+    (-1.0, [2.0, 3.0], "alpha"),
+])
+def test_tail_scan_refuses_bad_alpha_or_grid(alpha, grid, name):
+    # in both modes, before any counting or quadrature
+    model = uniform_pareto(1.0)
+    for source in (model, model.sample(2_000, 1)):
+        with pytest.raises(InvalidParameter, match=rf"^{name}\b"):
+            tail_scan(source, alpha, [FULL], grid)
+
+
+@pytest.mark.parametrize("alpha, r, name", [
+    (1.0, np.nan, "r"), (1.0, -1.0, "r"), (1.0, 0.0, "r"), (1.0, np.inf, "r"),
+    (np.nan, 2.0, "model_alpha"), (0.0, 2.0, "model_alpha"),
+])
+def test_qn_refuses_bad_alpha_or_radius(alpha, r, name):
+    b = uniform_pareto(1.0).sample(2_000, 1)
+    with pytest.raises(InvalidParameter, match=rf"^{name}\b"):
+        qn_measure(b, alpha, r, FULL)
 
 
 def test_tail_scan_oscillation_diagnostic():

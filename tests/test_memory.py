@@ -5,7 +5,8 @@ temporaries: they copy each chunk into an output allocated once. The CLI
 steps hold no whole batch at all: `sample` writes each chunk as it is drawn,
 and `transform` and `estimate` parse their input once, then take it block
 by block, so beyond the parsed rows (and the norms, for `estimate`) each
-holds a few blocks, the same number at both sizes tested.
+holds a few blocks, the same number at both sizes tested. An empirical
+tail scan counts by blocks too, so its peak does not grow with the batch.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import tracemalloc
 import pytest
 
 from regvar.cli import cli_main, read_csv, write_csv
+from regvar.estimation import tail_scan
 from regvar.measures import SpectralMeasure
 from regvar.models import (
     Example1Model,
@@ -25,7 +27,7 @@ from regvar.models import (
 )
 from regvar.radial import OscillatingTailLaw, ParetoLaw
 from regvar.rng import CHUNK
-from regvar.sphere import ArcSet
+from regvar.sphere import TWO_PI, ArcSet
 from regvar.transforms import TransformedModel
 
 N = 1 << 20
@@ -108,6 +110,18 @@ def test_example2_gained_tail_peak_does_not_grow_with_r():
 
 
 SIZES = [1 << 18, 1 << 20]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tail_scan_peak_does_not_grow_with_n(n):
+    # four arcs and ten radii, as the sample-scan benchmark scans; the
+    # batch is built before tracing starts
+    batch = uniform_pareto().sample(n, 3)
+    quarters = [ArcSet([(j * TWO_PI / 4, (j + 1) * TWO_PI / 4)]) for j in range(4)]
+    grid = [1.5 * 2.0 ** j for j in range(10)]
+    scan, peak = traced_peak(tail_scan, batch, 1.0, quarters, grid)
+    assert scan.mode == "empirical"
+    assert peak <= 2 * CHUNK_BATCH
 
 
 @pytest.fixture(scope="module")
