@@ -14,17 +14,9 @@ take the (n, d) rows 65 536 at a time as SampleBatch blocks: `transform`
 maps and writes each block, and `estimate` keeps the n norms and the
 directions of the top k alone. Every output is written to a temporary
 sibling that replaces it on success, so a step that fails leaves no output
-and an earlier file as it was. At n = 1e6, d = 2, each step run in a fresh
-process peaks at 49.8 MiB RSS (sample, 1 worker), 59.2 (transform) and
-62.5 (estimate), against 85.5, 109.3 and 85.3 when each held whole
-batches, with an import baseline of 31.
-
-Rows are formatted 16 384 at a time by regvar.g17's exact array kernel,
-and np.loadtxt parses them straight from the file. A 1e6-point, d = 2 file
-(39.6 MB) writes in 0.55-0.72 s CPU and reads in 0.93-1.20 s, against
-1.61-1.92 s and 1.22-1.45 s for the per-value '%.17g' % writer and the
-streamed read before (best of 3 per process, five processes per version,
-2-core x86-64, Python 3.11.7, numpy 2.4.6).
+and an earlier file as it was. Rows are formatted 16 384 at a time by
+regvar.g17's exact array kernel. The README's CLI and Memory sections give
+each step's peak RSS and the CSV write and read times.
 """
 
 from __future__ import annotations
@@ -41,7 +33,13 @@ import numpy as np
 
 from .batch import SampleBatch
 from .errors import DegeneratePoint, NonFiniteInput, RegvarError
-from .estimation import check_top, estimate_from_top, tail_scan, top_indices
+from .estimation import (
+    check_top,
+    estimate_from_top,
+    tail_scan,
+    top_count,
+    top_indices,
+)
 from .g17 import format_rows
 from .rng import CHUNK, GAIN_STREAM, substream
 from .scenarios import (
@@ -304,7 +302,7 @@ def _cmd_transform(args) -> int:
 def _parse_top(raw: str, n: int) -> int:
     value = float(raw)
     if 0 < value < 1:
-        return max(1, int(round(value * n)))
+        return top_count(n, value)
     if not math.isfinite(value) or value != int(value):
         raise RegvarError("--top must be an integer count or a fraction in (0,1)")
     return int(value)
@@ -445,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    p.add_argument("--n", type=int, default=DEFAULT_N)
+    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("-o", "--output", help="report JSON")

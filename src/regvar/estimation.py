@@ -28,6 +28,12 @@ BOOTSTRAP_RESAMPLES = 200
 _TOP_FACTOR = 4  # the bootstrap's top M is _TOP_FACTOR * (k+1) norms
 
 
+def top_count(n: int, frac: float) -> int:
+    """The number of largest norms a top fraction frac of n points keeps:
+    frac * n rounded half to even, and at least 1."""
+    return max(1, int(round(frac * n)))
+
+
 def top_indices(norms: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest norms, largest first; ties are resolved by
     original sample order, exactly as argsort(-norms, kind="stable")[:k].

@@ -22,16 +22,19 @@ from .errors import (
     InvalidGain,
     InvalidParameter,
     MomentDivergence,
+    NonFiniteInput,
     UnsupportedPair,
     positive_finite,
 )
 from .quadrature import integrate
 from .sphere import (
     TWO_PI,
+    UNIT_NORM_TOL,
     ArcSet,
     CapSet,
     angles_of,
     directions_of,
+    norms_of,
     sorted_eval,
     wrap_angle,
 )
@@ -131,8 +134,7 @@ class SpectralMeasure:
                     raise ValueError("coords must be (d, m) matching weights")
                 if not np.all(np.isfinite(coords)):
                     raise InvalidParameter("atom coordinates must be finite")
-                norms = np.sqrt(np.sum(coords * coords, axis=0))
-                if np.any(np.abs(norms - 1.0) > 1e-12):
+                if np.any(np.abs(norms_of(coords) - 1.0) > UNIT_NORM_TOL):
                     raise ValueError("atom coordinates must be unit vectors")
                 at = angles_of(coords) if self.dim == 2 else coords
             if np.any(weights <= 0):
@@ -461,9 +463,12 @@ class SphereMap(_SphereFunction):
     @staticmethod
     def _finish(out, planar):
         if planar:
+            if not np.all(np.isfinite(out)):
+                raise NonFiniteInput("map output angle is NaN or infinite")
             return wrap_angle(out)
-        norms = np.sqrt(np.sum(out * out, axis=0))
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        # norms_of raises NonFiniteInput on a NaN or infinite coordinate
+        norms = norms_of(out)
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError("map output is not a unit vector")
         return out / norms
 

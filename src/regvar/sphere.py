@@ -69,7 +69,7 @@ def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise DimensionMismatch("a direction needs d >= 2 coordinates")
-    n = float(np.sqrt(np.sum(v * v)))
+    n = float(norms_of(v[:, None])[0])
     if abs(n - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"not a unit vector: |norm - 1| = {abs(n - 1.0):.3e}")
     return v

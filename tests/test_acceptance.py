@@ -16,10 +16,13 @@ from regvar.estimation import hill_estimator
 from regvar.models import PolarIndependentModel
 from regvar.measures import SpectralMeasure
 from regvar.radial import ParetoLaw
-from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
-
-DEFAULT_N = 200_000
-DEFAULT_SEED = 42
+from regvar.scenarios import (
+    DEFAULT_N,
+    DEFAULT_SEED,
+    SCENARIO_NAMES,
+    Scenario,
+    run_scenario,
+)
 
 # collected verdict lines; conftest prints them in the terminal summary
 VERDICTS: list[str] = []

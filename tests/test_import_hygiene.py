@@ -20,6 +20,10 @@ refusal a user can meet carries a message and is a RegvarError, the one
 error the CLI turns into exit code 2. Every RegvarError subclass that
 errors.py defines is raised or constructed by some other library module,
 so no error type outlives its last raiser.
+
+A scenario report is built in one place: run_scenario is the only function
+that constructs a Report, so the name, n and seed a report echoes come from
+the Scenario itself and no runner writes them by hand.
 """
 
 import ast
@@ -175,3 +179,26 @@ def test_every_error_type_is_raised_elsewhere():
     assert errors, "no error types found in errors.py"
     unused = sorted(errors - raised)
     assert not unused, "error types no other module raises: " + ", ".join(unused)
+
+
+def _calls_by_function(tree, name):
+    """(function, line) for every call of the bare name, where function is
+    the innermost function around the call ("<module>" at module level)."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == name:
+                yield owner, child.lineno
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            yield from visit(child, inner)
+    return list(visit(tree, "<module>"))
+
+
+def test_only_run_scenario_builds_a_report():
+    builders = [(path.name, owner)
+                for path in MODULES
+                for owner, _ in _calls_by_function(
+                    ast.parse(path.read_text(encoding="utf-8")), "Report")]
+    assert builders == [("scenarios.py", "run_scenario")], \
+        f"Report constructed outside run_scenario: {builders}"

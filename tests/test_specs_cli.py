@@ -27,7 +27,7 @@ from regvar.cli import (
     read_csv,
     write_csv,
 )
-from regvar.errors import NonFiniteInput, RegvarError, SpecError
+from regvar.errors import InvalidParameter, NonFiniteInput, RegvarError, SpecError
 from regvar.estimation import estimate
 from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
@@ -642,6 +642,9 @@ def test_cli_verify_exit_codes(tmp_path):
     assert cli_main(["verify", "--scenario", "example2", "-o", str(rep)]) == 0
     data = json.loads(rep.read_text())
     assert set(data) == {"scenario", "config", "checks", "runtime_s"}
+    # tolerances sit once, in the checks; the config ends with n and seed
+    assert "tolerances" not in data["config"]
+    assert list(data["config"])[-2:] == ["n", "seed"]
     for c in data["checks"]:
         assert set(c) == {"name", "value", "tolerance", "pass"}
     # deterministic failure: tiny budget makes the KS check miss
@@ -655,9 +658,19 @@ def test_cli_verify_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_fewer_than_one_worker(workers, capsys):
-    assert cli_main(["verify", "--scenario", "example2",
-                     "--workers", workers]) == 2
-    assert "--workers" in capsys.readouterr().err
+    """Fewer than one worker, or a sample size below 1, is a usage error of
+    every scenario (exit 2, no traceback)."""
+    for name in SCENARIO_NAMES:
+        for flag in ("--workers", "--n"):
+            assert cli_main(["verify", "--scenario", name, flag, workers]) == 2
+            err = capsys.readouterr().err
+            assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_scenario_refuses_fewer_than_one_point(n):
+    with pytest.raises(InvalidParameter, match="n must be"):
+        Scenario("example2", n=n)
 
 
 def test_cli_sample_rejects_overflowing_draws(tmp_path, capsys):
@@ -968,7 +981,7 @@ def test_report_json_names_first_non_finite_path(data, where):
 
 
 def test_scenario_report_rejects_non_finite_value():
-    report = Report("theorem1", {}, [Check("hill_alpha", float("nan"), None, "info")])
+    report = Report("theorem1", {}, [Check("hill_alpha", float("nan"))])
     with pytest.raises(RegvarError, match="NaN or infinite"):
         report.to_json()
 

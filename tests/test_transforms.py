@@ -11,6 +11,7 @@ from regvar.measures import (
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
+    SphereMap,
     constant_gain,
     constant_map,
     identity_map,
@@ -78,6 +79,19 @@ def test_spherical_norms_preserved_exactly():
     out = spherical_map_apply(b, quadrant_snap_map())
     np.testing.assert_array_equal(out.norms, b.norms)
     assert np.shares_memory(out.norms, b.norms)
+
+
+@pytest.mark.parametrize("action", ["angle", "coords"])
+def test_spherical_map_refuses_non_finite_output(action):
+    """A map whose action yields NaN raises instead of placing points at
+    NaN; the coordinate action is the one a d = 3 batch takes."""
+    if action == "angle":
+        b, fmap = small_batch(), SphereMap(angle_fn=lambda t: t * np.nan)
+    else:
+        b = SampleBatch.from_points(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
+        fmap = SphereMap(coords_fn=lambda x: x * np.nan)
+    with pytest.raises(NonFiniteInput):
+        spherical_map_apply(b, fmap)
 
 
 # ----------------------------------------------------------------------
