@@ -4,8 +4,9 @@ Exit codes: 0 success (all checks pass), 1 a scenario or estimation check
 failed, 2 usage or configuration error. Sample CSVs carry a x1,...,xd
 header and 17-significant-digit floats (%.17g), which round-trip doubles
 exactly, so piping stages through files reproduces in-memory results bit
-for bit. A malformed CSV, or a report holding a NaN or infinite value,
-exits 2.
+for bit. A rejected CSV exits 2 naming its first rejected data line in
+file order: ragged, a cell that is not a number, or a zero, NaN, infinite
+or overflowing point. A report holding a NaN or infinite value exits 2.
 
 The file steps parse once, then work block by block, and none holds a
 whole batch. `sample` writes each chunk as RegVarModel.chunks draws it.
@@ -154,96 +155,64 @@ def _data_lines(path: str, start: int):
                 yield lineno, text
 
 
-def _bad_line(path: str, d: int, start: int, cause: str) -> RegvarError:
-    """Error naming the first line that numpy rejects.
+def _fault(cells: list[str], d: int) -> str | None:
+    """Why the reader rejects a data line split into cells, or None: the
+    line is ragged, a cell is not a number, or SampleBatch.from_points
+    rejects the line's point."""
+    if len(cells) != d:
+        return f"expected {d} values, found {len(cells)}"
+    for cell in cells:
+        if not _is_number(cell):
+            return f"{cell.strip()!r} is not a number"
+    try:
+        SampleBatch.from_points(np.array([[float(cell)] for cell in cells]))
+    except DegeneratePoint:
+        return "the zero vector"
+    except RegvarError as e:
+        return str(e)
+    return None
 
-    The scan starts at file line start, the first line read_csv handed to
-    numpy, and splits and judges rows cell by cell as np.loadtxt does, so it
-    finds the line numpy failed on. cause, numpy's own message, is the
-    fallback should the file hold no such line.
+
+def _bad_line(path: str, d: int, start: int, cause: str,
+              first: int = 0) -> RegvarError:
+    """Error naming the first data line, from data row first on, that the
+    reader rejects for any reason (_fault).
+
+    Data rows count from file line start, the first line read_csv handed
+    to numpy, and split as np.loadtxt splits them. cause is the fallback
+    should no line be rejected.
     """
-    for lineno, text in _data_lines(path, start):
-        cells = text.split(",")
-        if len(cells) != d:
-            return RegvarError(f"{path}, line {lineno}: expected {d} "
-                               f"values, found {len(cells)}")
-        for cell in cells:
-            if not _is_number(cell):
-                return RegvarError(f"{path}, line {lineno}: "
-                                   f"{cell.strip()!r} is not a number")
+    for lineno, text in itertools.islice(_data_lines(path, start), first, None):
+        fault = _fault(text.split(","), d)
+        if fault is not None:
+            return RegvarError(f"{path}, line {lineno}: {fault}")
     return RegvarError(f"{path}: {cause}")
 
 
-def _rejected_row(path: str, start: int, first: int,
-                  points: np.ndarray) -> RegvarError:
-    """Error naming the first column of the (d, m) points, data rows first
-    to first + m - 1, that SampleBatch.from_points rejects, as a file line.
-
-    Bisects on prefixes for the first rejected column and takes the cause
-    from that column alone, then counts data rows from file line start.
-    """
-    ok, bad = 0, points.shape[1]  # points[:, :ok] is accepted, [:, :bad] not
-    while bad - ok > 1:
-        mid = (ok + bad) // 2
+def blocks(path: str, rows: np.ndarray, start: int):
+    """What read_csv(path) returned, as SampleBatch blocks of _BLOCK_ROWS
+    rows in file order, each built from a view of rows: no whole batch is
+    made. A zero or non-finite point raises RegvarError naming its file
+    line, judging no line of an earlier block again; an empty file gives
+    one empty block, so a transform still checks the file's dimension."""
+    for first in range(0, max(len(rows), 1), _BLOCK_ROWS):
         try:
-            SampleBatch.from_points(points[:, :mid])
-        except RegvarError:
-            bad = mid
-        else:
-            ok = mid
-    try:
-        SampleBatch.from_points(points[:, ok:bad])
-    except DegeneratePoint:
-        cause = "the zero vector"
-    except RegvarError as e:
-        cause = str(e)
-    lineno, _ = next(itertools.islice(_data_lines(path, start), first + ok, None))
-    return RegvarError(f"{path}, line {lineno}: {cause}")
+            yield SampleBatch.from_points(rows[first:first + _BLOCK_ROWS].T)
+        except (DegeneratePoint, NonFiniteInput) as e:
+            raise _bad_line(path, rows.shape[1], start, str(e), first) from e
 
 
-class CsvRows:
-    """The rows of a sample CSV, parsed once by read_csv.
+def read_csv(path: str) -> tuple[np.ndarray, int]:
+    """Parse a CSV written by write_csv into numpy's (n, d) rows and the
+    file line of the first data row; numpy reads the rows from the file.
 
-    rows is numpy's (n, d) array, and its data rows start at file line
-    start. batches() serves them as SampleBatch blocks of _BLOCK_ROWS rows,
-    each built by SampleBatch.from_points from a view of rows, so no whole
-    batch is ever made.
-    """
-
-    def __init__(self, path: str, rows: np.ndarray, start: int):
-        self.path = path
-        self.rows = rows
-        self.start = start
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
-
-    def batches(self):
-        """The blocks in file order. A zero or non-finite point raises
-        RegvarError naming its file line; an empty file gives one empty
-        block, so a transform still checks the file's dimension."""
-        for first in range(0, max(self.size, 1), _BLOCK_ROWS):
-            points = self.rows[first:first + _BLOCK_ROWS].T
-            try:
-                yield SampleBatch.from_points(points)
-            except (DegeneratePoint, NonFiniteInput) as e:
-                raise _rejected_row(self.path, self.start, first, points) from e
-
-
-def read_csv(path: str) -> CsvRows:
-    """Parse a CSV written by write_csv; numpy reads the rows from the file.
-
-    A body of blank and comment lines gives no rows. Ragged rows, cells
-    that are not numbers and rows that do not match the header raise
-    RegvarError naming the file line here; zero and non-finite points do
-    when CsvRows.batches reaches them. Bytes that are not UTF-8 stop numpy's
-    strict decoding; the rescan decodes them to U+FFFD, so a cell holding
-    them is named as not a number.
+    A body of blank and comment lines gives no rows. A file numpy cannot
+    parse, or whose rows do not match the header, raises RegvarError here
+    naming the first rejected data line (_bad_line), a rejected point
+    before the syntax error included; other rejected points are named when
+    blocks reaches them. Bytes that are not UTF-8 stop numpy's strict
+    decoding; the rescan decodes them to U+FFFD, so a cell holding them is
+    named as not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -255,7 +224,7 @@ def read_csv(path: str) -> CsvRows:
             if _text(first).strip():
                 break
         else:
-            return CsvRows(path, np.empty((0, d)), 2)
+            return np.empty((0, d)), 2
     try:
         # UnicodeDecodeError is a ValueError
         rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start - 1,
@@ -264,7 +233,7 @@ def read_csv(path: str) -> CsvRows:
         raise _bad_line(path, d, start, str(e)) from e
     if rows.shape[1] != d:
         raise _bad_line(path, d, start, "rows do not match the header")
-    return CsvRows(path, rows, start)
+    return rows, start
 
 
 def _cmd_sample(args) -> int:
@@ -277,7 +246,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    parsed = read_csv(args.input)
+    rows, start = read_csv(args.input)
     if args.map is not None:
         step = functools.partial(spherical_map_apply,
                                  f=map_from_spec(load_spec(args.map)))
@@ -292,8 +261,8 @@ def _cmd_transform(args) -> int:
         else:
             step = functools.partial(radial_scale_apply,
                                      h=gain_from_spec(spec))
-    size, zero_count = write_csv(args.output, parsed.dim,
-                                 map(step, parsed.batches()))
+    size, zero_count = write_csv(args.output, rows.shape[1],
+                                 map(step, blocks(args.input, rows, start)))
     print(f"wrote {size} points (zero_count={zero_count}) "
           f"-> {args.output}")
     return 0
@@ -309,22 +278,23 @@ def _parse_top(raw: str, n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    parsed = read_csv(args.input)
-    norms = np.empty(parsed.size)
+    rows, start = read_csv(args.input)
+    n = rows.shape[0]
+    norms = np.empty(n)
     end = 0
-    for block in parsed.batches():
+    for block in blocks(args.input, rows, start):
         norms[end:end + block.size] = block.norms
         end += block.size
         del block
-    k = _parse_top(args.top, parsed.size)
+    k = _parse_top(args.top, n)
     target = None
     if args.target is not None:
         target = measure_from_spec(load_spec(args.target))
-    check_top(parsed.size, k)
+    check_top(n, k)
     # directions of the top k alone, the bits from_points gives them
     top = top_indices(norms, k)
-    top_dirs = parsed.rows[top].T / norms[top]
-    del parsed  # the parsed rows go before the bootstrap
+    top_dirs = rows[top].T / norms[top]
+    del rows  # the parsed rows go before the bootstrap
     report = estimate_from_top(norms, top_dirs, target=target, seed=args.seed)
     text = report_json(report.to_dict())
     with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:

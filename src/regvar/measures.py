@@ -336,30 +336,20 @@ class SpectralMeasure:
     # ------------------------------------------------------------------
     # sampling
 
-    def sample_angles(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. angles from the normalized measure (d = 2)."""
-        if self.dim != 2:
-            raise DimensionMismatch("sample_angles draws angles, so d = 2 only")
+    def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(d, n) i.i.d. directions from the normalized measure."""
         if self.is_discrete:
             p = self.weights / self.total_mass
             idx = rng.choice(self.weights.size, size=n, p=p)
-            return self.angles[idx]
+            return self.coords[:, idx]
         if self.density_spec and self.density_spec.get("name") == "uniform":
-            return TWO_PI * rng.random(n)
+            return directions_of(TWO_PI * rng.random(n))
         # The normalized measure, and with it its CDF table, is built once.
         # Sampling threads may race to build it; each builds the same table
         # and the assignment is atomic, so every draw sees identical values.
         if self._normalized is None:
             self._normalized = self.normalized()
-        return self._normalized.quantile(rng.random(n))
-
-    def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(d, n) i.i.d. directions from the normalized measure."""
-        if not self.is_discrete:
-            return directions_of(self.sample_angles(rng, n))
-        p = self.weights / self.total_mass
-        idx = rng.choice(self.weights.size, size=n, p=p)
-        return self.coords[:, idx]
+        return directions_of(self._normalized.quantile(rng.random(n)))
 
     def __repr__(self):
         if self.is_discrete:

@@ -30,9 +30,9 @@ def chunk_seeds(seed: int, stream: int, n_chunks: int) -> list[np.random.SeedSeq
     return root.spawn(n_chunks)
 
 
-def chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
-    """Split n into fixed-size chunks; the split depends on n only."""
+def chunk_sizes(n: int) -> list[int]:
+    """Split n into CHUNK-sized chunks; the split depends on n only."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    full, rest = divmod(n, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(n, CHUNK)
+    return [CHUNK] * full + ([rest] if rest else [])

@@ -189,9 +189,11 @@ def radial_from_spec(spec: dict) -> RadialLaw:
         return AtomPlusParetoLaw(_number(spec, "alpha"),
                                  _number(spec, "tail_coefficient"))
     if kind == "oscillating":
+        sign = _integer(spec, "sign", 1)
+        _require(sign in (-1, 1),
+                 f"spec field 'sign' must be +1 or -1, got {sign}")
         return OscillatingTailLaw(_number(spec, "alpha"),
-                                  _number(spec, "amplitude"),
-                                  spec.get("sign", +1))
+                                  _number(spec, "amplitude"), sign)
     raise SpecError(f"unknown radial law kind {kind!r}")
 
 

@@ -24,6 +24,10 @@ so no error type outlives its last raiser.
 A scenario report is built in one place: run_scenario is the only function
 that constructs a Report, so the name, n and seed a report echoes come from
 the Scenario itself and no runner writes them by hand.
+
+A bad CSV line is named in one place: cli._bad_line is the only function
+that builds an f-string holding ", line ", so every reader error names the
+first rejected data line by the same rule.
 """
 
 import ast
@@ -181,13 +185,12 @@ def test_every_error_type_is_raised_elsewhere():
     assert not unused, "error types no other module raises: " + ", ".join(unused)
 
 
-def _calls_by_function(tree, name):
-    """(function, line) for every call of the bare name, where function is
-    the innermost function around the call ("<module>" at module level)."""
+def _owners(tree, match):
+    """(function, line) for every node that match accepts, where function
+    is the innermost function around the node ("<module>" at module level)."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                    and child.func.id == name:
+            if match(child):
                 yield owner, child.lineno
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
@@ -195,10 +198,25 @@ def _calls_by_function(tree, name):
     return list(visit(tree, "<module>"))
 
 
+def _owners_in_library(match):
+    """(module, function) for every node in src/regvar that match accepts."""
+    return [(path.name, owner) for path in MODULES
+            for owner, _ in _owners(ast.parse(path.read_text(encoding="utf-8")),
+                                    match)]
+
+
 def test_only_run_scenario_builds_a_report():
-    builders = [(path.name, owner)
-                for path in MODULES
-                for owner, _ in _calls_by_function(
-                    ast.parse(path.read_text(encoding="utf-8")), "Report")]
+    builders = _owners_in_library(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "Report")
     assert builders == [("scenarios.py", "run_scenario")], \
         f"Report constructed outside run_scenario: {builders}"
+
+
+def test_only_bad_line_names_a_file_line():
+    builders = _owners_in_library(
+        lambda node: isinstance(node, ast.JoinedStr) and any(
+            isinstance(part, ast.Constant) and ", line " in part.value
+            for part in node.values))
+    assert set(builders) == {("cli.py", "_bad_line")}, \
+        f"a file line named outside cli._bad_line: {builders}"

@@ -433,12 +433,12 @@ def test_density_cdf_inverts_quantile(a, us):
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5])
-def test_sample_angles_cached_table_matches_fresh_quantile(scale):
+def test_sample_directions_cached_table_matches_fresh_quantile(scale):
     m = SpectralMeasure.cosine_bump(0.5).scaled(scale)
     for seed in (1, 2):  # the second draw reads the cached table
-        drawn = m.sample_angles(np.random.default_rng(seed), 5000)
+        drawn = m.sample_directions(np.random.default_rng(seed), 5000)
         fresh = m.normalized().quantile(np.random.default_rng(seed).random(5000))
-        np.testing.assert_array_equal(drawn, fresh)
+        np.testing.assert_array_equal(drawn, directions_of(fresh))
 
 
 def test_sample_angles_cache_built_in_worker_threads():

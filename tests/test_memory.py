@@ -85,9 +85,9 @@ def test_sample_peak_is_output_plus_chunks_in_flight(workers):
 def test_read_csv_peak_is_output_plus_two_chunks(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(path, 2, uniform_pareto().chunks(N, 3))
-    parsed, peak = traced_peak(read_csv, path)
-    assert parsed.size == N
-    assert peak <= parsed.rows.nbytes + 2 * CHUNK_BATCH
+    (rows, _), peak = traced_peak(read_csv, path)
+    assert rows.shape == (N, 2)
+    assert peak <= rows.nbytes + 2 * CHUNK_BATCH
 
 
 @pytest.mark.parametrize("workers", [1, 2])

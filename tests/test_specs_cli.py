@@ -23,6 +23,7 @@ from regvar.cli import (
     _CSV_BLOCK_ROWS,
     _bad_line,
     _is_number,
+    blocks,
     cli_main,
     read_csv,
     write_csv,
@@ -97,14 +98,33 @@ def test_model_spec_roundtrip():
         assert model.alpha == spec["alpha"]
 
 
+OSCILLATING = {"kind": "oscillating", "alpha": 1.0, "amplitude": 0.5}
+
+
 def test_radial_spec_kinds():
     assert radial_from_spec({"kind": "pareto", "alpha": 2.0}).alpha == 2.0
     law = radial_from_spec({"kind": "atom_plus_pareto", "alpha": 1.0,
                             "tail_coefficient": 0.3})
     assert law.tail_coefficient == 0.3
-    osc = radial_from_spec({"kind": "oscillating", "alpha": 1.0,
-                            "amplitude": 0.5, "sign": -1})
-    assert osc.sign == -1
+    assert radial_from_spec(OSCILLATING).sign == 1
+    for sign in (1, -1, -1.0):
+        assert radial_from_spec(dict(OSCILLATING, sign=sign)).sign == sign
+
+
+@pytest.mark.parametrize("sign", [True, "1", None, 1.5, 0],
+                         ids=["true", "string", "null", "fraction", "zero"])
+def test_oscillating_sign_is_checked(sign):
+    with pytest.raises(SpecError, match="spec field 'sign'"):
+        radial_from_spec(dict(OSCILLATING, sign=sign))
+
+
+def test_cli_sample_names_a_bad_oscillating_sign(tmp_path, capsys):
+    model = dict(UNIFORM_PARETO, radial=dict(OSCILLATING, sign=True))
+    out = tmp_path / "x.csv"
+    assert cli_main(["sample", "--model", json.dumps(model), "-n", "10",
+                     "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: spec field 'sign'")
+    assert not out.exists()
 
 
 def test_gain_and_map_specs():
@@ -143,10 +163,10 @@ def test_unknown_specs_raise():
 def read_batch(path: str) -> SampleBatch:
     """A CSV's whole sample: read_csv's rows as one batch, once its blocks
     have passed the checks that name a rejected point's line."""
-    parsed = read_csv(path)
-    for _ in parsed.batches():
+    rows, start = read_csv(path)
+    for _ in blocks(path, rows, start):
         pass
-    return SampleBatch.from_points(parsed.rows.T)
+    return SampleBatch.from_points(rows.T)
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
@@ -360,6 +380,24 @@ def test_read_csv_names_line_of_rejected_point(tmp_path, capsys, body,
     assert cli_main(["transform", "--input", str(path), "--map",
                      '{"kind": "identity"}', "-o", str(tmp_path / "y.csv")]) == 2
     assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
+def test_csv_names_first_rejected_line_in_file_order(tmp_path, capsys):
+    # a zero point before a syntax error: the point's line is named, though
+    # numpy stops at the syntax error while parsing
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2\n1.0,2.0\n0,0\n1.0,abc\n")
+    message = f"{path}, line 3: the zero vector"
+    with pytest.raises(RegvarError) as info:
+        read_csv(str(path))
+    assert str(info.value) == message
+    for step, args in (("estimate", ["--top", "1"]),
+                       ("transform", ["--map", '{"kind": "identity"}'])):
+        out = tmp_path / "out"
+        assert cli_main([step, "--input", str(path), *args,
+                         "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 # a row past two blocks, after blank and comment lines, and what the CLI
