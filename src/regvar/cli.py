@@ -128,20 +128,19 @@ def _text(line: str) -> str:
     return line.split("#", 1)[0].rstrip("\n")
 
 
-def _is_number(cell: str) -> bool:
-    """Whether np.loadtxt reads cell as a float.
+def _number(cell: str) -> float | None:
+    """cell as np.loadtxt reads it, or None when numpy rejects it.
 
     numpy accepts Python's float syntax on the stripped text, but only in
     ASCII and without digit-grouping underscores.
     """
     text = cell.strip()
     if not text.isascii() or "_" in text:
-        return False
+        return None
     try:
-        float(text)
+        return float(text)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _data_lines(path: str, start: int):
@@ -155,17 +154,22 @@ def _data_lines(path: str, start: int):
                 yield lineno, text
 
 
-def _fault(cells: list[str], d: int) -> str | None:
-    """Why the reader rejects a data line split into cells, or None: the
-    line is ragged, a cell is not a number, or SampleBatch.from_points
-    rejects the line's point."""
+def _parse_line(text: str, d: int) -> list[float]:
+    """The d values np.loadtxt reads from a data line. ValueError says why
+    numpy rejects the line: it is ragged, or a cell is not a number."""
+    cells = text.split(",")
     if len(cells) != d:
-        return f"expected {d} values, found {len(cells)}"
-    for cell in cells:
-        if not _is_number(cell):
-            return f"{cell.strip()!r} is not a number"
+        raise ValueError(f"expected {d} values, found {len(cells)}")
+    row = [_number(cell) for cell in cells]
+    if None in row:
+        raise ValueError(f"{cells[row.index(None)].strip()!r} is not a number")
+    return row
+
+
+def _point_fault(points: np.ndarray) -> str | None:
+    """Why SampleBatch.from_points rejects the (d, m) points, or None."""
     try:
-        SampleBatch.from_points(np.array([[float(cell)] for cell in cells]))
+        SampleBatch.from_points(points)
     except DegeneratePoint:
         return "the zero vector"
     except RegvarError as e:
@@ -176,17 +180,37 @@ def _fault(cells: list[str], d: int) -> str | None:
 def _bad_line(path: str, d: int, start: int, cause: str,
               first: int = 0) -> RegvarError:
     """Error naming the first data line, from data row first on, that the
-    reader rejects for any reason (_fault).
+    reader rejects: it is ragged, a cell is not a number, or
+    SampleBatch.from_points rejects its point.
 
     Data rows count from file line start, the first line read_csv handed
-    to numpy, and split as np.loadtxt splits them. cause is the fallback
-    should no line be rejected.
+    to numpy, and split as np.loadtxt splits them. Syntax is judged line by
+    line. The points of the lines that pass are judged _BLOCK_ROWS at a
+    time, up to the first syntax fault, so a point rejected before it is
+    named first; only a rejected block is judged again, line by line up to
+    its first rejected point. cause is the fallback should no line be
+    rejected.
     """
-    for lineno, text in itertools.islice(_data_lines(path, start), first, None):
-        fault = _fault(text.split(","), d)
-        if fault is not None:
-            return RegvarError(f"{path}, line {lineno}: {fault}")
-    return RegvarError(f"{path}: {cause}")
+    lines = itertools.islice(_data_lines(path, start), first, None)
+    while True:
+        linenos, values, syntax = [], [], None
+        for lineno, text in itertools.islice(lines, _BLOCK_ROWS):
+            try:
+                values += _parse_line(text, d)
+            except ValueError as e:
+                syntax = f"{path}, line {lineno}: {e}"
+                break
+            linenos.append(lineno)
+        points = np.reshape(values, (-1, d)).T
+        if _point_fault(points) is not None:
+            for at, point in zip(linenos, points.T):
+                fault = _point_fault(point[:, None])
+                if fault is not None:
+                    return RegvarError(f"{path}, line {at}: {fault}")
+        if syntax is not None:
+            return RegvarError(syntax)
+        if len(linenos) < _BLOCK_ROWS:
+            return RegvarError(f"{path}: {cause}")
 
 
 def blocks(path: str, rows: np.ndarray, start: int):

@@ -43,6 +43,8 @@ ATOM_MERGE_TOL = 1e-12
 TV_MATCH_TOL = 1e-6
 KS_GRID = 1 << 14
 DENSITY_CDF_CELLS = 1 << 16
+# cells integrated at a time: 128 KB per array of their 4 nodes each
+DENSITY_CDF_BLOCK_CELLS = 1 << 12
 PUSHFORWARD_BINS = 1 << 16
 # rows of Monte Carlo gain draws summed at a time (1 MB per row block at 16 probes)
 MC_CHUNK_ROWS = 8192
@@ -270,11 +272,16 @@ class SpectralMeasure:
     def _density_cdf_table(self):
         if self._cdf_cache is None:
             grid = np.linspace(0.0, TWO_PI, DENSITY_CDF_CELLS + 1)
-            mid = 0.5 * (grid[1:] + grid[:-1])
             half = 0.5 * (grid[1] - grid[0])
-            nodes = mid[None, :] + half * _GL_X[:, None]
-            vals = self.density_fn(nodes)
-            cell = half * np.sum(_GL_W[:, None] * vals, axis=0)
+            # each cell's rule sums its own nodes alone, so the cells are
+            # integrated in blocks, with the bits of a one-shot build
+            cell = np.empty(DENSITY_CDF_CELLS)
+            for first in range(0, DENSITY_CDF_CELLS, DENSITY_CDF_BLOCK_CELLS):
+                edges = grid[first:first + DENSITY_CDF_BLOCK_CELLS + 1]
+                mid = 0.5 * (edges[1:] + edges[:-1])
+                nodes = mid[None, :] + half * _GL_X[:, None]
+                cell[first:first + mid.size] = half * np.sum(
+                    _GL_W[:, None] * self.density_fn(nodes), axis=0)
             # the cells that end at a singular point, or hold it together
             # with their two neighbours, are integrated with its order; cell
             # -1, the last, ends at 2 pi, which is 0. A set, as numpy 2.4's
@@ -285,7 +292,9 @@ class SpectralMeasure:
             for i in set((cells % cell.size).tolist()):
                 cell[i] = integrate(self.density_fn, grid[i], grid[i + 1],
                                     self.singular_points)[0]
-            cum = np.concatenate(([0.0], np.cumsum(cell)))
+            cum = np.empty(cell.size + 1)
+            cum[0] = 0.0
+            np.cumsum(cell, out=cum[1:])
             if cum[-1] > 0:
                 cum *= self.total_mass / cum[-1]
             self._cdf_cache = (grid, cum)

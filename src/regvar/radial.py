@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConstruction, positive_finite
+from .errors import InvalidConstruction, InvalidParameter, positive_finite
 
 
 class RadialLaw:
@@ -97,9 +97,9 @@ class OscillatingTailLaw(RadialLaw):
     def __init__(self, alpha: float, amplitude: float, sign: int = +1):
         self.alpha = positive_finite(alpha, "alpha")
         if not 0.0 < amplitude < 1.0:
-            raise ValueError("amplitude must lie in (0, 1)")
-        if sign not in (-1, +1):
-            raise ValueError("sign must be +1 or -1")
+            raise InvalidParameter(f"amplitude must lie in (0, 1), got {amplitude!r}")
+        if isinstance(sign, bool) or sign not in (-1, +1):
+            raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
         self.amplitude = float(amplitude)
         self.sign = int(sign)
         if self.amplitude / np.sqrt(1.0 - self.amplitude ** 2) > self.alpha:

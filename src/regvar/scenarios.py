@@ -148,10 +148,12 @@ def _uniform_pareto_spec(alpha: float) -> dict:
 def _estimate_transformed(s: Scenario, model, transform,
                           target: SpectralMeasure):
     """Sample, transform and estimate at the top fraction TOP_FRAC,
-    canonicalizing at each stage boundary as a file pipeline does."""
-    batch = model.sample(s.n, s.seed, s.workers).canonical()
-    return estimate(transform(batch).canonical(), top_count(s.n, TOP_FRAC),
-                    target=target)
+    canonicalizing at each stage boundary as a file pipeline does. Each
+    stage's input goes once its output is made, so the estimate, which
+    builds the target's CDF table, holds one batch."""
+    return estimate(
+        transform(model.sample(s.n, s.seed, s.workers).canonical()).canonical(),
+        top_count(s.n, TOP_FRAC), target=target)
 
 
 def run_scenario(s: Scenario) -> Report:
@@ -332,9 +334,8 @@ def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
     # exceedance count concentrates at E[Z^2] = 2, not (E Z)^2 = 1
     model2 = model_from_spec(_uniform_pareto_spec(2.0))
     unit_exp = exponential_gain_process(lambda t: np.ones_like(t))
-    batch2 = model2.sample(s.n, s.seed + 1, s.workers)
-    scaled2 = randomized_scale_apply(batch2, unit_exp,
-                                     substream(s.seed + 1, GAIN_STREAM))
+    scaled2 = randomized_scale_apply(model2.sample(s.n, s.seed + 1, s.workers),
+                                     unit_exp, substream(s.seed + 1, GAIN_STREAM))
     r_small = 0.045
     reading = qn_measure(scaled2, 2.0, r_small, ArcSet.full_circle()) * r_small ** 2
 
@@ -434,13 +435,12 @@ def _run_example3(s: Scenario) -> tuple[dict, list[Check]]:
     config = {"model": model_spec, "gain": gain_spec,
               "surviving_top_frac": surviving_frac}
 
+    # the gain is read at the top directions alone, so the batch caches no
+    # angles beside the scaled batch, which goes once counted
     batch = model.sample(s.n, s.seed, s.workers)
     top = top_indices(batch.norms, top_count(s.n, surviving_frac))
-    top_gain = gain.at_angles(batch.angles()[top])
-    surviving = float(np.mean(top_gain > 0.0))
-
-    scaled = radial_scale_apply(batch, gain)
-    removed_fraction = scaled.zero_count / s.n
+    surviving = float(np.mean(gain.at_dirs(batch.dirs[:, top]) > 0.0))
+    removed_fraction = radial_scale_apply(batch, gain).zero_count / s.n
 
     # normalized tail of the small-angle wedge equals 1 exactly beyond the
     # last staircase step that can reach the wedge

@@ -189,11 +189,13 @@ def radial_from_spec(spec: dict) -> RadialLaw:
         return AtomPlusParetoLaw(_number(spec, "alpha"),
                                  _number(spec, "tail_coefficient"))
     if kind == "oscillating":
+        amplitude = _number(spec, "amplitude")
+        _require(0.0 < amplitude < 1.0,
+                 f"spec field 'amplitude' must lie in (0, 1), got {amplitude}")
         sign = _integer(spec, "sign", 1)
         _require(sign in (-1, 1),
                  f"spec field 'sign' must be +1 or -1, got {sign}")
-        return OscillatingTailLaw(_number(spec, "alpha"),
-                                  _number(spec, "amplitude"), sign)
+        return OscillatingTailLaw(_number(spec, "alpha"), amplitude, sign)
     raise SpecError(f"unknown radial law kind {kind!r}")
 
 

@@ -14,8 +14,11 @@ from regvar.errors import (
     MomentDivergence,
     UnsupportedPair,
 )
+from regvar import measures
 from regvar.measures import (
     ATOM_MERGE_TOL,
+    DENSITY_CDF_BLOCK_CELLS,
+    DENSITY_CDF_CELLS,
     MC_CHUNK_ROWS,
     TV_MATCH_TOL,
     RadialGain,
@@ -394,6 +397,39 @@ def test_density_cdf_table_is_accurate_next_to_a_cusp_inside_a_cell():
     assert 3.0 not in grid
     for t in (2.0, 5.0):
         assert abs(mu.cdf(t) - mu.mass_on(ArcSet([(0.0, t)]))) <= 1e-10
+
+
+# a grid node on which a block of cells ends, and angles off every edge
+BLOCK_EDGE = 4 * DENSITY_CDF_BLOCK_CELLS * TWO_PI / DENSITY_CDF_CELLS
+CDF_TABLE_DENSITIES = {
+    "uniform": SpectralMeasure.uniform,
+    "cosine_bump": lambda: SpectralMeasure.cosine_bump(0.5),
+    "step": lambda: reweight(SpectralMeasure.uniform(),
+                             step_gain([0.0, 1.0, BLOCK_EDGE], [1.0, 2.0, 0.5]),
+                             1.0),
+    "cosine_gain": lambda: reweight(
+        SpectralMeasure.uniform(),
+        RadialGain(angle_fn=lambda t: 1.0 + 0.5 * np.cos(t)), 2.0),
+    # theorem3's cusp sits on a block edge at pi
+    "cusp_on_edge": lambda: reweight(SpectralMeasure.uniform(),
+                                     power_cusp_gain(np.pi, 0.2), 1.0),
+    "cusp_off_edge": lambda: reweight(SpectralMeasure.uniform(),
+                                      power_cusp_gain(3.0, 0.2), 1.0),
+}
+
+
+@pytest.mark.parametrize("make", CDF_TABLE_DENSITIES.values(),
+                         ids=CDF_TABLE_DENSITIES.keys())
+def test_blocked_cdf_table_equals_one_shot_build(monkeypatch, make):
+    # the reference integrates every cell in one block; a block size that
+    # leaves a short last block must give the same bits too
+    grid, cum = make()._density_cdf_table()
+    assert BLOCK_EDGE in grid
+    for block in (DENSITY_CDF_CELLS, 1000):
+        monkeypatch.setattr(measures, "DENSITY_CDF_BLOCK_CELLS", block)
+        ref_grid, ref_cum = make()._density_cdf_table()
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert cum.tobytes() == ref_cum.tobytes()
 
 
 @given(discrete_measures())

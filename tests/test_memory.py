@@ -1,24 +1,34 @@
-"""Traced peak memory of the sampling stages and of the CLI file pipeline.
+"""Traced peak memory of the sampling stages, the verify scenarios and the
+CLI file pipeline.
 
 The samplers hold one copy of their output and only chunk-sized
-temporaries: they copy each chunk into an output allocated once. The CLI
-steps hold no whole batch at all: `sample` writes each chunk as it is drawn,
-and `transform` and `estimate` parse their input once, then take it block
-by block, so beyond the parsed rows (and the norms, for `estimate`) each
-holds a few blocks, the same number at both sizes tested. An empirical
-tail scan counts by blocks too, so its peak does not grow with the batch.
+temporaries: they copy each chunk into an output allocated once. A verify
+scenario drops each stage's input once its output is made, so it holds at
+most a batch and the one being made from it, and the density CDF tables
+are built a block of cells at a time. The CLI steps hold no whole batch at
+all: `sample` writes each chunk as it is drawn, and `transform` and
+`estimate` parse their input once, then take it block by block, so beyond
+the parsed rows (and the norms, for `estimate`) each holds a few blocks,
+the same number at both sizes tested. An empirical tail scan counts by
+blocks too, so its peak does not grow with the batch.
 """
 
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import pytest
 
 from regvar.cli import cli_main, read_csv, write_csv
 from regvar.estimation import tail_scan
-from regvar.measures import SpectralMeasure
+from regvar.measures import (
+    SpectralMeasure,
+    expected_gain_reweight,
+    power_cusp_gain,
+    reweight,
+)
 from regvar.models import (
     Example1Model,
     Example2Gain,
@@ -27,6 +37,8 @@ from regvar.models import (
 )
 from regvar.radial import OscillatingTailLaw, ParetoLaw
 from regvar.rng import CHUNK
+from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
+from regvar.specs import gain_from_spec, random_gain_from_spec
 from regvar.sphere import TWO_PI, ArcSet
 from regvar.transforms import TransformedModel
 
@@ -122,6 +134,34 @@ def test_tail_scan_peak_does_not_grow_with_n(n):
     scan, peak = traced_peak(tail_scan, batch, 1.0, quarters, grid)
     assert scan.mode == "empirical"
     assert peak <= 2 * CHUNK_BATCH
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scenario_peak_is_two_batches_plus_chunks(n):
+    # a stage holds its input batch while it makes its output; no scenario
+    # holds a third batch beside them, nor a whole CDF table's nodes
+    batch = n * (2 + 1 + 2) * 8
+    peaks = {name: traced_peak(run_scenario, Scenario(name, n=n, seed=3))[1]
+             for name in SCENARIO_NAMES}
+    over = {name: peak for name, peak in peaks.items()
+            if peak > 2 * batch + 2 * CHUNK_BATCH}
+    assert not over, over
+
+
+@pytest.mark.parametrize("limit", [
+    # the normalized targets of theorem2, theorem3 and corollary2
+    lambda u: reweight(u, gain_from_spec(
+        {"kind": "cosine", "base": 1.0, "amplitude": 0.5}), 2.0),
+    lambda u: reweight(u, power_cusp_gain(math.pi, 0.2), 1.0),
+    lambda u: expected_gain_reweight(u, random_gain_from_spec(
+        {"kind": "exp_cosine", "amplitude": 0.5}), 1.0),
+], ids=["theorem2", "theorem3", "corollary2"])
+def test_density_cdf_table_peak_is_three_tables_and_a_block(limit):
+    # grid, cell integrals and cumulative masses, 0.5 MB each, and one
+    # block of cells' nodes
+    mu = limit(SpectralMeasure.uniform()).normalized()
+    _, peak = traced_peak(mu._density_cdf_table)
+    assert peak < 2_000_000
 
 
 @pytest.fixture(scope="module")

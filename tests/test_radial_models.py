@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from regvar.errors import (
     InvalidConstruction,
+    InvalidParameter,
     MomentDivergence,
     NonFiniteInput,
     RegvarError,
@@ -91,6 +92,19 @@ def test_oscillating_samples_match_tail(alpha, sign):
         p = law.tail(r)
         se = np.sqrt(p * (1 - p) / x.size)
         assert abs(np.mean(x > r) - p) <= 4 * se
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_oscillating_law_refuses_a_bad_amplitude(amplitude):
+    with pytest.raises(InvalidParameter, match="amplitude"):
+        OscillatingTailLaw(1.0, amplitude, +1)
+
+
+@pytest.mark.parametrize("sign", [True, False, 0, 2])
+def test_oscillating_law_refuses_a_bad_sign(sign):
+    # a bool is no sign, though True == 1
+    with pytest.raises(InvalidParameter, match="sign"):
+        OscillatingTailLaw(1.0, 0.5, sign)
 
 
 def test_oscillating_monotonicity_guard():

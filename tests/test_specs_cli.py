@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import regvar
 from regvar.batch import SampleBatch
 from regvar.cli import (
+    _BLOCK_ROWS,
     _CSV_BLOCK_ROWS,
     _bad_line,
-    _is_number,
+    _number,
     blocks,
     cli_main,
     read_csv,
@@ -124,6 +125,23 @@ def test_cli_sample_names_a_bad_oscillating_sign(tmp_path, capsys):
     assert cli_main(["sample", "--model", json.dumps(model), "-n", "10",
                      "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: spec field 'sign'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", [1.5, 0.0, -0.5],
+                         ids=["above", "zero", "negative"])
+def test_oscillating_amplitude_is_checked(amplitude):
+    with pytest.raises(SpecError, match="spec field 'amplitude'"):
+        radial_from_spec(dict(OSCILLATING, amplitude=amplitude))
+
+
+def test_cli_sample_names_a_bad_oscillating_amplitude(tmp_path, capsys):
+    model = dict(UNIFORM_PARETO, radial=dict(OSCILLATING, amplitude=1.5))
+    out = tmp_path / "x.csv"
+    assert cli_main(["sample", "--model", json.dumps(model), "-n", "10",
+                     "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: spec field 'amplitude' must lie in (0, 1), got 1.5\n"
     assert not out.exists()
 
 
@@ -538,18 +556,47 @@ def test_streamed_steps_equal_whole_batch_steps(tmp_path, capsys, n):
         assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("row, message, calls", [
+    # the syntax fault ends the second block; its 7 clean points are
+    # judged before it is named
+    ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS, 7]),
+    # the second block is rejected, then judged line by line up to its
+    # eighth line
+    ("nan,1", "a coordinate is NaN or infinite",
+     [_BLOCK_ROWS, _BLOCK_ROWS] + [1] * 8),
+], ids=["ragged", "nan"])
+def test_bad_line_judges_points_a_block_at_a_time(tmp_path, monkeypatch, row,
+                                                  message, calls):
+    path = tmp_path / "bad.csv"
+    good = "1.5,2.5\n"
+    path.write_text("x1,x2\n" + good * (_BLOCK_ROWS + 7) + row + "\n"
+                    + good * (_BLOCK_ROWS - 3))
+    judged = []
+    from_points = SampleBatch.from_points
+
+    def counting(points, zero_count=0):
+        judged.append(points.shape[1])
+        return from_points(points, zero_count)
+
+    monkeypatch.setattr(SampleBatch, "from_points", staticmethod(counting))
+    error = _bad_line(str(path), 2, 2, "cause")
+    assert str(error) == f"{path}, line {_BLOCK_ROWS + 9}: {message}"
+    assert judged == calls
+
+
 def test_bad_line_falls_back_to_numpy_message(tmp_path):
     path = tmp_path / "good.csv"
     path.write_text("x1,x2\n1.0,2.0\n")
     assert str(_bad_line(str(path), 2, 2, "cause")) == f"{path}: cause"
 
 
-def numpy_reads(cell: str) -> bool:
+def numpy_value(cell: str) -> float | None:
+    """The value np.loadtxt reads from cell, or None when it rejects it."""
     try:
-        np.loadtxt(io.StringIO("0," + cell + "\n"), delimiter=",", ndmin=2)
+        return np.loadtxt(io.StringIO("0," + cell + "\n"), delimiter=",",
+                          ndmin=2)[0, 1]
     except ValueError:
-        return False
-    return True
+        return None
 
 
 @example("1_0")
@@ -558,7 +605,11 @@ def numpy_reads(cell: str) -> bool:
 @example("infinity")
 @given(st.text().filter(lambda c: not set(c) & set(",#\n\r")))
 def test_is_number_matches_numpy(cell):
-    assert _is_number(cell) == numpy_reads(cell)
+    # the same verdict, and where both read the cell, the same value
+    got, want = _number(cell), numpy_value(cell)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 csv_piece = st.sampled_from(list("0123456789.,eE+-_ #\t\n\r\x0c\x1c\xa0")
