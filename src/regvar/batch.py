@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePoint, NonFiniteInput
-from .sphere import angles_of, norms_of
+from .sphere import norms_of
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -24,10 +24,10 @@ class SampleBatch:
     also what happens when a batch round-trips through CSV. zero_count
     records points collapsed to the origin by transforms and removed.
 
-    points, norms, dirs and the cached angles are read-only views, so
-    batches share arrays instead of copying them: canonical() shares
-    points, a sphere map shares norms, and a gain that removes no point
-    shares dirs. Writing into any of them raises ValueError.
+    points, norms and dirs are read-only views, so batches share arrays
+    instead of copying them: canonical() shares points, a sphere map shares
+    norms, and a gain that removes no point shares dirs. Writing into any
+    of them raises ValueError.
     """
 
     def __init__(self, points: np.ndarray, norms: np.ndarray, dirs: np.ndarray,
@@ -40,7 +40,6 @@ class SampleBatch:
             raise ValueError("points must be a (d, n) array")
         if self.zero_count < 0:
             raise ValueError("zero_count must be nonnegative")
-        self._angles = None
 
     @classmethod
     def from_points(cls, points: np.ndarray,
@@ -75,12 +74,6 @@ class SampleBatch:
     @property
     def size(self) -> int:
         return self.points.shape[1]
-
-    def angles(self) -> np.ndarray:
-        """Canonical angles of the cached directions (d = 2 only, cached)."""
-        if self._angles is None:
-            self._angles = _read_only(angles_of(self.dirs))
-        return self._angles
 
     def canonical(self) -> "SampleBatch":
         """Batch rebuilt from coordinates alone.

@@ -468,10 +468,7 @@ def cli_main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except RegvarError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (RegvarError, OSError, KeyError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

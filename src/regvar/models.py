@@ -204,8 +204,6 @@ class Example1Model(RegVarModel):
     The side laws' construction checks that their tails are monotone.
     """
 
-    MAX_EXPLICIT_RAYS = 2_000_000
-
     def __init__(self, alpha: float = 1.0, amplitude: float = 0.5):
         self.alpha = float(alpha)
         self.amplitude = float(amplitude)
@@ -234,31 +232,39 @@ class Example1Model(RegVarModel):
         return SampleBatch.from_polar(radii, directions_of(theta))
 
     def _side_tail_on(self, r: float, arcs: ArcSet, sign: int) -> float:
-        """P{R_sign > r, ray angle in arcs} for one side of the mixture."""
+        """P{R_sign > r, ray angle in arcs} for one side of the mixture.
+
+        Ray n sits at angle 1/n on the plus side and 2 pi - 1/n on the
+        minus side, so an arc [a, b) holds a run of rays first..last: the
+        floors of the reciprocal distances from its ends to the
+        accumulation point, each moved one step where the float angle's
+        membership disagrees. The run's masses P{max(r, n) < R <= n + 1}
+        telescope to T(max(r, first)) - T(last + 1), T the side's tail, or 0
+        if that is negative; last = inf where 1/distance overflows, T(inf) = 0.
+        """
         law = self.side_law(sign)
-        endpoints = arcs.endpoints()
-        gaps = [e for e in endpoints if e > 0.0] + [TWO_PI - e for e in endpoints
-                                                    if e < TWO_PI]
-        closest = min(gaps) if gaps else 1.0
-        n_max = int(min(max(64.0, np.ceil(1.0 / closest) + 1),
-                        self.MAX_EXPLICIT_RAYS))
-        if closest < 1.0 / self.MAX_EXPLICIT_RAYS:
-            raise ValueError("arc endpoint too close to the accumulation point")
-        n = np.arange(1, n_max + 1, dtype=float)
-        theta = 1.0 / n if sign > 0 else TWO_PI - 1.0 / n
-        member = arcs.contains(theta)
-        lo = np.maximum(r, n)
-        contrib = np.maximum(0.0, law.tail(lo) - law.tail(n + 1.0))
-        total = float(np.sum(contrib[member]))
-        # beyond n_max every ray angle is closer to the accumulation point
-        # than any endpoint, so membership is decided by the arcs touching it
-        if sign > 0:
-            run_member = any(a == 0.0 for a, _ in arcs.arcs)
-        else:
-            run_member = any(b == TWO_PI for _, b in arcs.arcs)
-        if run_member:
-            total += float(law.tail(max(r, float(n_max + 1))))
-        return total
+
+        def index(gap):  # floor(1/gap); inf at 0 or where 1/gap overflows
+            inv = 1.0 / gap if gap > 0.0 else math.inf
+            return math.floor(inv) if inv < math.inf else inv
+
+        def member(n, a, b):  # there is no ray 0
+            return n >= 1 and a <= (1.0 / n if sign > 0 else TWO_PI - 1.0 / n) < b
+
+        def run_end(n, out, a, b):  # the true end is within one step of n
+            if member(n + out, a, b):
+                return n + out
+            return n if member(n, a, b) else n - out
+
+        total = 0.0
+        for a, b in arcs.arcs:
+            near, far = (a, b) if sign > 0 else (TWO_PI - b, TWO_PI - a)
+            first = run_end(index(far) + 1, -1, a, b)
+            last = run_end(index(near), +1, a, b)
+            ends = np.array([max(r, first), last + 1], dtype=float)
+            hi, lo = np.where(ends < np.inf, law.tail(ends), 0.0)
+            total += max(0.0, hi - lo)
+        return float(total)
 
     def exact_tail(self, r, sets):
         if not isinstance(sets, ArcSet):

@@ -18,6 +18,7 @@ from .batch import SampleBatch
 from .errors import DimensionMismatch
 from .measures import RadialGain, RandomGainProcess, SphereMap
 from .models import RegVarModel
+from .sphere import angles_of
 
 
 def spherical_map_apply(batch: SampleBatch, f: SphereMap) -> SampleBatch:
@@ -61,7 +62,7 @@ def randomized_scale_apply(batch: SampleBatch, z: RandomGainProcess,
     """
     if batch.dim != 2:
         raise DimensionMismatch("random gains act on planar angles (d = 2)")
-    return _scale_by(batch, z.sample(batch.angles(), rng))
+    return _scale_by(batch, z.sample(angles_of(batch.dirs), rng))
 
 
 class TransformedModel(RegVarModel):

@@ -101,7 +101,7 @@ def test_empirical_spectral_nested_exceedances():
     small = empirical_spectral(b, 100)
     order = np.argsort(-b.norms, kind="stable")
     assert set(np.round(small.angles, 12)) <= \
-        set(np.round(b.angles()[order[:400]], 12))
+        set(np.round(angles_of(b.dirs)[order[:400]], 12))
     assert big.n_atoms >= small.n_atoms
 
 
@@ -270,7 +270,7 @@ def lattice_arcs(picks):
 
 def direct_count(batch, b, r):
     """Points with direction in b and norm > r, counted over the whole batch."""
-    member = b.contains(batch.angles() if isinstance(b, ArcSet) else batch.dirs)
+    member = b.contains(angles_of(batch.dirs) if isinstance(b, ArcSet) else batch.dirs)
     return np.count_nonzero(member & (batch.norms > r))
 
 
@@ -380,7 +380,7 @@ def test_tail_scan_empirical_counts_exactly(n, seed, picks, radii, alpha):
     grid = np.sort(radii)
     b = tied_batch(n, seed, grid)
     sets = lattice_arcs(picks)
-    assert np.all(np.isin(angles_of(LATTICE)[picks], b.angles()))
+    assert np.all(np.isin(angles_of(LATTICE)[picks], angles_of(b.dirs)))
     scan = tail_scan(b, alpha, sets, grid)
     want = np.array([[r ** alpha * direct_count(b, s, r) / n for s in sets]
                      for r in grid])

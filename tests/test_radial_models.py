@@ -32,7 +32,7 @@ from regvar.radial import (
     OscillatingTailLaw,
     ParetoLaw,
 )
-from regvar.sphere import TWO_PI, ArcSet
+from regvar.sphere import TWO_PI, ArcSet, angles_of
 
 FULL = ArcSet.full_circle()
 
@@ -281,7 +281,7 @@ def test_polar_independent_requires_normalized_sigma():
 def test_polar_independence_rank_correlation():
     m = uniform_pareto(1.0)
     b = m.sample(100_000, 5)
-    ranks_theta = np.argsort(np.argsort(b.angles()))
+    ranks_theta = np.argsort(np.argsort(angles_of(b.dirs)))
     ranks_norm = np.argsort(np.argsort(b.norms))
     rho = np.corrcoef(ranks_theta, ranks_norm)[0, 1]
     assert abs(rho) < 0.01
@@ -400,7 +400,7 @@ def test_exceedance_frequency_matches_exact_tail(maker, probes):
     model = maker()
     n = 1_000_000
     batch = model.sample(n, 123)
-    angles = batch.angles()
+    angles = angles_of(batch.dirs)
     for r, arcs in probes:
         p = model.exact_tail(r, arcs)
         freq = np.count_nonzero(arcs.contains(angles) & (batch.norms > r)) / n
@@ -452,11 +452,80 @@ def test_example1_amplitude_guard():
 def test_example1_ray_geometry():
     m = Example1Model(1.0, 0.5)
     b = m.sample(50_000, 21)
-    ang = b.angles()
+    ang = angles_of(b.dirs)
     plus = ang < np.pi
     ray = np.maximum(1.0, np.floor(b.norms))
     np.testing.assert_allclose(ang[plus], 1.0 / ray[plus], atol=0)
     np.testing.assert_allclose(ang[~plus], TWO_PI - 1.0 / ray[~plus], atol=0)
+
+
+def enumerated_side_tail(model, r, arcs, sign):
+    """The ray-by-ray sum the closed form telescopes: every ray up to just
+    past the arc end nearest the accumulation point, tested one by one,
+    then the rest of the run for an arc that touches the point."""
+    law = model.side_law(sign)
+    ends = arcs.endpoints()
+    gaps = [e for e in ends if e > 0.0] + [TWO_PI - e for e in ends if e < TWO_PI]
+    n_max = int(max(64.0, np.ceil(1.0 / min(gaps, default=1.0)) + 1))
+    n = np.arange(1, n_max + 1, dtype=float)
+    member = arcs.contains(1.0 / n if sign > 0 else TWO_PI - 1.0 / n)
+    mass = np.maximum(0.0, law.tail(np.maximum(r, n)) - law.tail(n + 1.0))
+    total = float(np.sum(mass[member]))
+    touching = [a == 0.0 if sign > 0 else b == TWO_PI for a, b in arcs.arcs]
+    if any(touching):
+        total += float(law.tail(max(r, n_max + 1.0)))
+    return total
+
+
+# arc ends at least 1e-5 from 0 and 2 pi, often exactly on a ray
+arc_ends = st.one_of(
+    st.integers(1, 100_000).map(lambda k: 1.0 / k),
+    st.integers(1, 100_000).map(lambda k: TWO_PI - 1.0 / k),
+    st.floats(1e-5, TWO_PI - 1e-5),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(arc_ends, min_size=2, max_size=6, unique=True),
+       st.booleans(), st.booleans(), st.floats(0.5, 1e7),
+       st.sampled_from([0.5, 1.0, 2.0]))
+# ends on a ray whose estimate from the reciprocal is one step off
+@example([1.0 / 186, 1.0 / 93], False, False, 3.0, 1.0)
+@example([1.0 / 93, 0.5], False, False, 3.0, 1.0)
+@example([TWO_PI - 1.0 / 2, TWO_PI - 1.0 / 4], False, False, 1.0, 1.0)
+@example([TWO_PI - 1.5, TWO_PI - 1.0 / 2], False, False, 1.0, 1.0)
+@example([1e-5, 0.5], True, True, 0.5, 1.0)
+def test_example1_side_tail_matches_ray_enumeration(ends, from_zero, to_two_pi,
+                                                     r, alpha):
+    pts = sorted(ends)[:len(ends) // 2 * 2]
+    if from_zero:
+        pts[0] = 0.0
+    if to_two_pi:
+        pts[-1] = TWO_PI
+    arcs = ArcSet(zip(pts[::2], pts[1::2]))
+    m = Example1Model(alpha, 0.3)
+    for sign in (+1, -1):
+        assert m._side_tail_on(r, arcs, sign) == pytest.approx(
+            enumerated_side_tail(m, r, arcs, sign), rel=0, abs=1e-12)
+
+
+def test_example1_exact_tail_near_the_accumulation_point(monkeypatch):
+    m = Example1Model(1.0, 0.5)
+    calls = []
+    tail = OscillatingTailLaw.tail
+    monkeypatch.setattr(OscillatingTailLaw, "tail",
+                        lambda self, r: calls.append(r) or tail(self, r))
+
+    def counted(arc):
+        calls.clear()
+        value = m.exact_tail(10.0, ArcSet([arc]))
+        assert len(calls) == 2, arc  # one per side, whatever the gap
+        assert np.isfinite(value), arc
+        return value
+
+    near = [counted((a, 0.1)) for a in (4e-7, 1e-12, 5e-324)]
+    assert near[0] < near[1] < near[2] == counted((0.0, 0.1))
+    counted((TWO_PI - 1e-9, TWO_PI))
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +536,7 @@ def test_example2_k_law():
     m = Example2Model(1.0, 0.5, 1.2)
     b = m.sample(400_000, 17)
     # P{K = 1} = 1/2: the first atom sits at angle 0
-    frac = np.mean(b.angles() == 0.0)
+    frac = np.mean(angles_of(b.dirs) == 0.0)
     assert frac == pytest.approx(0.5, abs=0.004)
 
 
@@ -656,7 +725,7 @@ def test_example3_graph_angles_shrink():
     b = m.sample(100_000, 31)
     graph = b.points[1] > 0
     far = graph & (b.points[0] > 4.0)
-    assert np.all(b.angles()[far] < 2.0 ** -4 / 4.0)
+    assert np.all(angles_of(b.dirs)[far] < 2.0 ** -4 / 4.0)
 
 
 def test_example3_exact_tail_identities():
@@ -675,7 +744,7 @@ def test_example3_wedge_split_oracle():
     r = 3.0
     n = 2_000_000
     b = m.sample(n, 77)
-    freq = np.count_nonzero(arcs.contains(b.angles()) & (b.norms > r)) / n
+    freq = np.count_nonzero(arcs.contains(angles_of(b.dirs)) & (b.norms > r)) / n
     p = m.exact_tail(r, arcs)
     assert abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / n)
 

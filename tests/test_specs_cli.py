@@ -1124,6 +1124,16 @@ def test_cli_scan_exact_and_empirical(tmp_path):
     assert "empirical" in out2.read_text()
 
 
+def test_cli_scan_example1_near_its_accumulation_point(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert cli_main(["scan", "--model", json.dumps({"kind": "example1",
+                                                    "alpha": 1.0}),
+                     "--alpha", "1", "--r-grid", "10:100:3",
+                     "--arc", "4e-7:0.1", "-o", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 3 and all(row[3] == "exact" for row in rows)
+
+
 # ----------------------------------------------------------------------
 # scenario names and determinism
 

@@ -31,7 +31,7 @@ from regvar.models import (
 from regvar.radial import ParetoLaw
 from regvar.scenarios import _finite_r_identity_rel_err, _theorem2_closed_mass
 from regvar.specs import gain_from_spec
-from regvar.sphere import TWO_PI, ArcSet, CapSet
+from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of
 from regvar.transforms import (
     TransformedModel,
     radial_scale_apply,
@@ -62,7 +62,7 @@ def test_spherical_constant_puts_all_on_ray():
     b = small_batch()
     out = spherical_map_apply(b, constant_map(1.0))
     np.testing.assert_array_equal(out.norms, b.norms)
-    assert np.all(out.angles() == 1.0)
+    assert np.all(angles_of(out.dirs) == 1.0)
 
 
 def test_spherical_snap_hand_point():
@@ -127,7 +127,7 @@ def test_radial_indicator_removes_axis_points():
     out = radial_scale_apply(b, h)
     assert out.size == 1 and out.zero_count == 2
     assert not np.shares_memory(out.dirs, b.dirs)
-    assert out.angles()[0] == pytest.approx(np.pi / 4)
+    assert angles_of(out.dirs)[0] == pytest.approx(np.pi / 4)
 
 
 def test_radial_directions_preserved_exactly_for_survivors():
@@ -154,7 +154,7 @@ def test_batch_arrays_are_read_only_views():
                b.canonical(), spherical_map_apply(b, quadrant_snap_map()),
                radial_scale_apply(b, constant_gain(2.0))]
     for batch in batches:
-        for array in (batch.points, batch.norms, batch.dirs, batch.angles()):
+        for array in (batch.points, batch.norms, batch.dirs):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = 1.0
     assert np.shares_memory(b.canonical().points, pts)
