@@ -128,21 +128,6 @@ def _text(line: str) -> str:
     return line.split("#", 1)[0].rstrip("\n")
 
 
-def _number(cell: str) -> float | None:
-    """cell as np.loadtxt reads it, or None when numpy rejects it.
-
-    numpy accepts Python's float syntax on the stripped text, but only in
-    ASCII and without digit-grouping underscores.
-    """
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 def _data_lines(path: str, start: int):
     """(line number, text) of each line from file line start on that
     np.loadtxt reads as a row: those not empty up to any '#'."""
@@ -152,18 +137,6 @@ def _data_lines(path: str, start: int):
             text = _text(line)
             if text:
                 yield lineno, text
-
-
-def _parse_line(text: str, d: int) -> list[float]:
-    """The d values np.loadtxt reads from a data line. ValueError says why
-    numpy rejects the line: it is ragged, or a cell is not a number."""
-    cells = text.split(",")
-    if len(cells) != d:
-        raise ValueError(f"expected {d} values, found {len(cells)}")
-    row = [_number(cell) for cell in cells]
-    if None in row:
-        raise ValueError(f"{cells[row.index(None)].strip()!r} is not a number")
-    return row
 
 
 def _point_fault(points: np.ndarray) -> str | None:
@@ -177,6 +150,34 @@ def _point_fault(points: np.ndarray) -> str | None:
     return None
 
 
+def _rows(texts: list[str], d: int) -> np.ndarray | None:
+    """The (len(texts), d) rows np.loadtxt reads from non-empty data-line
+    texts, or None when numpy rejects them or reads another shape."""
+    try:
+        rows = np.loadtxt(texts, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(texts), d) else None
+
+
+def _line_fault(text: str, d: int) -> str | None:
+    """Why the reader rejects one data line, or None: it is ragged, a cell
+    is not a number, or SampleBatch.from_points rejects its point.
+
+    numpy judges the line, then each cell of a rejected line of d cells on
+    its own. A blank cell is judged without numpy, which warns on an empty
+    input.
+    """
+    row = _rows([text], d)
+    if row is not None:
+        return _point_fault(row.T)
+    cells = text.split(",")
+    if len(cells) != d:
+        return f"expected {d} values, found {len(cells)}"
+    bad = next(c for c in cells if not c.strip() or _rows([c], 1) is None)
+    return f"{bad.strip()!r} is not a number"
+
+
 def _bad_line(path: str, d: int, start: int, cause: str,
               first: int = 0) -> RegvarError:
     """Error naming the first data line, from data row first on, that the
@@ -184,33 +185,24 @@ def _bad_line(path: str, d: int, start: int, cause: str,
     SampleBatch.from_points rejects its point.
 
     Data rows count from file line start, the first line read_csv handed
-    to numpy, and split as np.loadtxt splits them. Syntax is judged line by
-    line. The points of the lines that pass are judged _BLOCK_ROWS at a
-    time, up to the first syntax fault, so a point rejected before it is
-    named first; only a rejected block is judged again, line by line up to
-    its first rejected point. cause is the fallback should no line be
-    rejected.
+    to numpy. np.loadtxt parses the lines _BLOCK_ROWS at a time, as it
+    parses the whole file, and from_points judges each block's points;
+    only a block that either rejects is judged again, line by line: by its
+    parsed points, or by _line_fault where numpy rejects the block, so a
+    rejected point before a syntax fault is named first. cause is the
+    fallback should no line be rejected.
     """
     lines = itertools.islice(_data_lines(path, start), first, None)
-    while True:
-        linenos, values, syntax = [], [], None
-        for lineno, text in itertools.islice(lines, _BLOCK_ROWS):
-            try:
-                values += _parse_line(text, d)
-            except ValueError as e:
-                syntax = f"{path}, line {lineno}: {e}"
-                break
-            linenos.append(lineno)
-        points = np.reshape(values, (-1, d)).T
-        if _point_fault(points) is not None:
-            for at, point in zip(linenos, points.T):
-                fault = _point_fault(point[:, None])
-                if fault is not None:
-                    return RegvarError(f"{path}, line {at}: {fault}")
-        if syntax is not None:
-            return RegvarError(syntax)
-        if len(linenos) < _BLOCK_ROWS:
-            return RegvarError(f"{path}: {cause}")
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        rows = _rows([text for _, text in block], d)
+        if rows is not None and _point_fault(rows.T) is None:
+            continue
+        for i, (lineno, text) in enumerate(block):
+            fault = _line_fault(text, d) if rows is None \
+                else _point_fault(rows[i, :, None])
+            if fault is not None:
+                return RegvarError(f"{path}, line {lineno}: {fault}")
+    return RegvarError(f"{path}: {cause}")
 
 
 def blocks(path: str, rows: np.ndarray, start: int):
@@ -234,9 +226,10 @@ def read_csv(path: str) -> tuple[np.ndarray, int]:
     parse, or whose rows do not match the header, raises RegvarError here
     naming the first rejected data line (_bad_line), a rejected point
     before the syntax error included; other rejected points are named when
-    blocks reaches them. Bytes that are not UTF-8 stop numpy's strict
-    decoding; the rescan decodes them to U+FFFD, so a cell holding them is
-    named as not a number.
+    blocks reaches them. numpy is the one judge of syntax: the rescan
+    parses the same lines with np.loadtxt. Bytes that are not UTF-8 stop
+    numpy's strict decoding; the rescan decodes them to U+FFFD, so a cell
+    holding them is named as not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -293,7 +286,10 @@ def _cmd_transform(args) -> int:
 
 
 def _parse_top(raw: str, n: int) -> int:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # refused below with the other bad counts
     if 0 < value < 1:
         return top_count(n, value)
     if not math.isfinite(value) or value != int(value):
@@ -387,11 +383,14 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low: int):
+    """argparse type: an integer of at least low."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def positive_float(raw: str) -> float:
@@ -410,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a seeded sample from a model spec")
     p.add_argument("--model", required=True, help="model JSON (file or inline)")
-    p.add_argument("-n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("-n", type=at_least(0), required=True, help="sample size")
+    p.add_argument("--seed", type=at_least(0), default=42)
+    p.add_argument("--workers", type=at_least(1), default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_sample)
 
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--map", help="sphere-map JSON (file or inline)")
     kind.add_argument("--gain", help="gain JSON (file or inline)")
-    p.add_argument("--gain-seed", type=int, default=0,
+    p.add_argument("--gain-seed", type=at_least(0), default=0,
                    help="seed for randomized gains")
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_transform)
@@ -431,15 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", required=True,
                    help="exceedance count k, or a fraction in (0, 1)")
     p.add_argument("--target", help="declared target measure JSON")
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
+    p.add_argument("--seed", type=at_least(0), default=0, help="bootstrap seed")
     p.add_argument("-o", "--output", required=True, help="report JSON")
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("verify", help="run a named scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--n", type=at_least(1), default=DEFAULT_N)
+    p.add_argument("--seed", type=at_least(0), default=DEFAULT_SEED)
+    p.add_argument("--workers", type=at_least(1), default=1)
     p.add_argument("-o", "--output", help="report JSON")
     p.set_defaults(fn=_cmd_verify)
 
@@ -451,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid", required=True, help="start:stop:points (log)")
     p.add_argument("--arc", action="append",
                    help="evaluation arc a:b (repeatable; default full circle)")
-    p.add_argument("--n", type=int, default=200_000,
+    p.add_argument("--n", type=at_least(0), default=200_000,
                    help="sample size for the empirical fallback")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--seed", type=at_least(0), default=42)
+    p.add_argument("--workers", type=at_least(1), default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_scan)
     return parser

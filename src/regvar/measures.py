@@ -169,13 +169,13 @@ class SpectralMeasure:
     # constructors
 
     @classmethod
-    def discrete(cls, angles, weights, merge=False):
-        return cls("discrete", 2, angles=angles, weights=weights, merge=merge)
-
-    @classmethod
-    def discrete_dirs(cls, coords, weights):
-        coords = np.asarray(coords, dtype=float)
-        return cls("discrete", coords.shape[0], coords=coords, weights=weights)
+    def discrete(cls, at, weights, merge=False):
+        """Atoms at angles, shape (m,) in d = 2, or at unit columns (d, m)."""
+        at = np.asarray(at, dtype=float)
+        if at.ndim == 2:
+            return cls("discrete", at.shape[0], coords=at, weights=weights,
+                       merge=merge)
+        return cls("discrete", 2, angles=at, weights=weights, merge=merge)
 
     @classmethod
     def density(cls, density_fn, spec=None, singular_points=None, total_mass=None):

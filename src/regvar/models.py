@@ -192,6 +192,11 @@ class PolarIndependentModel(RegVarModel):
 # oscillating mixture on two accumulating rays
 
 
+# smallest ray n whose minus-side angle 2 pi - 1/n rounds to 2 pi in double:
+# 1/n is half an ulp of 2 pi there and ties to even
+_MINUS_RAY_AT_ZERO = 2 ** 51
+
+
 class Example1Model(RegVarModel):
     """Mixture of two oscillating-tail laws on rays accumulating at angle 0.
 
@@ -241,6 +246,9 @@ class Example1Model(RegVarModel):
         membership disagrees. The run's masses P{max(r, n) < R <= n + 1}
         telescope to T(max(r, first)) - T(last + 1), T the side's tail, or 0
         if that is negative; last = inf where 1/distance overflows, T(inf) = 0.
+        Minus-side rays from _MINUS_RAY_AT_ZERO on sit at the float angle
+        2 pi, which the sampler's points read as 0: they count in an arc
+        holding 0, not in one ending at 2 pi.
         """
         law = self.side_law(sign)
 
@@ -256,15 +264,19 @@ class Example1Model(RegVarModel):
                 return n + out
             return n if member(n, a, b) else n - out
 
-        total = 0.0
+        runs = []
         for a, b in arcs.arcs:
             near, far = (a, b) if sign > 0 else (TWO_PI - b, TWO_PI - a)
             first = run_end(index(far) + 1, -1, a, b)
             last = run_end(index(near), +1, a, b)
-            ends = np.array([max(r, first), last + 1], dtype=float)
-            hi, lo = np.where(ends < np.inf, law.tail(ends), 0.0)
-            total += max(0.0, hi - lo)
-        return float(total)
+            if sign < 0:
+                last = min(last, _MINUS_RAY_AT_ZERO - 1)
+            runs.append((max(r, first), last + 1))
+        if sign < 0 and arcs.contains(0.0):
+            runs.append((max(r, _MINUS_RAY_AT_ZERO), math.inf))
+        ends = np.array(runs, dtype=float)
+        tails = np.where(ends < np.inf, law.tail(ends), 0.0)
+        return float(sum(max(0.0, hi - lo) for hi, lo in tails))
 
     def exact_tail(self, r, sets):
         if not isinstance(sets, ArcSet):

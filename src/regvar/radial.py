@@ -63,10 +63,6 @@ class AtomPlusParetoLaw(RadialLaw):
             raise ValueError("tail coefficient must lie in (0, 1]")
         self.coef = float(tail_coef)
 
-    @property
-    def atom_mass(self) -> float:
-        return 1.0 - self.coef
-
     def tail(self, r):
         r = np.asarray(r, dtype=float)
         out = np.where(r < 1.0, 1.0, self.coef * r ** -self.alpha)

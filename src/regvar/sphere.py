@@ -164,10 +164,6 @@ class ArcSet:
     def full_circle(cls) -> "ArcSet":
         return cls([(0.0, TWO_PI)])
 
-    @property
-    def length(self) -> float:
-        return float(sum(b - a for a, b in self.arcs))
-
     def endpoints(self) -> np.ndarray:
         return np.array([e for arc in self.arcs for e in arc])
 

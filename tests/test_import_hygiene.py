@@ -27,7 +27,9 @@ the Scenario itself and no runner writes them by hand.
 
 A bad CSV line is named in one place: cli._bad_line is the only function
 that builds an f-string holding ", line ", so every reader error names the
-first rejected data line by the same rule.
+first rejected data line by the same rule. numpy is the one judge of CSV
+syntax: in cli.py only the command-line parsers and _cmd_scan call float,
+so the reader has no number grammar of its own.
 """
 
 import ast
@@ -220,3 +222,14 @@ def test_only_bad_line_names_a_file_line():
             for part in node.values))
     assert set(builders) == {("cli.py", "_bad_line")}, \
         f"a file line named outside cli._bad_line: {builders}"
+
+
+def test_cli_reads_no_csv_cell_with_float():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    callers = {owner for owner, _ in _owners(
+        tree, lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "float")}
+    parsers = {"_parse_top", "_parse_r_grid", "_parse_arc", "positive_float",
+               "_cmd_scan"}
+    assert callers <= parsers, \
+        f"float called outside the command-line parsers: {callers - parsers}"

@@ -647,7 +647,7 @@ def test_ks_is_at_most_tv_for_matched_atoms(pair):
 
 def test_ks_needs_planar():
     coords = np.eye(3)[:, :2]
-    m3 = SpectralMeasure.discrete_dirs(coords, [0.5, 0.5])
+    m3 = SpectralMeasure.discrete(coords, [0.5, 0.5])
     with pytest.raises(DimensionMismatch):
         distance_ks(m3, m3)
 
@@ -726,7 +726,7 @@ def test_indicator_gain_zero_weight_removal():
 def test_d3_measure_operations():
     from regvar.sphere import CapSet
 
-    m = SpectralMeasure.discrete_dirs(np.eye(3), [1.0, 2.0, 1.0])
+    m = SpectralMeasure.discrete(np.eye(3), [1.0, 2.0, 1.0])
     n = m.normalized()
     np.testing.assert_allclose(n.weights, [0.25, 0.5, 0.25])
     flip = SphereMap(coords_fn=lambda x: -x)
@@ -812,7 +812,7 @@ def test_exact_and_ulp_duplicates_merge(atom):
         m = SpectralMeasure("discrete", 3, coords=at, weights=np.full(4, 0.25),
                             merge=True)
         with pytest.raises(ValueError, match="merge tolerance"):
-            SpectralMeasure.discrete_dirs(at, np.full(4, 0.25))
+            SpectralMeasure.discrete(at, np.full(4, 0.25))
     assert m.n_atoms == 1 and m.total_mass == 1.0
 
 
@@ -856,15 +856,15 @@ def test_embedded_measure_takes_the_same_path(m):
 
 
 @given(discrete_measures())
-def test_discrete_dirs_on_planar_coords(m):
-    via_coords = SpectralMeasure.discrete_dirs(m.coords, m.weights)
+def test_discrete_on_planar_coords(m):
+    via_coords = SpectralMeasure.discrete(m.coords, m.weights)
     assert via_coords.dim == 2
     np.testing.assert_allclose(via_coords.angles, m.angles, rtol=0, atol=1e-15)
     assert via_coords.weights.tobytes() == m.weights.tobytes()
 
 
 def test_constant_coords_map_collapses_atoms_on_the_sphere():
-    m = SpectralMeasure.discrete_dirs(np.eye(3), [0.2, 0.3, 0.5])
+    m = SpectralMeasure.discrete(np.eye(3), [0.2, 0.3, 0.5])
     pole = SphereMap(coords_fn=lambda x: np.repeat([[0.0], [0.0], [1.0]],
                                                    x.shape[1], axis=1))
     image = pushforward(m, pole)

@@ -10,6 +10,7 @@ from regvar.errors import (
     NonFiniteInput,
     RegvarError,
 )
+from regvar.estimation import tail_scan
 from regvar.measures import (
     SpectralMeasure,
     constant_gain,
@@ -19,6 +20,7 @@ from regvar.measures import (
     reweight,
 )
 from regvar.models import (
+    _MINUS_RAY_AT_ZERO,
     Example1Model,
     Example2Gain,
     Example2Model,
@@ -67,7 +69,6 @@ def test_pareto_tail_and_coefficient():
 
 def test_atom_plus_pareto_shape():
     law = AtomPlusParetoLaw(1.0, 0.25)
-    assert law.atom_mass == 0.75
     assert law.tail(1.0) == 0.25
     assert law.tail(0.99) == 1.0
     rng = np.random.default_rng(3)
@@ -289,7 +290,7 @@ def test_polar_independence_rank_correlation():
 
 def test_polar_independent_d3():
     coords = np.eye(3)
-    sigma = SpectralMeasure.discrete_dirs(coords, [0.5, 0.3, 0.2])
+    sigma = SpectralMeasure.discrete(coords, [0.5, 0.3, 0.2])
     m = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     b = m.sample(5000, 9)
     assert b.dim == 3
@@ -462,7 +463,8 @@ def test_example1_ray_geometry():
 def enumerated_side_tail(model, r, arcs, sign):
     """The ray-by-ray sum the closed form telescopes: every ray up to just
     past the arc end nearest the accumulation point, tested one by one,
-    then the rest of the run for an arc that touches the point."""
+    then the rest of the run for an arc that touches the point. Minus-side
+    rays from _MINUS_RAY_AT_ZERO on sit at angle 0, not below 2 pi."""
     law = model.side_law(sign)
     ends = arcs.endpoints()
     gaps = [e for e in ends if e > 0.0] + [TWO_PI - e for e in ends if e < TWO_PI]
@@ -474,6 +476,9 @@ def enumerated_side_tail(model, r, arcs, sign):
     touching = [a == 0.0 if sign > 0 else b == TWO_PI for a, b in arcs.arcs]
     if any(touching):
         total += float(law.tail(max(r, n_max + 1.0)))
+    if sign < 0:
+        at_zero = float(law.tail(max(r, _MINUS_RAY_AT_ZERO)))
+        total += at_zero * (arcs.contains(0.0) - any(touching))
     return total
 
 
@@ -524,8 +529,26 @@ def test_example1_exact_tail_near_the_accumulation_point(monkeypatch):
         return value
 
     near = [counted((a, 0.1)) for a in (4e-7, 1e-12, 5e-324)]
-    assert near[0] < near[1] < near[2] == counted((0.0, 0.1))
+    assert near[0] < near[1] < near[2]
+    # [0, 0.1) also holds the minus-side rays whose angle rounds to 0
+    at_zero = 0.5 * m.side_law(-1).tail(float(_MINUS_RAY_AT_ZERO))
+    assert counted((0.0, 0.1)) == pytest.approx(near[2] + at_zero, rel=1e-15)
     counted((TWO_PI - 1e-9, TWO_PI))
+
+
+def test_example1_exact_tail_places_rounded_rays_where_sampled():
+    # from this ray on, 2 pi - 1/n rounds to 2 pi and the point reads as 0
+    assert TWO_PI - 1.0 / _MINUS_RAY_AT_ZERO == TWO_PI
+    assert TWO_PI - 1.0 / (_MINUS_RAY_AT_ZERO - 1) < TWO_PI
+    # at alpha 0.05 about a sixth of the norms pass that ray
+    m = Example1Model(0.05, 0.04)
+    n, r = 200_000, 10.0
+    arcs = [ArcSet([(0.0, 0.1)]), ArcSet([(TWO_PI - 0.1, TWO_PI)])]
+    empirical = tail_scan(m.sample(n, 1), 0.05, arcs, [r]).values[0]
+    exact = tail_scan(m, 0.05, arcs, [r]).values[0]
+    p = empirical / r ** 0.05
+    se = r ** 0.05 * np.sqrt(p * (1.0 - p) / n)
+    assert np.all(np.abs(empirical - exact) <= 4.0 * se), (empirical, exact, se)
 
 
 # ----------------------------------------------------------------------

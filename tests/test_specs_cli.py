@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import io
@@ -23,7 +24,6 @@ from regvar.cli import (
     _BLOCK_ROWS,
     _CSV_BLOCK_ROWS,
     _bad_line,
-    _number,
     blocks,
     cli_main,
     read_csv,
@@ -84,7 +84,7 @@ def test_measure_spec_roundtrip_density_and_empirical():
 
 def test_measure_spec_roundtrip_d3():
     coords = np.eye(3)
-    m = SpectralMeasure.discrete_dirs(coords, [0.2, 0.3, 0.5])
+    m = SpectralMeasure.discrete(coords, [0.2, 0.3, 0.5])
     again = measure_from_spec(measure_to_spec(m))
     assert again.dim == 3
     np.testing.assert_allclose(again.coords, m.coords, atol=1e-12)
@@ -557,9 +557,9 @@ def test_streamed_steps_equal_whole_batch_steps(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("row, message, calls", [
-    # the syntax fault ends the second block; its 7 clean points are
-    # judged before it is named
-    ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS, 7]),
+    # numpy rejects the second block, which is judged line by line: its 7
+    # clean points one at a time, then the syntax fault
+    ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS] + [1] * 7),
     # the second block is rejected, then judged line by line up to its
     # eighth line
     ("nan,1", "a coordinate is NaN or infinite",
@@ -599,17 +599,19 @@ def numpy_value(cell: str) -> float | None:
         return None
 
 
-@example("1_0")
-@example("\u0661")
-@example("\x1c1")
-@example("infinity")
-@given(st.text().filter(lambda c: not set(c) & set(",#\n\r")))
-def test_is_number_matches_numpy(cell):
-    # the same verdict, and where both read the cell, the same value
-    got, want = _number(cell), numpy_value(cell)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got == want or (np.isnan(got) and np.isnan(want))
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\x1c1", "infinity"],
+                         ids=["underscore", "arabic-digit", "separator", "infinity"])
+def test_read_csv_reads_a_cell_as_numpy_does(tmp_path, cell):
+    path = tmp_path / "cell.csv"
+    path.write_text("x1,x2\n1," + cell + "\n", encoding="utf-8")
+    want = numpy_value(cell)
+    if want is None:
+        with pytest.raises(RegvarError) as info:
+            read_csv(str(path))
+        assert str(info.value) == f"{path}, line 2: {cell.strip()!r} is not a number"
+    else:
+        rows, _ = read_csv(str(path))
+        assert rows[0, 1] == want
 
 
 csv_piece = st.sampled_from(list("0123456789.,eE+-_ #\t\n\r\x0c\x1c\xa0")
@@ -626,6 +628,11 @@ def test_read_csv_errors_name_a_line(tmp_path_factory, body):
     except RegvarError as e:
         # a rejected file names its line; numpy's fallback message is unused
         assert not str(e).startswith(f"{path}: ")
+        # a cell named as not a number is one numpy rejects on its own
+        named = re.fullmatch(r".*, line \d+: (.*) is not a number", str(e),
+                             flags=re.DOTALL)
+        if named is not None:
+            assert numpy_value(ast.literal_eval(named.group(1))) is None
 
 
 @pytest.mark.parametrize("row, norm", [("1e-170,0", 1e-170), ("1e200,1", 1e200)],
@@ -772,13 +779,41 @@ def test_cli_sample_rejects_overflowing_draws(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("top", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("top", ["inf", "1e400", "nan", "abc"])
 def test_cli_estimate_rejects_non_finite_top(tmp_path, capsys, top):
     src, out = tmp_path / "s.csv", tmp_path / "e.json"
     src.write_text("x1,x2\n1.0,2.0\n3.0,0.5\n")
     assert cli_main(["estimate", "--input", str(src), "--top", top,
                      "-o", str(out)]) == 2
-    assert "--top" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--top" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+SCAN_ARGS = ["scan", "--model", json.dumps(UNIFORM_PARETO), "--alpha", "1",
+             "--r-grid", "1:2:2"]
+
+
+@pytest.mark.parametrize("argv, flag, raw", [
+    (["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "5"], "--seed", "-1"),
+    (["sample", "--model", json.dumps(UNIFORM_PARETO), "--seed", "1"], "-n", "-1"),
+    (["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "5"], "--seed", "1.5"),
+    (["transform", "--input", "in.csv", "--gain", '{"kind": "exp_cosine"}'],
+     "--gain-seed", "-1"),
+    (["estimate", "--input", "in.csv", "--top", "1"], "--seed", "-1"),
+    (["verify", "--scenario", "example2"], "--seed", "-1"),
+    (["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "5"], "--workers", "0"),
+    (SCAN_ARGS, "--seed", "-1"),
+    (SCAN_ARGS, "--n", "-1"),
+    (SCAN_ARGS, "--workers", "0"),
+], ids=["sample-seed", "sample-n", "sample-seed-not-integer", "gain-seed",
+        "estimate-seed", "verify-seed", "sample-workers", "scan-seed", "scan-n",
+        "scan-workers"])
+def test_cli_names_the_flag_of_a_bad_integer(tmp_path, capsys, argv, flag, raw):
+    out = tmp_path / "out"
+    assert cli_main([*argv, flag, raw, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -303,7 +303,7 @@ def test_transformed_model_discrete_exact_tail():
 
 
 def test_transformed_model_discrete_exact_tail_on_the_sphere():
-    sigma = SpectralMeasure.discrete_dirs(np.eye(3), [0.2, 0.3, 0.5])
+    sigma = SpectralMeasure.discrete(np.eye(3), [0.2, 0.3, 0.5])
     base = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
     # h = 1 + x3 doubles the norms on the pole and keeps the others
     t = TransformedModel(base, RadialGain(coords_fn=lambda x: 1.0 + x[2]))
