@@ -160,17 +160,26 @@ def _rows(texts: list[str], d: int) -> np.ndarray | None:
     return rows if rows.shape == (len(texts), d) else None
 
 
-def _line_fault(text: str, d: int) -> str | None:
-    """Why the reader rejects one data line, or None: it is ragged, a cell
-    is not a number, or SampleBatch.from_points rejects its point.
+def _first_rejected(texts: list[str], d: int) -> tuple[np.ndarray, int]:
+    """The rows before the first line numpy rejects in texts it rejects,
+    and that line's index. numpy judges each line on its own, so halving
+    the lines left finds it in about one more parse of texts."""
+    parsed, lo, hi = [np.empty((0, d))], 0, len(texts)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        rows = _rows(texts[lo:mid], d)
+        if rows is None:
+            hi = mid
+        else:
+            parsed.append(rows)
+            lo = mid
+    return np.concatenate(parsed), lo
 
-    numpy judges the line, then each cell of a rejected line of d cells on
-    its own. A blank cell is judged without numpy, which warns on an empty
-    input.
-    """
-    row = _rows([text], d)
-    if row is not None:
-        return _point_fault(row.T)
+
+def _line_fault(text: str, d: int) -> str:
+    """Why numpy rejects one data line: it is ragged, or the first cell
+    numpy rejects on its own is not a number. A blank cell is judged
+    without numpy, which warns on an empty input."""
     cells = text.split(",")
     if len(cells) != d:
         return f"expected {d} values, found {len(cells)}"
@@ -185,23 +194,26 @@ def _bad_line(path: str, d: int, start: int, cause: str,
     SampleBatch.from_points rejects its point.
 
     Data rows count from file line start, the first line read_csv handed
-    to numpy. np.loadtxt parses the lines _BLOCK_ROWS at a time, as it
-    parses the whole file, and from_points judges each block's points;
-    only a block that either rejects is judged again, line by line: by its
-    parsed points, or by _line_fault where numpy rejects the block, so a
-    rejected point before a syntax fault is named first. cause is the
-    fallback should no line be rejected.
+    to numpy. np.loadtxt parses them _BLOCK_ROWS at a time, as it parses
+    the whole file, up to the first line it rejects (_first_rejected), and
+    from_points judges those points at once. Only a rejected set is judged
+    again, line by line, so a rejected point before a syntax fault is named
+    first. cause is the fallback should no line be rejected.
     """
     lines = itertools.islice(_data_lines(path, start), first, None)
     while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        rows = _rows([text for _, text in block], d)
-        if rows is not None and _point_fault(rows.T) is None:
-            continue
-        for i, (lineno, text) in enumerate(block):
-            fault = _line_fault(text, d) if rows is None \
-                else _point_fault(rows[i, :, None])
-            if fault is not None:
-                return RegvarError(f"{path}, line {lineno}: {fault}")
+        texts = [text for _, text in block]
+        rows, end = _rows(texts, d), len(block)
+        if rows is None:
+            rows, end = _first_rejected(texts, d)
+        if _point_fault(rows.T) is not None:
+            for (lineno, _), row in zip(block, rows):
+                fault = _point_fault(row[:, None])
+                if fault is not None:
+                    return RegvarError(f"{path}, line {lineno}: {fault}")
+        if end < len(block):
+            lineno, text = block[end]
+            return RegvarError(f"{path}, line {lineno}: {_line_fault(text, d)}")
     return RegvarError(f"{path}: {cause}")
 
 
@@ -224,12 +236,11 @@ def read_csv(path: str) -> tuple[np.ndarray, int]:
 
     A body of blank and comment lines gives no rows. A file numpy cannot
     parse, or whose rows do not match the header, raises RegvarError here
-    naming the first rejected data line (_bad_line), a rejected point
-    before the syntax error included; other rejected points are named when
-    blocks reaches them. numpy is the one judge of syntax: the rescan
-    parses the same lines with np.loadtxt. Bytes that are not UTF-8 stop
-    numpy's strict decoding; the rescan decodes them to U+FFFD, so a cell
-    holding them is named as not a number.
+    naming the first rejected data line (_bad_line, which parses the lines
+    again with np.loadtxt), a rejected point before it included; blocks
+    names other rejected points. Bytes that are not UTF-8 stop numpy's
+    strict decoding; the rescan reads them as U+FFFD, so their cell is
+    named as not a number.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()

@@ -24,6 +24,7 @@ from regvar.cli import (
     _BLOCK_ROWS,
     _CSV_BLOCK_ROWS,
     _bad_line,
+    _first_rejected,
     blocks,
     cli_main,
     read_csv,
@@ -557,9 +558,9 @@ def test_streamed_steps_equal_whole_batch_steps(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("row, message, calls", [
-    # numpy rejects the second block, which is judged line by line: its 7
-    # clean points one at a time, then the syntax fault
-    ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS] + [1] * 7),
+    # numpy rejects the second block; the 7 clean points before its first
+    # rejected line are judged at once
+    ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS, 7]),
     # the second block is rejected, then judged line by line up to its
     # eighth line
     ("nan,1", "a coordinate is NaN or infinite",
@@ -582,6 +583,28 @@ def test_bad_line_judges_points_a_block_at_a_time(tmp_path, monkeypatch, row,
     error = _bad_line(str(path), 2, 2, "cause")
     assert str(error) == f"{path}, line {_BLOCK_ROWS + 9}: {message}"
     assert judged == calls
+
+
+@pytest.mark.parametrize("at", range(9))
+def test_first_rejected_parses_each_line_about_once(monkeypatch, at):
+    texts = [f"{i}.5,1" for i in range(9)]
+    texts[at] = "1.0"
+    texts[-1] = texts[-1] if at == 8 else "x,1"  # a later fault is not named
+    parsed = []
+    rows_of = regvar.cli._rows
+
+    def counting(lines, d):
+        parsed.append(len(lines))
+        return rows_of(lines, d)
+
+    monkeypatch.setattr(regvar.cli, "_rows", counting)
+    rows, end = _first_rejected(texts, 2)
+    assert end == at
+    assert rows.shape == (at, 2)
+    assert rows.tolist() == [[i + 0.5, 1] for i in range(at)]
+    # halving: about one parse of texts in all, in few numpy calls
+    assert sum(parsed) <= len(texts)
+    assert len(parsed) <= (len(texts) - 1).bit_length()
 
 
 def test_bad_line_falls_back_to_numpy_message(tmp_path):
