@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePoint, NonFiniteInput
+from .errors import DegeneratePoint, InvalidParameter, NonFiniteInput
 from .sphere import norms_of
 
 
@@ -37,9 +37,9 @@ class SampleBatch:
         self.dirs = _read_only(np.asarray(dirs, dtype=float))
         self.zero_count = int(zero_count)
         if self.points.ndim != 2:
-            raise ValueError("points must be a (d, n) array")
+            raise InvalidParameter("points must be a (d, n) array")
         if self.zero_count < 0:
-            raise ValueError("zero_count must be nonnegative")
+            raise InvalidParameter("zero_count must be nonnegative")
 
     @classmethod
     def from_points(cls, points: np.ndarray,

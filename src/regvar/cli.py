@@ -1,8 +1,9 @@
 """Command-line harness: sample, transform, estimate, verify, scan.
 
-Exit codes: 0 success (all checks pass), 1 a scenario or estimation check
-failed, 2 usage or configuration error. Sample CSVs carry a x1,...,xd
-header and 17-significant-digit floats (%.17g), which round-trip doubles
+Exit codes: 0 success, 1 a failed scenario check, 2 a refusal: a bad
+command line, or a RegvarError or OSError, printed as one `error:` line.
+Any other exception is a bug: it shows its traceback and exits 1. Sample
+CSVs carry a x1,...,xd header and %.17g floats, which round-trip doubles
 exactly, so piping stages through files reproduces in-memory results bit
 for bit. A rejected CSV exits 2 naming its first rejected data line in
 file order: ragged, a cell that is not a number, or a zero, NaN, infinite
@@ -33,8 +34,9 @@ import sys
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import DegeneratePoint, NonFiniteInput, RegvarError
+from .errors import DegeneratePoint, InvalidParameter, NonFiniteInput, RegvarError
 from .estimation import (
+    check_r_grid,
     check_top,
     estimate_from_top,
     tail_scan,
@@ -160,20 +162,26 @@ def _rows(texts: list[str], d: int) -> np.ndarray | None:
     return rows if rows.shape == (len(texts), d) else None
 
 
-def _first_rejected(texts: list[str], d: int) -> tuple[np.ndarray, int]:
-    """The rows before the first line numpy rejects in texts it rejects,
-    and that line's index. numpy judges each line on its own, so halving
-    the lines left finds it in about one more parse of texts."""
-    parsed, lo, hi = [np.empty((0, d))], 0, len(texts)
+def _sound(rows: np.ndarray) -> np.ndarray | None:
+    """rows, or None when SampleBatch.from_points rejects their points."""
+    return rows if _point_fault(rows.T) is None else None
+
+
+def _first_rejected(items, judge) -> tuple[list, int]:
+    """judge's results on the runs of items before the first item it
+    rejects, in items it rejects, and that item's index. judge (_rows or
+    _sound) returns None for a run it rejects and judges each item on its
+    own, so halving the items left finds it in about one more judgement."""
+    parts, lo, hi = [], 0, len(items)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        rows = _rows(texts[lo:mid], d)
-        if rows is None:
+        part = judge(items[lo:mid])
+        if part is None:
             hi = mid
         else:
-            parsed.append(rows)
+            parts.append(part)
             lo = mid
-    return np.concatenate(parsed), lo
+    return parts, lo
 
 
 def _line_fault(text: str, d: int) -> str:
@@ -195,25 +203,26 @@ def _bad_line(path: str, d: int, start: int, cause: str,
 
     Data rows count from file line start, the first line read_csv handed
     to numpy. np.loadtxt parses them _BLOCK_ROWS at a time, as it parses
-    the whole file, up to the first line it rejects (_first_rejected), and
-    from_points judges those points at once. Only a rejected set is judged
-    again, line by line, so a rejected point before a syntax fault is named
-    first. cause is the fallback should no line be rejected.
+    the whole file, up to the first line it rejects, and from_points
+    judges those points at once. Only a rejected set is searched again, by
+    halving (_first_rejected), so a rejected point before a syntax fault is
+    named first. cause is the fallback should no line be rejected.
     """
     lines = itertools.islice(_data_lines(path, start), first, None)
     while block := list(itertools.islice(lines, _BLOCK_ROWS)):
         texts = [text for _, text in block]
         rows, end = _rows(texts, d), len(block)
         if rows is None:
-            rows, end = _first_rejected(texts, d)
-        if _point_fault(rows.T) is not None:
-            for (lineno, _), row in zip(block, rows):
-                fault = _point_fault(row[:, None])
-                if fault is not None:
-                    return RegvarError(f"{path}, line {lineno}: {fault}")
-        if end < len(block):
-            lineno, text = block[end]
-            return RegvarError(f"{path}, line {lineno}: {_line_fault(text, d)}")
+            parts, end = _first_rejected(texts, functools.partial(_rows, d=d))
+            rows = np.concatenate([np.empty((0, d)), *parts])
+        if _sound(rows) is None:
+            end = _first_rejected(rows, _sound)[1]
+            fault = _point_fault(rows[end:end + 1].T)
+        elif end < len(block):
+            fault = _line_fault(texts[end], d)
+        else:
+            continue
+        return RegvarError(f"{path}, line {block[end][0]}: {fault}")
     return RegvarError(f"{path}: {cause}")
 
 
@@ -268,8 +277,7 @@ def _cmd_sample(args) -> int:
     model = model_from_spec(load_spec(args.model))
     size, _ = write_csv(args.output, model.dim,
                         model.chunks(args.n, args.seed, args.workers))
-    print(f"wrote {size} points (d={model.dim}, seed={args.seed}) "
-          f"-> {args.output}")
+    print(f"wrote {size} points (d={model.dim}, seed={args.seed}) -> {args.output}")
     return 0
 
 
@@ -287,25 +295,11 @@ def _cmd_transform(args) -> int:
                                      z=random_gain_from_spec(spec),
                                      rng=substream(args.gain_seed, GAIN_STREAM))
         else:
-            step = functools.partial(radial_scale_apply,
-                                     h=gain_from_spec(spec))
+            step = functools.partial(radial_scale_apply, h=gain_from_spec(spec))
     size, zero_count = write_csv(args.output, rows.shape[1],
                                  map(step, blocks(args.input, rows, start)))
-    print(f"wrote {size} points (zero_count={zero_count}) "
-          f"-> {args.output}")
+    print(f"wrote {size} points (zero_count={zero_count}) -> {args.output}")
     return 0
-
-
-def _parse_top(raw: str, n: int) -> int:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan  # refused below with the other bad counts
-    if 0 < value < 1:
-        return top_count(n, value)
-    if not math.isfinite(value) or value != int(value):
-        raise RegvarError("--top must be an integer count or a fraction in (0,1)")
-    return int(value)
 
 
 def _cmd_estimate(args) -> int:
@@ -317,10 +311,8 @@ def _cmd_estimate(args) -> int:
         norms[end:end + block.size] = block.norms
         end += block.size
         del block
-    k = _parse_top(args.top, n)
-    target = None
-    if args.target is not None:
-        target = measure_from_spec(load_spec(args.target))
+    k = args.top if isinstance(args.top, int) else top_count(n, args.top)
+    target = None if args.target is None else measure_from_spec(load_spec(args.target))
     check_top(n, k)
     # directions of the top k alone, the bits from_points gives them
     top = top_indices(norms, k)
@@ -347,44 +339,44 @@ def _cmd_verify(args) -> int:
     for check in report.checks:
         verdict = "pass" if check.passed else "FAIL"
         tol = "" if check.tolerance is None else f" (tolerance {check.tolerance:g})"
-        print(f"[{verdict}] {report.scenario}.{check.name} = "
-              f"{check.value:.6g}{tol}")
+        print(f"[{verdict}] {report.scenario}.{check.name} = {check.value:.6g}{tol}")
     print(f"{report.scenario}: {'PASS' if report.passed else 'FAIL'} "
           f"in {report.runtime_s:.2f}s")
     return 0 if report.passed else 1
 
 
 def _parse_r_grid(raw: str) -> np.ndarray:
+    """argparse type of --r-grid start:stop:points: increasing log-spaced radii."""
     try:
         start, stop, points = raw.split(":")
-        start, stop, points = float(start), float(stop), int(points)
-    except ValueError as e:
-        raise RegvarError(f"bad --r-grid {raw!r}, expected start:stop:points") from e
-    if not (0 < start < math.inf and 0 < stop < math.inf and points >= 1):
-        raise RegvarError("--r-grid must be positive and finite")
-    return np.geomspace(start, stop, points)
+        return check_r_grid(np.geomspace(positive_float(start), positive_float(stop),
+                                         at_least(1)(points)))
+    except ValueError as e:  # InvalidParameter is one
+        raise argparse.ArgumentTypeError(f"{e}; expected start:stop:points") from e
 
 
-def _parse_arc(raw: str) -> tuple[float, float]:
+def _parse_arc(raw: str) -> ArcSet:
+    """argparse type of --arc a:b, the arc [a, b)."""
     try:
         a, b = raw.split(":")
-        return float(a), float(b)
-    except ValueError as e:
-        raise RegvarError(f"bad --arc {raw!r}, expected a:b") from e
+        return ArcSet([(float(a), float(b))])
+    except ValueError as e:  # InvalidParameter is one
+        raise argparse.ArgumentTypeError(f"{e}; expected a:b") from e
 
 
 def _cmd_scan(args) -> int:
-    model = model_from_spec(load_spec(args.model))
-    source = model
+    source = model_from_spec(load_spec(args.model))
     if args.gain is not None:
-        source = TransformedModel(model, gain_from_spec(load_spec(args.gain)))
-    arcs = [ArcSet([_parse_arc(raw)]) for raw in args.arc] if args.arc \
-        else [ArcSet.full_circle()]
-    grid = _parse_r_grid(args.r_grid)
-    probe = source.exact_tail(float(grid[0]), arcs[0])
-    if probe is None:
-        source = source.sample(args.n, args.seed, args.workers)
-    scan = tail_scan(source, args.alpha, arcs, grid)
+        source = TransformedModel(source, gain_from_spec(load_spec(args.gain)))
+    arcs, grid = args.arc or [ArcSet.full_circle()], args.r_grid
+    if source.exact_tail(float(grid[0]), arcs[0]) is None:
+        batch = source.sample(args.n, args.seed, args.workers)
+        try:
+            scan = tail_scan(batch, args.alpha, arcs, grid)
+        except InvalidParameter as e:  # --alpha and --r-grid passed: the floor
+            raise RegvarError(f"--n {args.n} kept {batch.size} points: {e}") from e
+    else:
+        scan = tail_scan(source, args.alpha, arcs, grid)
     with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("r,arc_id,value,mode\n")
         for i, r in enumerate(scan.r_grid):
@@ -407,9 +399,17 @@ def at_least(low: int):
 def positive_float(raw: str) -> float:
     value = float(raw)
     if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {raw}")
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
     return value
+
+
+def count_or_fraction(raw: str) -> int | float:
+    """argparse type of --top: an integer count, or a fraction in (0, 1)."""
+    value = positive_float(raw)
+    if value > 1 and not value.is_integer():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer count or a fraction in (0, 1), got {raw}")
+    return value if value < 1 else int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="tail index and spectral estimates")
     p.add_argument("--input", required=True, help="input CSV")
-    p.add_argument("--top", required=True,
+    p.add_argument("--top", type=count_or_fraction, required=True,
                    help="exceedance count k, or a fraction in (0, 1)")
     p.add_argument("--target", help="declared target measure JSON")
     p.add_argument("--seed", type=at_least(0), default=0, help="bootstrap seed")
@@ -458,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", help="optional gain JSON applied to the model")
     p.add_argument("--alpha", type=positive_float, required=True,
                    help="normalization exponent")
-    p.add_argument("--r-grid", required=True, help="start:stop:points (log)")
-    p.add_argument("--arc", action="append",
+    p.add_argument("--r-grid", type=_parse_r_grid, required=True,
+                   help="start:stop:points (log)")
+    p.add_argument("--arc", type=_parse_arc, action="append",
                    help="evaluation arc a:b (repeatable; default full circle)")
     p.add_argument("--n", type=at_least(0), default=200_000,
                    help="sample size for the empirical fallback")
@@ -471,14 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (RegvarError, OSError, KeyError, TypeError, ValueError) as e:
+    except (RegvarError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

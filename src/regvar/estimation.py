@@ -62,7 +62,7 @@ def empirical_spectral(batch: SampleBatch, k_top: int) -> SpectralMeasure:
     if batch.size == 0:
         raise EmptyInput("cannot estimate a spectral measure from no points")
     if not 1 <= k_top <= batch.size:
-        raise ValueError("k_top must lie in [1, batch size]")
+        raise InvalidParameter("k_top must lie in [1, batch size]")
     return _uniform_on(batch.dirs[:, top_indices(batch.norms, k_top)])
 
 
@@ -88,7 +88,7 @@ def hill_estimator(batch_or_norms, k: int) -> float:
         else np.asarray(batch_or_norms, dtype=float)
     n = norms.size
     if not 1 <= k < n:
-        raise ValueError("k must satisfy 1 <= k < sample size")
+        raise InvalidParameter("k must satisfy 1 <= k < sample size")
     part = np.partition(norms, n - k - 1)
     threshold = part[n - k - 1]
     if threshold <= 0:
@@ -132,22 +132,21 @@ def _exceedance_counts(batch: SampleBatch, sets: list,
 
 @dataclass
 class TailScan:
-    """Table of r^alpha * P{direction in B, norm > r} over a grid.
-
-    mode records whether values come from closed-form tails or empirical
-    frequencies.
-    """
+    """Table of r^alpha * P{direction in B, norm > r} over a grid; mode
+    records whether values are closed-form tails or empirical frequencies."""
 
     r_grid: np.ndarray
     sets: list
     values: np.ndarray  # (len(r_grid), len(sets))
     mode: str
 
-    def __post_init__(self):
-        if np.any(np.diff(self.r_grid) <= 0):
-            raise ValueError("r grid must be strictly increasing")
-        if np.any(self.values < 0):
-            raise ValueError("scan values must be nonnegative")
+
+def check_r_grid(r_grid) -> np.ndarray:
+    """r_grid as floats; InvalidParameter unless positive, finite, increasing."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    if not (np.all((r_grid > 0) & (r_grid < np.inf)) and np.all(np.diff(r_grid) > 0)):
+        raise InvalidParameter("r_grid must be positive, finite and strictly increasing")
+    return r_grid
 
 
 def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
@@ -159,16 +158,12 @@ def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
     finite, and the grid strictly increasing.
     """
     positive_finite(alpha, "alpha")
-    r_grid = np.asarray(r_grid, dtype=float)
-    for r in r_grid.flat:
-        positive_finite(r, "r_grid radius")
-    if np.any(np.diff(r_grid) <= 0):
-        raise InvalidParameter("r_grid must be strictly increasing")
+    r_grid = check_r_grid(r_grid)
     sets = list(sets)
     values = np.empty((r_grid.size, len(sets)))
     if isinstance(source, SampleBatch):
         if source.size < 1000:
-            raise ValueError("empirical scans need at least 10^3 points")
+            raise InvalidParameter("empirical scans need at least 10^3 points")
         counts = _exceedance_counts(source, sets, r_grid)
         for i, r in enumerate(r_grid):
             values[i] = r ** alpha * counts[i] / source.size
@@ -178,7 +173,7 @@ def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
             for i, r in enumerate(r_grid):
                 t = source.exact_tail(float(r), b)
                 if t is None:
-                    raise ValueError("source has no exact tail; pass a batch")
+                    raise UnsupportedPair("source has no exact tail; pass a batch")
                 values[i, j] = r ** alpha * t
         mode = "exact"
     return TailScan(r_grid, sets, values, mode)
@@ -258,7 +253,7 @@ def check_top(n: int, k_top: int) -> None:
     if n == 0:
         raise EmptyInput("empty batch")
     if not 1 <= k_top < n:
-        raise ValueError("k_top must satisfy 1 <= k_top < batch size")
+        raise InvalidParameter("k_top must satisfy 1 <= k_top < batch size")
 
 
 def estimate_from_top(norms: np.ndarray, top_dirs: np.ndarray,

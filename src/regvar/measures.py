@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyMeasure,
+    InvalidConstruction,
     InvalidGain,
     InvalidParameter,
     MomentDivergence,
@@ -129,24 +130,24 @@ class SpectralMeasure:
                     raise InvalidParameter("atom angles must be finite")
                 at = wrap_angle(angles)
                 if at.shape != weights.shape or at.ndim != 1:
-                    raise ValueError("angles and weights must be 1-d, same length")
+                    raise InvalidParameter("angles and weights must be 1-d, same length")
             else:
                 coords = np.asarray(coords, dtype=float)
                 if coords.shape != (self.dim, weights.size):
-                    raise ValueError("coords must be (d, m) matching weights")
+                    raise InvalidParameter("coords must be (d, m) matching weights")
                 if not np.all(np.isfinite(coords)):
                     raise InvalidParameter("atom coordinates must be finite")
                 if np.any(np.abs(norms_of(coords) - 1.0) > UNIT_NORM_TOL):
-                    raise ValueError("atom coordinates must be unit vectors")
+                    raise InvalidParameter("atom coordinates must be unit vectors")
                 at = angles_of(coords) if self.dim == 2 else coords
-            if np.any(weights <= 0):
-                raise ValueError("weights must be positive")
             if weights.size == 0:
                 raise EmptyMeasure("measure has no atoms")
+            if not (weights.min() > 0 and float(weights.max()) * weights.size < math.inf):
+                raise InvalidParameter("weights must be positive, with a finite sum")
             self.atoms, self.weights = merge_atoms(at, weights, ATOM_MERGE_TOL)
             if not merge and self.weights.size < weights.size:
-                raise ValueError("atoms closer than the merge tolerance; "
-                                 "pass merge=True to combine them")
+                raise InvalidParameter("atoms closer than the merge tolerance; "
+                                       "pass merge=True to combine them")
             if at.ndim == 1:
                 self.angles, self.coords = self.atoms, directions_of(self.atoms)
             else:
@@ -157,11 +158,11 @@ class SpectralMeasure:
             if self.dim != 2:
                 raise DimensionMismatch("a density is in the angle, so d = 2 only")
             if density_fn is None:
-                raise ValueError("density measure needs a density function")
+                raise InvalidConstruction("density measure needs a density function")
             self.total_mass = float(total_mass) if total_mass is not None \
                 else arc_integral(density_fn, [(0.0, TWO_PI)], self.singular_points)
         else:
-            raise ValueError(f"unknown measure kind {kind!r}")
+            raise InvalidParameter(f"unknown measure kind {kind!r}")
         if not np.isfinite(self.total_mass) or self.total_mass < 0:
             raise EmptyMeasure("total mass must be finite and nonnegative")
 
@@ -192,7 +193,7 @@ class SpectralMeasure:
     def cosine_bump(cls, amplitude: float):
         a = float(amplitude)
         if not -1.0 <= a <= 1.0:
-            raise ValueError("cosine_bump amplitude must lie in [-1, 1]")
+            raise InvalidParameter("cosine_bump amplitude must lie in [-1, 1]")
         return cls.density(lambda t: (1.0 + a * np.cos(t)) / TWO_PI,
                            spec={"name": "cosine_bump", "amplitude": a},
                            total_mass=1.0)
@@ -241,17 +242,15 @@ class SpectralMeasure:
             return sets.contains(self.angles)
         if isinstance(sets, CapSet):
             return sets.contains(self.coords)
-        raise TypeError("sets must be an ArcSet or a CapSet")
+        raise UnsupportedPair("sets must be an ArcSet or a CapSet")
 
     def mass_on(self, sets) -> float:
         """Measure of an ArcSet (d = 2) or CapSet (d >= 3); a density
         remembers the mass of each ArcSet it has integrated."""
         if self.is_discrete:
             return float(np.sum(self.weights[self.atoms_in(sets)]))
-        if isinstance(sets, CapSet):
-            raise UnsupportedPair("cap evaluation needs a discrete measure")
         if not isinstance(sets, ArcSet):
-            raise TypeError("sets must be an ArcSet or a CapSet")
+            raise UnsupportedPair("a density is evaluated on an ArcSet alone")
         if sets not in self._arc_masses:
             self._arc_masses[sets] = arc_integral(self.density_fn, sets.arcs,
                                                   self.singular_points)
@@ -325,10 +324,10 @@ class SpectralMeasure:
         if self.dim != 2:
             raise DimensionMismatch("quantile inverts the angle cdf, so d = 2 only")
         if abs(self.total_mass - 1.0) > 1e-6:
-            raise ValueError("quantile requires a normalized measure")
+            raise InvalidParameter("quantile requires a normalized measure")
         u_arr = np.asarray(u, dtype=float)
         if np.any((u_arr < 0) | (u_arr >= 1)):
-            raise ValueError("quantile levels must lie in [0, 1)")
+            raise InvalidParameter("quantile levels must lie in [0, 1)")
         if self.is_discrete:
             cum = np.cumsum(self.weights)
             idx = np.searchsorted(cum, u_arr, side="left")
@@ -383,13 +382,13 @@ class StepAngles:
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
         if breaks.ndim != 1 or breaks.size == 0 or breaks.shape != values.shape:
-            raise ValueError("breaks and values must be 1-d, nonempty and of "
-                             "equal length")
+            raise InvalidParameter("breaks and values must be 1-d, nonempty and "
+                                   "of equal length")
         if not (breaks[0] == 0.0 and np.all(np.diff(breaks) > 0)
                 and breaks[-1] < TWO_PI):
-            raise ValueError("breaks must start at 0 and increase within [0, 2*pi)")
+            raise InvalidParameter("breaks must start at 0 and increase within [0, 2*pi)")
         if not np.all(np.isfinite(values)):
-            raise ValueError("step values must be finite")
+            raise InvalidParameter("step values must be finite")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
 
@@ -411,8 +410,7 @@ class _SphereFunction:
 
     def __init__(self, angle_fn, coords_fn):
         if angle_fn is None and coords_fn is None:
-            raise ValueError(f"{type(self).__name__} needs an angle or "
-                             "coordinate action")
+            raise InvalidConstruction(f"{type(self).__name__} has no action")
         self.angle_fn = angle_fn
         self.coords_fn = coords_fn
 
@@ -468,7 +466,7 @@ class SphereMap(_SphereFunction):
         # norms_of raises NonFiniteInput on a NaN or infinite coordinate
         norms = norms_of(out)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise ValueError("map output is not a unit vector")
+            raise InvalidParameter("map output is not a unit vector")
         return out / norms
 
 
@@ -535,6 +533,8 @@ class RadialGain(_SphereFunction):
 
 def constant_gain(value: float) -> RadialGain:
     v = float(value)
+    if not v >= 0:
+        raise InvalidGain("constant gain value must be nonnegative")
     return RadialGain(angle_fn=lambda t: np.full_like(np.asarray(t, float), v),
                       declared_bound=v)
 
@@ -600,7 +600,7 @@ class RandomGainProcess:
             out = np.asarray(self.moment_fn(t, float(p)), dtype=float)
         else:
             if rng is None:
-                raise ValueError("Monte Carlo moments need an explicit rng")
+                raise InvalidParameter("Monte Carlo moments need an explicit rng")
             # the running sum heads each chunk, so rows are added in the
             # order, and with the rounding, of one whole-array sum
             total = np.zeros((1, t.size))
@@ -738,7 +738,7 @@ def quantile_transform_map(mu: SpectralMeasure) -> SphereMap:
     if mu.dim != 2:
         raise DimensionMismatch("the quantile transform maps angles, so d = 2 only")
     if abs(mu.total_mass - 1.0) > 1e-6:
-        raise ValueError("quantile transform requires a normalized measure")
+        raise InvalidParameter("quantile transform requires a normalized measure")
     if mu.is_discrete:
         cum = np.cumsum(mu.weights)
         breaks = np.concatenate(([0.0], TWO_PI * cum[:-1]))
@@ -809,7 +809,7 @@ def moment_condition(sigma: SpectralMeasure, h: RadialGain, alpha: float,
     1e-8 absolute.
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidParameter("epsilon must be positive")
     p = float(alpha) + float(epsilon)
     if sigma.is_discrete:
         total = float(np.sum(sigma.weights * h.on_atoms(sigma) ** p))

@@ -25,7 +25,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .batch import SampleBatch
-from .errors import InvalidConstruction, MomentDivergence, positive_finite
+from .errors import (
+    InvalidConstruction,
+    InvalidParameter,
+    MomentDivergence,
+    UnsupportedPair,
+    positive_finite,
+)
 from .measures import RadialGain, SpectralMeasure, arc_integral
 from .radial import OscillatingTailLaw, ParetoLaw, RadialLaw
 from .rng import CHUNK, SAMPLE_STREAM, chunk_seeds, chunk_sizes
@@ -99,8 +105,8 @@ class RegVarModel:
         SampleBatch, in order. Bad n or workers raise here, before any
         chunk is drawn; with workers > 1 a thread pool draws ahead
         (_drawn_ahead)."""
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        if n < 0 or workers < 1:
+            raise InvalidParameter(f"need n >= 0 and workers >= 1, got {n}, {workers}")
         sizes = chunk_sizes(n)
         seeds = chunk_seeds(seed, SAMPLE_STREAM, len(sizes))
 
@@ -147,7 +153,7 @@ class PolarIndependentModel(RegVarModel):
 
     def __init__(self, sigma: SpectralMeasure, alpha: float, radial: RadialLaw):
         if abs(sigma.total_mass - 1.0) > 1e-9:
-            raise ValueError("sigma must be normalized")
+            raise InvalidParameter("sigma must be normalized")
         if abs(radial.alpha - float(alpha)) > 1e-12:
             raise InvalidConstruction("radial law index must equal alpha")
         self.sigma = sigma
@@ -280,7 +286,7 @@ class Example1Model(RegVarModel):
 
     def exact_tail(self, r, sets):
         if not isinstance(sets, ArcSet):
-            raise TypeError("example1 evaluation sets are arc unions")
+            raise UnsupportedPair("example1 evaluation sets are arc unions")
         return 0.5 * (self._side_tail_on(r, sets, +1)
                       + self._side_tail_on(r, sets, -1))
 
@@ -368,12 +374,12 @@ class Example2Model(RegVarModel):
     def _materialized_spectral(self) -> SpectralMeasure:
         # first atoms exactly, the infinite remainder lumped into the next
         # atom position; total mass is the exact series value
-        k = np.arange(1, _SPECTRAL_ATOMS + 1, dtype=float)
+        k = np.arange(1, _SPECTRAL_ATOMS + 2, dtype=float)
         w = k ** -self.nu / (k * (k + 1))
-        rest = _qk_power_sum_from(_SPECTRAL_ATOMS + 1, -self.nu)
-        angles = np.append(_atom_angle(k), _atom_angle(_SPECTRAL_ATOMS + 1))
-        weights = np.append(w, rest)
-        return SpectralMeasure.discrete(angles, weights)
+        if w[-1] == 0.0:  # the remainder's first term: nu is too large
+            raise InvalidConstruction(f"nu = {self.nu} leaves atoms of no mass")
+        weights = np.append(w[:-1], _qk_power_sum_from(_SPECTRAL_ATOMS + 1, -self.nu))
+        return SpectralMeasure.discrete(_atom_angle(k), weights)
 
     def _sample_chunk(self, rng, m):
         u = rng.random(m)
@@ -392,7 +398,7 @@ class Example2Model(RegVarModel):
         others sum as the Hurwitz series from 55 less the one past split.
         """
         if not isinstance(sets, ArcSet):
-            raise TypeError("example2 evaluation sets are arc unions")
+            raise UnsupportedPair("example2 evaluation sets are arc unions")
         r = float(r)
         s = self.alpha * b - self.nu
         split = _beta_split(r, b)
@@ -508,8 +514,6 @@ class Example3Model(RegVarModel):
     def _graph_tail_on(self, r: float, a1: float, a2: float) -> float:
         """Mass of the graph part with x > r and angle in [a1, a2), a1 > 0."""
         a2 = min(a2, np.pi / 2.0)
-        if a1 <= 0.0:
-            raise ValueError("graph enumeration needs a1 > 0")
         if a1 >= a2:
             return 0.0
         tan_lo = np.tan(a1)
@@ -532,7 +536,7 @@ class Example3Model(RegVarModel):
 
     def exact_tail(self, r, sets):
         if not isinstance(sets, ArcSet):
-            raise TypeError("example3 evaluation sets are arc unions")
+            raise UnsupportedPair("example3 evaluation sets are arc unions")
         r = float(r)
         value = 0.0
         if sets.contains(0.0):

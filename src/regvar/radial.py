@@ -60,7 +60,7 @@ class AtomPlusParetoLaw(RadialLaw):
     def __init__(self, alpha: float, tail_coef: float):
         self.alpha = positive_finite(alpha, "alpha")
         if not 0.0 < tail_coef <= 1.0:
-            raise ValueError("tail coefficient must lie in (0, 1]")
+            raise InvalidParameter("tail coefficient must lie in (0, 1]")
         self.coef = float(tail_coef)
 
     def tail(self, r):

@@ -31,8 +31,6 @@ def chunk_seeds(seed: int, stream: int, n_chunks: int) -> list[np.random.SeedSeq
 
 
 def chunk_sizes(n: int) -> list[int]:
-    """Split n into CHUNK-sized chunks; the split depends on n only."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Split n >= 0 into CHUNK-sized chunks; the split depends on n only."""
     full, rest = divmod(n, CHUNK)
     return [CHUNK] * full + ([rest] if rest else [])

@@ -79,8 +79,8 @@ class Scenario:
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}; "
-                             f"choose from {', '.join(SCENARIO_NAMES)}")
+            raise InvalidParameter(f"unknown scenario {self.name!r}; "
+                                   f"choose from {', '.join(SCENARIO_NAMES)}")
         if self.n < 1:
             raise InvalidParameter(f"n must be at least 1, got {self.n}")
 

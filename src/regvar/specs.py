@@ -53,7 +53,7 @@ def _float(value, path: str) -> float:
     raises SpecError naming its path."""
     try:
         x = float(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"spec field {path!r} must be a number, "
                         f"got {value!r}") from e
     _require(math.isfinite(x),
@@ -137,13 +137,13 @@ def measure_from_spec(spec: dict) -> SpectralMeasure:
     kind = spec.get("kind")
     if kind in ("discrete", "empirical"):
         atoms = spec.get("atoms")
-        _require(isinstance(atoms, list) and atoms, "atoms must be a nonempty list")
+        _require(isinstance(atoms, list) and atoms
+                 and all(isinstance(a, dict) for a in atoms),
+                 "atoms must be a nonempty list of objects")
         dim = _integer(spec, "dim", 2)
         weights = [_number(a, "weight", where=f"atoms[{i}].")
                    for i, a in enumerate(atoms)]
         if dim == 2:
-            _require(all("angle" in a for a in atoms),
-                     "planar atoms need an 'angle' field")
             angles = [_number(a, "angle", where=f"atoms[{i}].")
                       for i, a in enumerate(atoms)]
             m = SpectralMeasure(kind, 2, angles=angles, weights=weights,
@@ -299,7 +299,7 @@ def load_spec(text_or_path: str) -> dict:
     try:
         with open(text_or_path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # bad JSON, or bytes that are not UTF-8
         raise SpecError(f"cannot load spec from {text_or_path!r}: {e}") from e
 
 

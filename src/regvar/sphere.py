@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, DimensionMismatch, NonFiniteInput
+from .errors import DegeneratePoint, DimensionMismatch, InvalidParameter, NonFiniteInput
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,7 +71,7 @@ def unit_vector(v) -> np.ndarray:
         raise DimensionMismatch("a direction needs d >= 2 coordinates")
     n = float(norms_of(v[:, None])[0])
     if abs(n - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector: |norm - 1| = {abs(n - 1.0):.3e}")
+        raise InvalidParameter(f"not a unit vector: |norm - 1| = {abs(n - 1.0):.3e}")
     return v
 
 
@@ -154,10 +154,10 @@ class ArcSet:
         pairs = sorted((float(a), float(b)) for a, b in arcs)
         for a, b in pairs:
             if not (0.0 <= a < b <= TWO_PI):
-                raise ValueError(f"arc [{a}, {b}) outside [0, 2*pi] or empty")
+                raise InvalidParameter(f"arc [{a}, {b}) outside [0, 2*pi] or empty")
         for (_, b0), (a1, _) in zip(pairs, pairs[1:]):
             if a1 < b0:
-                raise ValueError("arcs overlap")
+                raise InvalidParameter("arcs overlap")
         object.__setattr__(self, "arcs", tuple(pairs))
 
     @classmethod
@@ -192,11 +192,11 @@ class CapSet:
             c = unit_vector(center)
             thr = float(thr)
             if not -1.0 <= thr <= 1.0:
-                raise ValueError("cap threshold must lie in [-1, 1]")
+                raise InvalidParameter("cap threshold must lie in [-1, 1]")
             centers.append(c)
             thresholds.append(thr)
         if not centers:
-            raise ValueError("CapSet needs at least one cap")
+            raise InvalidParameter("CapSet needs at least one cap")
         object.__setattr__(self, "centers", np.stack(centers, axis=1))
         object.__setattr__(self, "thresholds", np.asarray(thresholds))
 

@@ -16,10 +16,13 @@ about a class it imports from regvar.models. A closed form that holds for
 one kind of model is a method of that model (gained_tail is one).
 
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
-refusal a user can meet carries a message and is a RegvarError, the one
-error the CLI turns into exit code 2. Every RegvarError subclass that
-errors.py defines is raised or constructed by some other library module,
-so no error type outlives its last raiser.
+refusal a user can meet carries a message and is a RegvarError: no module
+raises a class that errors.py does not define, save NotImplementedError
+and, in cli.py, argparse.ArgumentTypeError, the refusal of an argparse
+type. cli_main turns a RegvarError or an OSError into exit code 2 and
+nothing else, so a bug keeps its traceback. Every RegvarError subclass
+that errors.py defines is raised or constructed by some other library
+module, so no error type outlives its last raiser.
 
 A scenario report is built in one place: run_scenario is the only function
 that constructs a Report, so the name, n and seed a report echoes come from
@@ -167,6 +170,40 @@ def test_not_implemented_error_is_bare(path):
     assert not problems, f"{path.name}: " + "; ".join(problems)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raise_is_a_regvar_error(path):
+    """A raise names a class errors.py defines, or calls a function of its
+    module annotated to return one (cli._bad_line); a bare raise re-raises.
+    argparse shows a type's message as a usage error (exit 2) only when it
+    is an ArgumentTypeError, so cli.py's argparse types raise that."""
+    errors = {node.name for node in ast.parse(
+        (SRC / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = errors | {"NotImplementedError"} | {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and fn.returns is not None and ast.unparse(fn.returns) in errors}
+    if path.name == "cli.py":
+        allowed.add("argparse.ArgumentTypeError")
+    raised = [(node.lineno, ast.unparse(getattr(node.exc, "func", node.exc)))
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None]
+    problems = [f"line {line}: raises {name}" for line, name in raised
+                if name not in allowed]
+    assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def test_cli_main_turns_only_regvar_and_os_errors_into_exit_2():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "cli_main")
+    caught = [[ast.unparse(kind) for kind in (
+        handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type])]
+        for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)]
+    # argparse's own exit, then the one rule
+    assert caught == [["SystemExit"], ["RegvarError", "OSError"]]
+
+
 def test_every_error_type_is_raised_elsewhere():
     """Every class errors.py defines below RegvarError counts as used when
     another library module calls it (raise X(...), or X(...) handed on) or
@@ -229,7 +266,6 @@ def test_cli_reads_no_csv_cell_with_float():
     callers = {owner for owner, _ in _owners(
         tree, lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name) and node.func.id == "float")}
-    parsers = {"_parse_top", "_parse_r_grid", "_parse_arc", "positive_float",
-               "_cmd_scan"}
+    parsers = {"_parse_r_grid", "_parse_arc", "positive_float", "_cmd_scan"}
     assert callers <= parsers, \
         f"float called outside the command-line parsers: {callers - parsers}"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regvar
@@ -30,7 +30,13 @@ from regvar.cli import (
     read_csv,
     write_csv,
 )
-from regvar.errors import InvalidParameter, NonFiniteInput, RegvarError, SpecError
+from regvar.errors import (
+    InvalidGain,
+    InvalidParameter,
+    NonFiniteInput,
+    RegvarError,
+    SpecError,
+)
 from regvar.estimation import estimate
 from regvar.g17 import _significands
 from regvar.measures import SpectralMeasure
@@ -49,7 +55,7 @@ from regvar.specs import (
     random_gain_from_spec,
     report_json,
 )
-from regvar.transforms import radial_scale_apply, randomized_scale_apply
+from regvar.transforms import TransformedModel, radial_scale_apply, randomized_scale_apply
 
 UNIFORM_PARETO = {
     "kind": "polar_independent", "alpha": 1.0,
@@ -561,10 +567,11 @@ def test_streamed_steps_equal_whole_batch_steps(tmp_path, capsys, n):
     # numpy rejects the second block; the 7 clean points before its first
     # rejected line are judged at once
     ("1.0", "expected 2 values, found 1", [_BLOCK_ROWS, 7]),
-    # the second block is rejected, then judged line by line up to its
-    # eighth line
+    # from_points rejects the second block; halving finds its eighth line
+    # in 16 calls on 65 535 points in all, and one more names its fault
     ("nan,1", "a coordinate is NaN or infinite",
-     [_BLOCK_ROWS, _BLOCK_ROWS] + [1] * 8),
+     [_BLOCK_ROWS, _BLOCK_ROWS] + [_BLOCK_ROWS >> i for i in range(1, 14)]
+     + [4, 2, 1, 1]),
 ], ids=["ragged", "nan"])
 def test_bad_line_judges_points_a_block_at_a_time(tmp_path, monkeypatch, row,
                                                   message, calls):
@@ -585,26 +592,35 @@ def test_bad_line_judges_points_a_block_at_a_time(tmp_path, monkeypatch, row,
     assert judged == calls
 
 
-@pytest.mark.parametrize("at", range(9))
-def test_first_rejected_parses_each_line_about_once(monkeypatch, at):
-    texts = [f"{i}.5,1" for i in range(9)]
-    texts[at] = "1.0"
-    texts[-1] = texts[-1] if at == 8 else "x,1"  # a later fault is not named
-    parsed = []
-    rows_of = regvar.cli._rows
+@pytest.mark.parametrize(
+    "at, judge", [(at, "syntax") for at in range(9)] + [(at, "points") for at in range(9)],
+    ids=[str(at) for at in range(9)] + [f"points-{at}" for at in range(9)])
+def test_first_rejected_parses_each_line_about_once(at, judge):
+    # numpy's parse of line texts, or from_points on parsed rows; a later
+    # fault is not named
+    if judge == "syntax":
+        items = [f"{i}.5,1" for i in range(9)]
+        items[at] = "1.0"
+        items[-1] = items[-1] if at == 8 else "x,1"
+        judge = functools.partial(regvar.cli._rows, d=2)
+    else:
+        items = np.array([[i + 0.5, 1.0] for i in range(9)])
+        items[at] = [np.nan, 1.0]
+        items[-1] = items[-1] if at == 8 else [0.0, 0.0]
+        judge = regvar.cli._sound
+    judged = []
 
-    def counting(lines, d):
-        parsed.append(len(lines))
-        return rows_of(lines, d)
+    def counting(part):
+        judged.append(len(part))
+        return judge(part)
 
-    monkeypatch.setattr(regvar.cli, "_rows", counting)
-    rows, end = _first_rejected(texts, 2)
+    parts, end = _first_rejected(items, counting)
     assert end == at
-    assert rows.shape == (at, 2)
+    rows = np.concatenate([np.empty((0, 2)), *parts])
     assert rows.tolist() == [[i + 0.5, 1] for i in range(at)]
-    # halving: about one parse of texts in all, in few numpy calls
-    assert sum(parsed) <= len(texts)
-    assert len(parsed) <= (len(texts) - 1).bit_length()
+    # halving: about one judgement of items in all, in few calls
+    assert sum(judged) <= len(items)
+    assert len(judged) <= (len(items) - 1).bit_length()
 
 
 def test_bad_line_falls_back_to_numpy_message(tmp_path):
@@ -923,6 +939,120 @@ def test_non_finite_spec_number_raises_regvar_error(name, data):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RegvarError):
             build(bad)
+
+
+# the field names and kinds of the spec builders, as keys and values of
+# arbitrary JSON, with NaN and infinity among the floats
+SPEC_FIELDS = ["dim", "atoms", "angle", "weight", "coords", "density", "name",
+               "amplitude", "alpha", "tail_coefficient", "sign", "sigma",
+               "radial", "nu", "beta", "value", "breakpoints", "values",
+               "target", "base", "arcs", "center", "gamma"]
+SPEC_KINDS = ["discrete", "empirical", "density", "uniform", "cosine_bump",
+              "pareto", "atom_plus_pareto", "oscillating", "polar_independent",
+              "example1", "example2", "example3", "identity", "constant",
+              "quadrant_snap", "step", "quantile_transform", "cosine",
+              "example2_gain", "indicator_arc", "power_cusp", "exp_cosine"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(SPEC_KINDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.fixed_dictionaries({"kind": st.sampled_from(SPEC_KINDS)},
+                            optional=dict.fromkeys(SPEC_FIELDS, inner))
+    | st.dictionaries(st.sampled_from(["kind", *SPEC_FIELDS]) | st.text(max_size=3),
+                      inner, max_size=5),
+    max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(spec=json_values)
+@example(spec={"kind": "discrete", "atoms": [5]})
+@example(spec={"kind": "discrete", "atoms": [{"angle": 0.0, "weight": 1e308},
+                                             {"angle": 1.0, "weight": 1e308}]})
+@example(spec={"kind": "discrete", "atoms": [{"angle": 10 ** 400, "weight": 1}]})
+@example(spec={"kind": "example2", "alpha": 1.0, "nu": 1e300, "beta": 2.0})
+@example(spec={"kind": "step", "breakpoints": [1.0], "values": [1.0]})
+@example(spec={"kind": "density", "density": {"name": "cosine_bump", "amplitude": 3}})
+def test_spec_builders_return_or_raise_a_regvar_error(spec):
+    # RuntimeWarnings are errors here, as in the whole suite
+    for build in (measure_from_spec, radial_from_spec, model_from_spec,
+                  map_from_spec, gain_from_spec, random_gain_from_spec):
+        try:
+            build(spec)
+        except RegvarError:
+            pass
+
+
+def test_constant_gain_refuses_a_negative_value_when_built():
+    with pytest.raises(InvalidGain, match="nonnegative"):
+        gain_from_spec({"kind": "constant", "value": -1.0})
+    assert gain_from_spec({"kind": "constant", "value": 0.0}).declared_bound == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "{src}", "--top", "1", "--target",
+     '{"kind": "discrete", "atoms": [5]}'],
+    ["transform", "--input", "{src}", "--map", "{latin1}"],
+    ["scan", "--model", json.dumps(UNIFORM_PARETO), "--alpha", "1",
+     "--r-grid", "1:2:2", "--arc", "2:1"],
+    ["transform", "--input", "{src}", "--map",
+     '{"kind": "step", "breakpoints": [1.0], "values": [1.0]}'],
+    ["sample", "-n", "5", "--model", json.dumps(dict(UNIFORM_PARETO, radial={
+        "kind": "atom_plus_pareto", "alpha": 1.0, "tail_coefficient": 2.0}))],
+    ["estimate", "--input", "{src}", "--top", "1", "--target",
+     '{"kind": "discrete", "atoms": [{"angle": 0.0, "weight": -1.0}]}'],
+    ["estimate", "--input", "{src}", "--top", "1", "--target",
+     '{"kind": "density", "density": {"name": "cosine_bump", "amplitude": 3}}'],
+    ["scan", "--model", '{"kind": "example3", "alpha": 1.0}', "--gain",
+     '{"kind": "indicator_arc", "arcs": [[0.0, 2.0]]}', "--alpha", "1",
+     "--r-grid", "10:10:1", "--n", "5"],
+], ids=["atom-not-an-object", "spec-not-utf8", "empty-arc", "step-map-breaks",
+        "atom-plus-pareto-coefficient", "negative-weight", "cosine-bump-amplitude",
+        "scan-point-floor"])
+def test_cli_refuses_bad_input_with_one_error_line(tmp_path, capsys, argv):
+    src, latin1, out = tmp_path / "s.csv", tmp_path / "map.json", tmp_path / "out"
+    src.write_text("x1,x2\n1.0,2.0\n3.0,0.5\n2.0,2.0\n")
+    latin1.write_bytes('{"kind": "identity", "note": "\xe9"}'.encode("latin-1"))
+    argv = [a.replace("{src}", str(src)).replace("{latin1}", str(latin1))
+            for a in argv]
+    assert cli_main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_scan_point_floor_names_n_and_the_points_kept(capsys, tmp_path):
+    model = {"kind": "example3", "alpha": 1.0}
+    gain = {"kind": "indicator_arc", "arcs": [[0.1, 2.0]]}
+    kept = TransformedModel(model_from_spec(model), gain_from_spec(gain)).sample(2000, 1)
+    assert 0 < kept.size < 1000
+    out = tmp_path / "scan.csv"
+    assert cli_main(["scan", "--model", json.dumps(model), "--gain", json.dumps(gain),
+                     "--alpha", "1", "--r-grid", "10:10:1", "--n", "2000",
+                     "--seed", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --n 2000 kept {kept.size} points: empirical scans need at "
+        "least 10^3 points\n")
+    assert not out.exists()
+
+
+def test_cli_judges_top_before_reading_the_input(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert cli_main(["estimate", "--input", str(missing), "--top", "abc",
+                     "-o", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert "argument --top: " in err and str(missing) not in err
+
+
+def test_cli_lets_a_bug_propagate(monkeypatch):
+    # only a RegvarError or an OSError is a refusal: any other exception is
+    # a bug, and leaves cli_main with its traceback rather than as exit 2
+    def broken(spec):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(regvar.cli, "model_from_spec", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli_main(["sample", "--model", json.dumps(UNIFORM_PARETO), "-n", "5",
+                  "-o", "unused.csv"])
 
 
 def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
