@@ -351,7 +351,7 @@ def _parse_r_grid(raw: str) -> np.ndarray:
         start, stop, points = raw.split(":")
         return check_r_grid(np.geomspace(positive_float(start), positive_float(stop),
                                          at_least(1)(points)))
-    except ValueError as e:  # InvalidParameter is one
+    except (ValueError, argparse.ArgumentTypeError) as e:  # InvalidParameter is one
         raise argparse.ArgumentTypeError(f"{e}; expected start:stop:points") from e
 
 
@@ -389,7 +389,10 @@ def _cmd_scan(args) -> int:
 def at_least(low: int):
     """argparse type: an integer of at least low."""
     def integer(raw: str) -> int:
-        value = int(raw)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -397,7 +400,10 @@ def at_least(low: int):
 
 
 def positive_float(raw: str) -> float:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
     return value

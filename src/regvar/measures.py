@@ -581,7 +581,7 @@ class RandomGainProcess:
     is bit-identical to the mean of one mc_budget-row draw.
     """
 
-    def __init__(self, sample_fn, moment_fn=None, mc_budget: int = 100_000):
+    def __init__(self, sample_fn, moment_fn=None, mc_budget: int = 200_000):
         self.sample_fn = sample_fn
         self.moment_fn = moment_fn
         self.mc_budget = int(mc_budget)

@@ -7,7 +7,6 @@ losslessly (within 1e-12 for angles and weights).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -99,24 +98,6 @@ def _arcs(spec: dict) -> ArcSet:
     return ArcSet(pairs)
 
 
-def _fields_required(from_spec):
-    """from_spec, with a field missing from its spec raised as a SpecError
-    that names the field."""
-
-    @functools.wraps(from_spec)
-    def build(spec):
-        try:
-            return from_spec(spec)
-        except KeyError as e:
-            raise SpecError(f"spec is missing field {e.args[0]!r}") from e
-
-    return build
-
-
-# ----------------------------------------------------------------------
-# measures
-
-
 def measure_to_spec(m: SpectralMeasure) -> dict:
     if m.is_discrete:
         if m.dim == 2:
@@ -131,157 +112,153 @@ def measure_to_spec(m: SpectralMeasure) -> dict:
     return {"kind": "density", "dim": 2, "density": dict(m.density_spec)}
 
 
-@_fields_required
+def _atoms(spec: dict) -> SpectralMeasure:
+    atoms = spec.get("atoms")
+    _require(isinstance(atoms, list) and atoms
+             and all(isinstance(a, dict) for a in atoms),
+             "atoms must be a nonempty list of objects")
+    dim = _integer(spec, "dim", 2)
+    weights = [_number(a, "weight", where=f"atoms[{i}].") for i, a in enumerate(atoms)]
+    if dim == 2:
+        angles = [_number(a, "angle", where=f"atoms[{i}].")
+                  for i, a in enumerate(atoms)]
+        m = SpectralMeasure(spec["kind"], 2, angles=angles, weights=weights,
+                            merge=True)
+    else:
+        coords = [_numbers(a["coords"], f"atoms[{i}].coords")
+                  for i, a in enumerate(atoms)]
+        _require(all(len(c) == dim for c in coords),
+                 f"atom coordinates must have dim = {dim} entries")
+        m = SpectralMeasure(spec["kind"], dim, coords=np.array(coords).T,
+                            weights=weights, merge=True)
+    _require(m.weights.size == len(atoms),
+             "spec field 'atoms' lists directions within "
+             f"{ATOM_MERGE_TOL:g} of each other; give each once, with "
+             "the sum of their weights")
+    return m
+
+
+def _density(spec: dict) -> SpectralMeasure:
+    _require(_integer(spec, "dim", 2) == 2,
+             "a density is in the angle, so its spec has dim = 2")
+    return _build("density", spec.get("density"), key="name")
+
+
+def _oscillating(spec: dict) -> OscillatingTailLaw:
+    amplitude = _number(spec, "amplitude")
+    _require(0.0 < amplitude < 1.0,
+             f"spec field 'amplitude' must lie in (0, 1), got {amplitude}")
+    sign = _integer(spec, "sign", 1)
+    _require(sign in (-1, 1), f"spec field 'sign' must be +1 or -1, got {sign}")
+    return OscillatingTailLaw(_number(spec, "alpha"), amplitude, sign)
+
+
+def _cosine(spec: dict) -> RadialGain:
+    base = _number(spec, "base")
+    amp = _number(spec, "amplitude")
+    _require(base >= abs(amp), "cosine gain must stay nonnegative")
+    return RadialGain(angle_fn=lambda t: base + amp * np.cos(t),
+                      declared_bound=base + abs(amp))
+
+
+def _exp_cosine(spec: dict) -> RandomGainProcess:
+    a = _number(spec, "amplitude", 0.0)
+    _require(-1.0 < a < 1.0, "exp_cosine amplitude must lie in (-1, 1)")
+    return exponential_gain_process(lambda t: 1.0 + a * np.cos(t))
+
+
+# Every spec kind, by family: {family: {kind: builder of its spec}}. A
+# density measure's spec names its density by "name"; the others by "kind".
+_KINDS = {
+    "measure": {"discrete": _atoms, "empirical": _atoms, "density": _density},
+    "density": {
+        "uniform": lambda s: SpectralMeasure.uniform(),
+        "cosine_bump": lambda s: SpectralMeasure.cosine_bump(
+            _number(s, "amplitude", where="density.")),
+    },
+    "radial law": {
+        "pareto": lambda s: ParetoLaw(_number(s, "alpha")),
+        "atom_plus_pareto": lambda s: AtomPlusParetoLaw(
+            _number(s, "alpha"), _number(s, "tail_coefficient")),
+        "oscillating": _oscillating,
+    },
+    "model": {
+        "polar_independent": lambda s: PolarIndependentModel(
+            measure_from_spec(s["sigma"]), _number(s, "alpha"),
+            radial_from_spec(s["radial"])),
+        "example1": lambda s: Example1Model(_number(s, "alpha"),
+                                            _number(s, "amplitude", 0.5)),
+        "example2": lambda s: Example2Model(_number(s, "alpha"), _number(s, "nu"),
+                                            _number(s, "beta")),
+        "example3": lambda s: Example3Model(_number(s, "alpha")),
+    },
+    "map": {
+        "identity": lambda s: identity_map(),
+        "constant": lambda s: constant_map(_number(s, "value")),
+        "quadrant_snap": lambda s: quadrant_snap_map(),
+        "step": lambda s: step_map(_numbers(s["breakpoints"], "breakpoints"),
+                                   _numbers(s["values"], "values")),
+        "quantile_transform": lambda s: quantile_transform_map(
+            measure_from_spec(s["target"])),
+    },
+    "gain": {
+        "constant": lambda s: constant_gain(_number(s, "value")),
+        "cosine": _cosine,
+        "step": lambda s: step_gain(_numbers(s["breakpoints"], "breakpoints"),
+                                    _numbers(s["values"], "values")),
+        "example2_gain": lambda s: Example2Gain(_number(s, "beta")),
+        "indicator_arc": lambda s: indicator_gain(_arcs(s)),
+        "power_cusp": lambda s: power_cusp_gain(_number(s, "center"),
+                                                _number(s, "gamma")),
+    },
+    "random gain": {"exp_cosine": _exp_cosine},
+}
+
+
+def _build(family: str, spec, key: str = "kind"):
+    """The object a spec of family describes, built by the builder of its
+    spec[key]. A spec that is not an object, a kind the family lacks, or a
+    missing field raises SpecError; a bad kind's lists the family's kinds."""
+    _require(isinstance(spec, dict), f"{family} spec must be an object")
+    kinds = _KINDS[family]
+    kind = spec.get(key)
+    if not (isinstance(kind, str) and kind in kinds):
+        what = (f"unknown {family} {key} {kind!r}" if key in spec
+                else f"{family} spec needs a {key}")
+        raise SpecError(f"{what}; expected one of {', '.join(kinds)}")
+    try:
+        return kinds[kind](spec)
+    except KeyError as e:
+        raise SpecError(f"spec is missing field {e.args[0]!r}") from e
+
+
 def measure_from_spec(spec: dict) -> SpectralMeasure:
-    _require(isinstance(spec, dict), "measure spec must be an object")
-    kind = spec.get("kind")
-    if kind in ("discrete", "empirical"):
-        atoms = spec.get("atoms")
-        _require(isinstance(atoms, list) and atoms
-                 and all(isinstance(a, dict) for a in atoms),
-                 "atoms must be a nonempty list of objects")
-        dim = _integer(spec, "dim", 2)
-        weights = [_number(a, "weight", where=f"atoms[{i}].")
-                   for i, a in enumerate(atoms)]
-        if dim == 2:
-            angles = [_number(a, "angle", where=f"atoms[{i}].")
-                      for i, a in enumerate(atoms)]
-            m = SpectralMeasure(kind, 2, angles=angles, weights=weights,
-                                merge=True)
-        else:
-            coords = [_numbers(a["coords"], f"atoms[{i}].coords")
-                      for i, a in enumerate(atoms)]
-            _require(all(len(c) == dim for c in coords),
-                     f"atom coordinates must have dim = {dim} entries")
-            m = SpectralMeasure(kind, dim, coords=np.array(coords).T,
-                                weights=weights, merge=True)
-        _require(m.weights.size == len(atoms),
-                 "spec field 'atoms' lists directions within "
-                 f"{ATOM_MERGE_TOL:g} of each other; give each once, with "
-                 "the sum of their weights")
-        return m
-    if kind == "density":
-        _require(_integer(spec, "dim", 2) == 2,
-                 "a density is in the angle, so its spec has dim = 2")
-        dens = spec.get("density")
-        _require(isinstance(dens, dict) and "name" in dens,
-                 "density spec needs a name")
-        if dens["name"] == "uniform":
-            return SpectralMeasure.uniform()
-        if dens["name"] == "cosine_bump":
-            return SpectralMeasure.cosine_bump(
-                _number(dens, "amplitude", where="density."))
-        raise SpecError(f"unknown density name {dens['name']!r}")
-    raise SpecError(f"unknown measure kind {kind!r}")
+    return _build("measure", spec)
 
 
-# ----------------------------------------------------------------------
-# radial laws
-
-
-@_fields_required
 def radial_from_spec(spec: dict) -> RadialLaw:
-    _require(isinstance(spec, dict) and "kind" in spec, "radial spec needs a kind")
-    kind = spec["kind"]
-    if kind == "pareto":
-        return ParetoLaw(_number(spec, "alpha"))
-    if kind == "atom_plus_pareto":
-        return AtomPlusParetoLaw(_number(spec, "alpha"),
-                                 _number(spec, "tail_coefficient"))
-    if kind == "oscillating":
-        amplitude = _number(spec, "amplitude")
-        _require(0.0 < amplitude < 1.0,
-                 f"spec field 'amplitude' must lie in (0, 1), got {amplitude}")
-        sign = _integer(spec, "sign", 1)
-        _require(sign in (-1, 1),
-                 f"spec field 'sign' must be +1 or -1, got {sign}")
-        return OscillatingTailLaw(_number(spec, "alpha"), amplitude, sign)
-    raise SpecError(f"unknown radial law kind {kind!r}")
+    return _build("radial law", spec)
 
 
-# ----------------------------------------------------------------------
-# models
-
-
-@_fields_required
 def model_from_spec(spec: dict) -> RegVarModel:
-    _require(isinstance(spec, dict) and "kind" in spec, "model spec needs a kind")
-    kind = spec["kind"]
-    if kind == "polar_independent":
-        sigma = measure_from_spec(spec["sigma"])
-        radial = radial_from_spec(spec["radial"])
-        return PolarIndependentModel(sigma, _number(spec, "alpha"), radial)
-    if kind == "example1":
-        return Example1Model(_number(spec, "alpha"),
-                             _number(spec, "amplitude", 0.5))
-    if kind == "example2":
-        return Example2Model(_number(spec, "alpha"), _number(spec, "nu"),
-                             _number(spec, "beta"))
-    if kind == "example3":
-        return Example3Model(_number(spec, "alpha"))
-    raise SpecError(f"unknown model kind {kind!r}")
+    return _build("model", spec)
 
 
-# ----------------------------------------------------------------------
-# maps and gains
-
-
-@_fields_required
 def map_from_spec(spec: dict) -> SphereMap:
-    _require(isinstance(spec, dict) and "kind" in spec, "map spec needs a kind")
-    kind = spec["kind"]
-    if kind == "identity":
-        return identity_map()
-    if kind == "constant":
-        return constant_map(_number(spec, "value"))
-    if kind == "quadrant_snap":
-        return quadrant_snap_map()
-    if kind == "step":
-        return step_map(_numbers(spec["breakpoints"], "breakpoints"),
-                        _numbers(spec["values"], "values"))
-    if kind == "quantile_transform":
-        return quantile_transform_map(measure_from_spec(spec["target"]))
-    raise SpecError(f"unknown map kind {kind!r}")
+    return _build("map", spec)
 
 
-@_fields_required
 def gain_from_spec(spec: dict) -> RadialGain:
-    _require(isinstance(spec, dict) and "kind" in spec, "gain spec needs a kind")
-    kind = spec["kind"]
-    if kind == "constant":
-        return constant_gain(_number(spec, "value"))
-    if kind == "cosine":
-        base = _number(spec, "base")
-        amp = _number(spec, "amplitude")
-        _require(base >= abs(amp), "cosine gain must stay nonnegative")
-        return RadialGain(angle_fn=lambda t: base + amp * np.cos(t),
-                          declared_bound=base + abs(amp))
-    if kind == "step":
-        return step_gain(_numbers(spec["breakpoints"], "breakpoints"),
-                         _numbers(spec["values"], "values"))
-    if kind == "example2_gain":
-        return Example2Gain(_number(spec, "beta"))
-    if kind == "indicator_arc":
-        return indicator_gain(_arcs(spec))
-    if kind == "power_cusp":
-        return power_cusp_gain(_number(spec, "center"),
-                               _number(spec, "gamma"))
-    raise SpecError(f"unknown gain kind {kind!r}")
+    return _build("gain", spec)
 
 
-@_fields_required
 def random_gain_from_spec(spec: dict) -> RandomGainProcess:
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "random gain spec needs a kind")
-    if spec["kind"] == "exp_cosine":
-        a = _number(spec, "amplitude", 0.0)
-        _require(-1.0 < a < 1.0, "exp_cosine amplitude must lie in (-1, 1)")
-        return exponential_gain_process(lambda t: 1.0 + a * np.cos(t))
-    raise SpecError(f"unknown random gain kind {spec['kind']!r}")
+    return _build("random gain", spec)
 
 
 def is_random_gain_spec(spec: dict) -> bool:
-    return isinstance(spec, dict) and spec.get("kind") == "exp_cosine"
+    # a tuple compares by ==, so an unhashable kind is simply not one
+    return isinstance(spec, dict) and spec.get("kind") in tuple(_KINDS["random gain"])
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regvar
+from regvar import specs
 from regvar.batch import SampleBatch
 from regvar.cli import (
     _BLOCK_ROWS,
@@ -166,6 +167,28 @@ def test_gain_and_map_specs():
                        "target": {"kind": "discrete", "dim": 2,
                                   "atoms": [{"angle": 1.0, "weight": 1.0}]}})
     assert m.apply_angles(np.array([3.0]))[0] == 1.0
+
+
+UNKNOWN_KIND = {
+    "measure": lambda kind: measure_from_spec({"kind": kind}),
+    "density": lambda kind: measure_from_spec({"kind": "density",
+                                               "density": {"name": kind}}),
+    "radial law": lambda kind: radial_from_spec({"kind": kind}),
+    "model": lambda kind: model_from_spec({"kind": kind}),
+    "map": lambda kind: map_from_spec({"kind": kind}),
+    "gain": lambda kind: gain_from_spec({"kind": kind}),
+    "random gain": lambda kind: random_gain_from_spec({"kind": kind}),
+}
+
+
+@pytest.mark.parametrize("family", UNKNOWN_KIND)
+@pytest.mark.parametrize("kind", ["cosin", None, 3])
+def test_unknown_kind_names_every_kind_of_its_family(family, kind):
+    assert set(UNKNOWN_KIND) == set(specs._KINDS)
+    with pytest.raises(SpecError) as info:
+        UNKNOWN_KIND[family](kind)
+    assert str(info.value).endswith(
+        "; expected one of " + ", ".join(specs._KINDS[family]))
 
 
 def test_unknown_specs_raise():
@@ -373,6 +396,17 @@ def test_read_csv_rejects_malformed_rows(tmp_path, capsys, body, message):
     assert cli_main(["estimate", "--input", str(path), "--top", "1",
                      "-o", str(tmp_path / "rep.json")]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1.0,2.0\n", "x1,y\n1.0,2.0\n"],
+                         ids=["empty", "no-x", "one-not-x"])
+def test_cli_refuses_a_csv_without_its_header(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert cli_main(["estimate", "--input", str(path), "--top", "1",
+                     "-o", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: expected a x1,...,xd header\n"
 
 
 def test_read_csv_names_line_of_non_utf8_bytes(tmp_path):
@@ -744,6 +778,21 @@ def test_cli_estimate(tmp_path):
     assert "ks" in data["distances"]
 
 
+def test_cli_estimate_on_d3_writes_tv_and_no_ks(tmp_path):
+    # KS is defined through the angle, so a d = 3 estimate has TV alone
+    src, rep = tmp_path / "d3.csv", tmp_path / "rep.json"
+    src.write_text("x1,x2,x3\n" + "".join(
+        f"{1.0 + i},0,0\n0,0,{1.5 + i}\n" for i in range(10)))
+    target = {"kind": "discrete", "dim": 3,
+              "atoms": [{"coords": [1.0, 0.0, 0.0], "weight": 0.5},
+                        {"coords": [0.0, 0.0, 1.0], "weight": 0.5}]}
+    assert cli_main(["estimate", "--input", str(src), "--top", "4",
+                     "--target", json.dumps(target), "-o", str(rep)]) == 0
+    distances = json.loads(rep.read_text())["distances"]
+    assert list(distances) == ["tv"]
+    assert distances["tv"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_cli_estimate_matches_target_atoms_one_ulp_away(tmp_path):
     # quadrant_snap's atoms come back from the CSV one ulp from the
     # centres pi/4 + j pi/2 written in the target: TV and KS both count
@@ -845,14 +894,21 @@ SCAN_ARGS = ["scan", "--model", json.dumps(UNIFORM_PARETO), "--alpha", "1",
     (SCAN_ARGS, "--seed", "-1"),
     (SCAN_ARGS, "--n", "-1"),
     (SCAN_ARGS, "--workers", "0"),
+    (["sample", "--model", json.dumps(UNIFORM_PARETO), "--seed", "1"], "-n", "1.5"),
+    (["estimate", "--input", "in.csv"], "--top", "abc"),
+    (SCAN_ARGS, "--alpha", "x"),
 ], ids=["sample-seed", "sample-n", "sample-seed-not-integer", "gain-seed",
         "estimate-seed", "verify-seed", "sample-workers", "scan-seed", "scan-n",
-        "scan-workers"])
+        "scan-workers", "sample-n-not-integer", "top-not-a-number",
+        "alpha-not-a-number"])
 def test_cli_names_the_flag_of_a_bad_integer(tmp_path, capsys, argv, flag, raw):
     out = tmp_path / "out"
     assert cli_main([*argv, flag, raw, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: " in err and "Traceback" not in err
+    # the message names the form the flag expects, not its type function
+    assert not any(word in err for word in
+                   ("count_or_fraction", "positive_float", "integer value"))
     assert not out.exists()
 
 
@@ -947,11 +1003,8 @@ SPEC_FIELDS = ["dim", "atoms", "angle", "weight", "coords", "density", "name",
                "amplitude", "alpha", "tail_coefficient", "sign", "sigma",
                "radial", "nu", "beta", "value", "breakpoints", "values",
                "target", "base", "arcs", "center", "gamma"]
-SPEC_KINDS = ["discrete", "empirical", "density", "uniform", "cosine_bump",
-              "pareto", "atom_plus_pareto", "oscillating", "polar_independent",
-              "example1", "example2", "example3", "identity", "constant",
-              "quadrant_snap", "step", "quantile_transform", "cosine",
-              "example2_gain", "indicator_arc", "power_cusp", "exp_cosine"]
+SPEC_KINDS = list(dict.fromkeys(kind for kinds in specs._KINDS.values()
+                                for kind in kinds))
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.sampled_from(SPEC_KINDS) | st.text(max_size=4),
