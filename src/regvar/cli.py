@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 a failed scenario check, 2 a refusal: a bad
 command line, or a RegvarError or OSError, printed as one `error:` line.
+The parser builds every flag value, the --model, --map, --gain and
+--target specs too (JSON inline, or else a file), before any input is
+read; a polar_independent model's alpha defaults to its radial law's.
 Any other exception is a bug: it shows its traceback and exits 1. Sample
 CSVs carry a x1,...,xd header and %.17g floats, which round-trip doubles
 exactly, so piping stages through files reproduces in-memory results bit
@@ -44,6 +47,7 @@ from .estimation import (
     top_indices,
 )
 from .g17 import format_rows
+from .measures import RandomGainProcess
 from .rng import CHUNK, GAIN_STREAM, substream
 from .scenarios import (
     DEFAULT_N,
@@ -53,13 +57,12 @@ from .scenarios import (
     run_scenario,
 )
 from .specs import (
+    any_gain_from_spec,
     gain_from_spec,
-    is_random_gain_spec,
     load_spec,
     map_from_spec,
     measure_from_spec,
     model_from_spec,
-    random_gain_from_spec,
     report_json,
 )
 from .sphere import ArcSet
@@ -274,28 +277,22 @@ def read_csv(path: str) -> tuple[np.ndarray, int]:
 
 
 def _cmd_sample(args) -> int:
-    model = model_from_spec(load_spec(args.model))
-    size, _ = write_csv(args.output, model.dim,
-                        model.chunks(args.n, args.seed, args.workers))
-    print(f"wrote {size} points (d={model.dim}, seed={args.seed}) -> {args.output}")
+    size, _ = write_csv(args.output, args.model.dim,
+                        args.model.chunks(args.n, args.seed, args.workers))
+    print(f"wrote {size} points (d={args.model.dim}, seed={args.seed}) -> {args.output}")
     return 0
 
 
 def _cmd_transform(args) -> int:
-    rows, start = read_csv(args.input)
     if args.map is not None:
-        step = functools.partial(spherical_map_apply,
-                                 f=map_from_spec(load_spec(args.map)))
+        step = functools.partial(spherical_map_apply, f=args.map)
+    elif isinstance(args.gain, RandomGainProcess):
+        # one generator across the blocks draws what one whole-batch draw would
+        step = functools.partial(randomized_scale_apply, z=args.gain,
+                                 rng=substream(args.gain_seed, GAIN_STREAM))
     else:
-        spec = load_spec(args.gain)
-        if is_random_gain_spec(spec):
-            # one generator across the blocks draws what one whole-batch
-            # draw would
-            step = functools.partial(randomized_scale_apply,
-                                     z=random_gain_from_spec(spec),
-                                     rng=substream(args.gain_seed, GAIN_STREAM))
-        else:
-            step = functools.partial(radial_scale_apply, h=gain_from_spec(spec))
+        step = functools.partial(radial_scale_apply, h=args.gain)
+    rows, start = read_csv(args.input)
     size, zero_count = write_csv(args.output, rows.shape[1],
                                  map(step, blocks(args.input, rows, start)))
     print(f"wrote {size} points (zero_count={zero_count}) -> {args.output}")
@@ -312,13 +309,12 @@ def _cmd_estimate(args) -> int:
         end += block.size
         del block
     k = args.top if isinstance(args.top, int) else top_count(n, args.top)
-    target = None if args.target is None else measure_from_spec(load_spec(args.target))
     check_top(n, k)
     # directions of the top k alone, the bits from_points gives them
     top = top_indices(norms, k)
     top_dirs = rows[top].T / norms[top]
     del rows  # the parsed rows go before the bootstrap
-    report = estimate_from_top(norms, top_dirs, target=target, seed=args.seed)
+    report = estimate_from_top(norms, top_dirs, target=args.target, seed=args.seed)
     text = report_json(report.to_dict())
     with _replacing(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -364,10 +360,18 @@ def _parse_arc(raw: str) -> ArcSet:
         raise argparse.ArgumentTypeError(f"{e}; expected a:b") from e
 
 
+def _spec(build):
+    """argparse type of a spec flag: the object build makes of load_spec(raw)."""
+    def spec(raw: str):
+        try:
+            return build(load_spec(raw))
+        except RegvarError as e:  # before argparse takes an InvalidParameter
+            raise argparse.ArgumentTypeError(str(e)) from e
+    return spec
+
+
 def _cmd_scan(args) -> int:
-    source = model_from_spec(load_spec(args.model))
-    if args.gain is not None:
-        source = TransformedModel(source, gain_from_spec(load_spec(args.gain)))
+    source = args.model if args.gain is None else TransformedModel(args.model, args.gain)
     arcs, grid = args.arc or [ArcSet.full_circle()], args.r_grid
     if source.exact_tail(float(grid[0]), arcs[0]) is None:
         batch = source.sample(args.n, args.seed, args.workers)
@@ -425,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a model spec")
-    p.add_argument("--model", required=True, help="model JSON (file or inline)")
+    p.add_argument("--model", type=_spec(model_from_spec), required=True,
+                   help="model JSON (file or inline)")
     p.add_argument("-n", type=at_least(0), required=True, help="sample size")
     p.add_argument("--seed", type=at_least(0), default=42)
     p.add_argument("--workers", type=at_least(1), default=1)
@@ -435,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a sphere map or radial gain")
     p.add_argument("--input", required=True, help="input CSV")
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--map", help="sphere-map JSON (file or inline)")
-    kind.add_argument("--gain", help="gain JSON (file or inline)")
+    kind.add_argument("--map", type=_spec(map_from_spec),
+                      help="sphere-map JSON (file or inline)")
+    kind.add_argument("--gain", type=_spec(any_gain_from_spec),
+                      help="gain or random gain JSON (file or inline)")
     p.add_argument("--gain-seed", type=at_least(0), default=0,
                    help="seed for randomized gains")
     p.add_argument("-o", "--output", required=True, help="output CSV")
@@ -446,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--top", type=count_or_fraction, required=True,
                    help="exceedance count k, or a fraction in (0, 1)")
-    p.add_argument("--target", help="declared target measure JSON")
+    p.add_argument("--target", type=_spec(measure_from_spec),
+                   help="declared target measure JSON")
     p.add_argument("--seed", type=at_least(0), default=0, help="bootstrap seed")
     p.add_argument("-o", "--output", required=True, help="report JSON")
     p.set_defaults(fn=_cmd_estimate)
@@ -460,8 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="scan normalized tails over an r grid")
-    p.add_argument("--model", required=True, help="model JSON (file or inline)")
-    p.add_argument("--gain", help="optional gain JSON applied to the model")
+    p.add_argument("--model", type=_spec(model_from_spec), required=True,
+                   help="model JSON (file or inline)")
+    p.add_argument("--gain", type=_spec(gain_from_spec),
+                   help="optional gain JSON applied to the model")
     p.add_argument("--alpha", type=positive_float, required=True,
                    help="normalization exponent")
     p.add_argument("--r-grid", type=_parse_r_grid, required=True,

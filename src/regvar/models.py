@@ -477,8 +477,8 @@ class Example2Gain(RadialGain):
 def example2_moment(alpha: float, nu: float, beta: float,
                     delta: float) -> float:
     """Integral of h^(alpha+delta) against the spectral measure: the series
-    sum of k^((alpha+delta)beta - nu) q_k, finite iff the exponent is
-    below 1 + nu - ... i.e. (alpha+delta)*beta - nu < 1."""
+    sum of k^s q_k with s = (alpha+delta)*beta - nu, finite iff s < 1, since
+    the sum of k^s / (k(k+1)) converges iff s < 1."""
     s = (alpha + delta) * beta - nu
     return _qk_power_sum_from(1, s)
 

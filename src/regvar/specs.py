@@ -18,7 +18,6 @@ from .measures import (
     RadialGain,
     RandomGainProcess,
     SpectralMeasure,
-    SphereMap,
     constant_gain,
     constant_map,
     exponential_gain_process,
@@ -36,9 +35,8 @@ from .models import (
     Example2Model,
     Example3Model,
     PolarIndependentModel,
-    RegVarModel,
 )
-from .radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw, RadialLaw
+from .radial import AtomPlusParetoLaw, OscillatingTailLaw, ParetoLaw
 from .sphere import ArcSet
 
 
@@ -141,7 +139,7 @@ def _atoms(spec: dict) -> SpectralMeasure:
 def _density(spec: dict) -> SpectralMeasure:
     _require(_integer(spec, "dim", 2) == 2,
              "a density is in the angle, so its spec has dim = 2")
-    return _build("density", spec.get("density"), key="name")
+    return _builder("density", key="name")(spec.get("density"))
 
 
 def _oscillating(spec: dict) -> OscillatingTailLaw:
@@ -167,6 +165,12 @@ def _exp_cosine(spec: dict) -> RandomGainProcess:
     return exponential_gain_process(lambda t: 1.0 + a * np.cos(t))
 
 
+def _polar_independent(spec: dict) -> PolarIndependentModel:
+    sigma = measure_from_spec(spec["sigma"])
+    radial = radial_from_spec(spec["radial"])
+    return PolarIndependentModel(sigma, _number(spec, "alpha", radial.alpha), radial)
+
+
 # Every spec kind, by family: {family: {kind: builder of its spec}}. A
 # density measure's spec names its density by "name"; the others by "kind".
 _KINDS = {
@@ -183,9 +187,7 @@ _KINDS = {
         "oscillating": _oscillating,
     },
     "model": {
-        "polar_independent": lambda s: PolarIndependentModel(
-            measure_from_spec(s["sigma"]), _number(s, "alpha"),
-            radial_from_spec(s["radial"])),
+        "polar_independent": _polar_independent,
         "example1": lambda s: Example1Model(_number(s, "alpha"),
                                             _number(s, "amplitude", 0.5)),
         "example2": lambda s: Example2Model(_number(s, "alpha"), _number(s, "nu"),
@@ -215,69 +217,56 @@ _KINDS = {
 }
 
 
-def _build(family: str, spec, key: str = "kind"):
-    """The object a spec of family describes, built by the builder of its
-    spec[key]. A spec that is not an object, a kind the family lacks, or a
-    missing field raises SpecError; a bad kind's lists the family's kinds."""
-    _require(isinstance(spec, dict), f"{family} spec must be an object")
-    kinds = _KINDS[family]
-    kind = spec.get(key)
-    if not (isinstance(kind, str) and kind in kinds):
-        what = (f"unknown {family} {key} {kind!r}" if key in spec
-                else f"{family} spec needs a {key}")
-        raise SpecError(f"{what}; expected one of {', '.join(kinds)}")
-    try:
-        return kinds[kind](spec)
-    except KeyError as e:
-        raise SpecError(f"spec is missing field {e.args[0]!r}") from e
+def _builder(*families: str, key: str = "kind"):
+    """The builder of the families' specs: it builds a spec by its spec[key]
+    in whichever family has that kind. A spec that is not an object, a kind
+    the families lack, or a missing field raises SpecError naming the first
+    family; a bad kind's lists every family's kinds."""
+    kinds = {kind: build for family in families
+             for kind, build in _KINDS[family].items()}
+
+    def build(spec):
+        _require(isinstance(spec, dict), f"{families[0]} spec must be an object")
+        kind = spec.get(key)
+        if not (isinstance(kind, str) and kind in kinds):
+            what = (f"unknown {families[0]} {key} {kind!r}" if key in spec
+                    else f"{families[0]} spec needs a {key}")
+            raise SpecError(f"{what}; expected one of {', '.join(kinds)}")
+        try:
+            return kinds[kind](spec)
+        except KeyError as e:
+            raise SpecError(f"spec is missing field {e.args[0]!r}") from e
+    return build
 
 
-def measure_from_spec(spec: dict) -> SpectralMeasure:
-    return _build("measure", spec)
-
-
-def radial_from_spec(spec: dict) -> RadialLaw:
-    return _build("radial law", spec)
-
-
-def model_from_spec(spec: dict) -> RegVarModel:
-    return _build("model", spec)
-
-
-def map_from_spec(spec: dict) -> SphereMap:
-    return _build("map", spec)
-
-
-def gain_from_spec(spec: dict) -> RadialGain:
-    return _build("gain", spec)
-
-
-def random_gain_from_spec(spec: dict) -> RandomGainProcess:
-    return _build("random gain", spec)
-
-
-def is_random_gain_spec(spec: dict) -> bool:
-    # a tuple compares by ==, so an unhashable kind is simply not one
-    return isinstance(spec, dict) and spec.get("kind") in tuple(_KINDS["random gain"])
+measure_from_spec = _builder("measure")
+radial_from_spec = _builder("radial law")
+model_from_spec = _builder("model")
+map_from_spec = _builder("map")
+gain_from_spec = _builder("gain")
+random_gain_from_spec = _builder("random gain")
+# a deterministic or a random gain: what `transform --gain` applies
+any_gain_from_spec = _builder("gain", "random gain")
 
 
 # ----------------------------------------------------------------------
 # loading helpers
 
 
-def load_spec(text_or_path: str) -> dict:
-    """Parse a spec given inline as JSON text or as a path to a JSON file."""
-    s = text_or_path.strip()
-    if s.startswith("{"):
-        try:
-            return json.loads(s)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"invalid inline JSON: {e}") from e
+def load_spec(text_or_path: str):
+    """A spec given inline as JSON text, or else as the path of a JSON file:
+    any JSON value, which a builder refuses unless it is an object."""
     try:
-        with open(text_or_path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as e:  # bad JSON, or bytes that are not UTF-8
-        raise SpecError(f"cannot load spec from {text_or_path!r}: {e}") from e
+        return json.loads(text_or_path)
+    except json.JSONDecodeError as inline:
+        try:
+            with open(text_or_path, encoding="utf-8") as fh:
+                return json.load(fh)
+        except OSError as e:
+            raise SpecError(f"cannot load spec from {text_or_path!r}: {e}; "
+                            f"nor is it inline JSON: {inline}") from e
+        except ValueError as e:  # bad JSON, or bytes that are not UTF-8
+            raise SpecError(f"cannot load spec from {text_or_path!r}: {e}") from e
 
 
 def _first_non_finite(data, path: str = "") -> str | None:

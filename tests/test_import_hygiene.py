@@ -33,6 +33,11 @@ that builds an f-string holding ", line ", so every reader error names the
 first rejected data line by the same rule. numpy is the one judge of CSV
 syntax: in cli.py only the command-line parsers and _cmd_scan call float,
 so the reader has no number grammar of its own.
+
+A spec is judged by the command-line parser alone: no _cmd_* function in
+cli.py calls load_spec or a *_from_spec builder, so every spec flag reaches
+its command as a built object and a bad one is refused before any input is
+read.
 """
 
 import ast
@@ -269,3 +274,18 @@ def test_cli_reads_no_csv_cell_with_float():
     parsers = {"_parse_r_grid", "_parse_arc", "positive_float", "_cmd_scan"}
     assert callers <= parsers, \
         f"float called outside the command-line parsers: {callers - parsers}"
+
+
+def _builds_a_spec(node) -> bool:
+    """Whether node calls load_spec or a *_from_spec builder, by any name path."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func).rsplit(".", 1)[-1]
+    return name == "load_spec" or name.endswith("_from_spec")
+
+
+def test_no_command_builds_a_spec():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    builders = [(owner, line) for owner, line in _owners(tree, _builds_a_spec)
+                if owner.startswith("_cmd_")]
+    assert not builders, f"a command builds a spec, not the parser: {builders}"

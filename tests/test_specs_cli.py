@@ -32,6 +32,7 @@ from regvar.cli import (
     write_csv,
 )
 from regvar.errors import (
+    InvalidConstruction,
     InvalidGain,
     InvalidParameter,
     NonFiniteInput,
@@ -45,8 +46,8 @@ from regvar.rng import CHUNK, GAIN_STREAM, substream
 from regvar.scenarios import SCENARIO_NAMES, Check, Report, Scenario, run_scenario
 from regvar.sphere import TWO_PI
 from regvar.specs import (
+    any_gain_from_spec,
     gain_from_spec,
-    is_random_gain_spec,
     load_spec,
     map_from_spec,
     measure_from_spec,
@@ -63,6 +64,16 @@ UNIFORM_PARETO = {
     "sigma": {"kind": "density", "dim": 2, "density": {"name": "uniform"}},
     "radial": {"kind": "pareto", "alpha": 1.0},
 }
+
+
+def refused_spec(err: str, command: str, flag: str) -> str:
+    """What argparse's one error line says of a spec flag's value, after
+    its `argument --flag: ` prefix; the usage line comes first."""
+    assert err.startswith(f"usage: regvar {command} ")
+    prefix = f"regvar {command}: error: argument {flag}: "
+    *_, line = err.splitlines()
+    assert line.startswith(prefix) and "Traceback" not in err
+    return line[len(prefix):]
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +143,8 @@ def test_cli_sample_names_a_bad_oscillating_sign(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli_main(["sample", "--model", json.dumps(model), "-n", "10",
                      "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: spec field 'sign'")
+    assert refused_spec(capsys.readouterr().err, "sample", "--model").startswith(
+        "spec field 'sign'")
     assert not out.exists()
 
 
@@ -148,9 +160,20 @@ def test_cli_sample_names_a_bad_oscillating_amplitude(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli_main(["sample", "--model", json.dumps(model), "-n", "10",
                      "-o", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        "error: spec field 'amplitude' must lie in (0, 1), got 1.5\n"
+    assert refused_spec(capsys.readouterr().err, "sample", "--model") == \
+        "spec field 'amplitude' must lie in (0, 1), got 1.5"
     assert not out.exists()
+
+
+def test_polar_independent_alpha_defaults_to_the_radial_law():
+    spec = dict(UNIFORM_PARETO, radial={"kind": "pareto", "alpha": 1.5})
+    del spec["alpha"]
+    model = model_from_spec(spec)
+    assert model.alpha == 1.5
+    stated = model_from_spec(dict(spec, alpha=1.5))
+    assert model.sample(100, 1).points.tobytes() == stated.sample(100, 1).points.tobytes()
+    with pytest.raises(InvalidConstruction, match="radial law index must equal alpha"):
+        model_from_spec(dict(spec, alpha=1.0))
 
 
 def test_gain_and_map_specs():
@@ -957,8 +980,10 @@ def test_cli_scan_cusp_gain_tail_matches_closed_form(tmp_path):
         assert float(value) == pytest.approx(closed, rel=1e-12)
 
 
+# each echoed spec's builder is its CLI flag's: an echoed gain, random or
+# not, is what `transform --gain` builds
 SPEC_BUILDERS = {"model": model_from_spec, "map": map_from_spec,
-                 "gain": gain_from_spec, "target": measure_from_spec}
+                 "gain": any_gain_from_spec, "target": measure_from_spec}
 
 
 @functools.cache
@@ -990,11 +1015,10 @@ def test_non_finite_spec_number_raises_regvar_error(name, data):
     bad = copy.deepcopy(spec)
     holder = functools.reduce(lambda node, k: node[k], parents, bad)
     holder[leaf] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    build = random_gain_from_spec if is_random_gain_spec(bad) else SPEC_BUILDERS[key]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RegvarError):
-            build(bad)
+            SPEC_BUILDERS[key](bad)
 
 
 # the field names and kinds of the spec builders, as keys and values of
@@ -1028,7 +1052,8 @@ json_values = st.recursive(
 def test_spec_builders_return_or_raise_a_regvar_error(spec):
     # RuntimeWarnings are errors here, as in the whole suite
     for build in (measure_from_spec, radial_from_spec, model_from_spec,
-                  map_from_spec, gain_from_spec, random_gain_from_spec):
+                  map_from_spec, gain_from_spec, random_gain_from_spec,
+                  any_gain_from_spec):
         try:
             build(spec)
         except RegvarError:
@@ -1096,6 +1121,63 @@ def test_cli_judges_top_before_reading_the_input(tmp_path, capsys):
     assert "argument --top: " in err and str(missing) not in err
 
 
+SIX_GAINS = "constant, cosine, step, example2_gain, indicator_arc, power_cusp"
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["transform", "--input", "{missing}", "--gain", '{"kind": "cosin"}'], "--gain",
+     f"unknown gain kind 'cosin'; expected one of {SIX_GAINS}, exp_cosine"),
+    (["estimate", "--input", "{missing}", "--top", "1", "--target",
+      '{"kind": "discret"}'], "--target",
+     "unknown measure kind 'discret'; expected one of discrete, empirical, density"),
+    (["transform", "--input", "{missing}", "--map", '"quadrant_snap"'], "--map",
+     "map spec must be an object"),
+    (["scan", "--model", json.dumps(UNIFORM_PARETO), "--gain", '{"kind": "cosin"}',
+      "--alpha", "1", "--r-grid", "1:2:2"], "--gain",
+     f"unknown gain kind 'cosin'; expected one of {SIX_GAINS}"),
+    (["sample", "--model", "[1]", "-n", "3"], "--model", "model spec must be an object"),
+], ids=["transform-gain", "estimate-target", "map-not-an-object", "scan-gain",
+        "model-not-an-object"])
+def test_cli_judges_a_spec_before_reading_the_input(tmp_path, capsys, argv, flag,
+                                                    message):
+    # the input does not exist: the spec's own fault is the one named
+    missing, out = tmp_path / "missing.csv", tmp_path / "out"
+    argv = [a.replace("{missing}", str(missing)) for a in argv]
+    assert cli_main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert refused_spec(err, argv[0], flag) == message
+    assert str(missing) not in err and not out.exists()
+
+
+def test_transform_gain_applies_a_random_gain_and_scan_gain_refuses_one(tmp_path,
+                                                                        capsys):
+    src, out = tmp_path / "s.csv", tmp_path / "out"
+    src.write_text("x1,x2\n1.0,2.0\n-1.0,0.5\n")
+    gain = '{"kind": "exp_cosine", "amplitude": 0.5}'
+    assert cli_main(["transform", "--input", str(src), "--gain", gain,
+                     "-o", str(out)]) == 0
+    assert cli_main(["scan", "--model", json.dumps(UNIFORM_PARETO), "--gain", gain,
+                     "--alpha", "1", "--r-grid", "1:2:2", "-o", str(out)]) == 2
+    assert refused_spec(capsys.readouterr().err, "scan", "--gain") == \
+        f"unknown gain kind 'exp_cosine'; expected one of {SIX_GAINS}"
+
+
+def test_load_spec_reads_any_json_inline_and_names_a_missing_file(tmp_path):
+    assert load_spec(" [1, 2] ") == [1, 2]
+    assert load_spec('"kind"') == "kind"
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind": "identity"}')
+    assert load_spec(str(path)) == {"kind": "identity"}
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SpecError) as info:
+        load_spec(missing)
+    assert str(info.value).startswith(
+        f"cannot load spec from {missing!r}: [Errno 2] No such file or "
+        f"directory: {missing!r}; nor is it inline JSON: ")
+    with pytest.raises(SpecError, match="; nor is it inline JSON: Expecting ',' "):
+        load_spec('{"kind": 1')
+
+
 def test_cli_lets_a_bug_propagate(monkeypatch):
     # only a RegvarError or an OSError is a refusal: any other exception is
     # a bug, and leaves cli_main with its traceback rather than as exit 2
@@ -1147,9 +1229,9 @@ def test_cli_estimate_rejects_duplicate_target_atoms(tmp_path, capsys, header,
     target = {"kind": "discrete", "dim": dim, "atoms": atoms}
     assert cli_main(["estimate", "--input", str(src), "--top", "2",
                      "--target", json.dumps(target), "-o", str(rep)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: spec field 'atoms' lists directions within")
-    assert "merge" not in err
+    message = refused_spec(capsys.readouterr().err, "estimate", "--target")
+    assert message.startswith("spec field 'atoms' lists directions within")
+    assert "merge" not in message
     assert not rep.exists()
 
 
@@ -1226,7 +1308,8 @@ def test_cli_names_missing_spec_field(tmp_path, capsys, flag, spec, field):
     else:
         args = ["transform", "--input", str(src), flag, json.dumps(spec)]
     assert cli_main(args + ["-o", str(out)]) == 2
-    assert f"error: spec is missing field {field!r}" in capsys.readouterr().err
+    assert refused_spec(capsys.readouterr().err, args[0], flag) == \
+        f"spec is missing field {field!r}"
     assert not out.exists()
 
 
@@ -1247,8 +1330,9 @@ def test_cli_names_spec_field_of_wrong_type(tmp_path, capsys, args, field,
     if args[0] == "estimate":
         args = args + ["--input", str(src)]
     assert cli_main(args + ["-o", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: spec field {field!r} must be a number, got {value}\n")
+    flag = next(a for a in args if a in ("--model", "--target"))
+    assert refused_spec(capsys.readouterr().err, args[0], flag) == (
+        f"spec field {field!r} must be a number, got {value}")
     assert not out.exists()
 
 
@@ -1281,7 +1365,7 @@ def test_cli_names_list_and_dim_spec_fields(tmp_path, capsys, args, message):
     src.write_text("x1,x2\n1.0,0.5\n-2.0,1.0\n3.0,1.0\n")
     out = tmp_path / "out"
     assert cli_main(args + ["--input", str(src), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert refused_spec(capsys.readouterr().err, args[0], args[-2]) == message
     assert not out.exists()
 
 
