@@ -360,14 +360,21 @@ def _parse_arc(raw: str) -> ArcSet:
         raise argparse.ArgumentTypeError(f"{e}; expected a:b") from e
 
 
-def _spec(build):
-    """argparse type of a spec flag: the object build makes of load_spec(raw)."""
-    def spec(raw: str):
+class _Spec(argparse.Action):
+    """argparse action of a spec flag: stores the object build makes of
+    load_spec(raw). A RegvarError refuses the value as a usage error;
+    argparse lets any other exception of an action through, so a bug in a
+    builder keeps its traceback."""
+
+    def __init__(self, option_strings, dest, build, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.build = build
+
+    def __call__(self, parser, namespace, raw, option_string=None):
         try:
-            return build(load_spec(raw))
-        except RegvarError as e:  # before argparse takes an InvalidParameter
-            raise argparse.ArgumentTypeError(str(e)) from e
-    return spec
+            setattr(namespace, self.dest, self.build(load_spec(raw)))
+        except RegvarError as e:
+            parser.error(f"argument {'/'.join(self.option_strings)}: {e}")
 
 
 def _cmd_scan(args) -> int:
@@ -429,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a model spec")
-    p.add_argument("--model", type=_spec(model_from_spec), required=True,
-                   help="model JSON (file or inline)")
+    p.add_argument("--model", action=_Spec, build=model_from_spec,
+                   required=True, help="model JSON (file or inline)")
     p.add_argument("-n", type=at_least(0), required=True, help="sample size")
     p.add_argument("--seed", type=at_least(0), default=42)
     p.add_argument("--workers", type=at_least(1), default=1)
@@ -440,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a sphere map or radial gain")
     p.add_argument("--input", required=True, help="input CSV")
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--map", type=_spec(map_from_spec),
+    kind.add_argument("--map", action=_Spec, build=map_from_spec,
                       help="sphere-map JSON (file or inline)")
-    kind.add_argument("--gain", type=_spec(any_gain_from_spec),
+    kind.add_argument("--gain", action=_Spec, build=any_gain_from_spec,
                       help="gain or random gain JSON (file or inline)")
     p.add_argument("--gain-seed", type=at_least(0), default=0,
                    help="seed for randomized gains")
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--top", type=count_or_fraction, required=True,
                    help="exceedance count k, or a fraction in (0, 1)")
-    p.add_argument("--target", type=_spec(measure_from_spec),
+    p.add_argument("--target", action=_Spec, build=measure_from_spec,
                    help="declared target measure JSON")
     p.add_argument("--seed", type=at_least(0), default=0, help="bootstrap seed")
     p.add_argument("-o", "--output", required=True, help="report JSON")
@@ -468,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="scan normalized tails over an r grid")
-    p.add_argument("--model", type=_spec(model_from_spec), required=True,
-                   help="model JSON (file or inline)")
-    p.add_argument("--gain", type=_spec(gain_from_spec),
+    p.add_argument("--model", action=_Spec, build=model_from_spec,
+                   required=True, help="model JSON (file or inline)")
+    p.add_argument("--gain", action=_Spec, build=gain_from_spec,
                    help="optional gain JSON applied to the model")
     p.add_argument("--alpha", type=positive_float, required=True,
                    help="normalization exponent")

@@ -6,7 +6,8 @@ witness convergence, divergence or oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -179,15 +180,27 @@ def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
     return TailScan(r_grid, sets, values, mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationReport:
-    """Bundled tail-index and spectral estimates with target distances."""
+    """Bundled tail-index and spectral estimates with target distances.
+
+    alpha_ci, the bootstrap interval of the Hill estimate, is drawn from
+    the sample's n norms and the seed on its first read (to_dict reads
+    it) and kept; a report that is never asked for it draws no bootstrap.
+    So a report holds its n norms, 8n bytes, until it is dropped, and a
+    bootstrap with no finite resample raises DegenerateTail on that read.
+    """
 
     alpha_hat: float
-    alpha_ci: tuple[float, float]
     k_used: int
     spectral_hat: SpectralMeasure
     distances: dict[str, float]
+    norms: np.ndarray = field(repr=False, compare=False)
+    seed: int = field(repr=False, compare=False)
+
+    @cached_property
+    def alpha_ci(self) -> tuple[float, float]:
+        return bootstrap_alpha_ci(self.norms, self.k_used, self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -261,10 +274,13 @@ def estimate_from_top(norms: np.ndarray, top_dirs: np.ndarray,
                       seed: int = 0) -> EstimationReport:
     """estimate() from the norms of all n points and the (d, k) directions
     of the k largest, in the order of top_indices(norms, k), for k passing
-    check_top: a caller that holds no whole batch computes only these."""
+    check_top: a caller that holds no whole batch computes only these.
+
+    The report keeps norms, 8n bytes, until it is dropped, and draws its
+    alpha_ci from them on first read, where a degenerate bootstrap raises
+    DegenerateTail; norms must not change before then."""
     k_top = top_dirs.shape[1]
     alpha_hat = hill_estimator(norms, k_top)
-    ci = bootstrap_alpha_ci(norms, k_top, seed)
     spectral_hat = _uniform_on(top_dirs)
     distances: dict[str, float] = {}
     if target is not None:
@@ -276,14 +292,17 @@ def estimate_from_top(norms: np.ndarray, top_dirs: np.ndarray,
             distances["ks"] = distance_ks(spectral_hat, target)
         except DimensionMismatch:
             pass
-    return EstimationReport(alpha_hat, ci, k_top, spectral_hat, distances)
+    return EstimationReport(alpha_hat, k_top, spectral_hat, distances, norms, seed)
 
 
 def estimate(batch: SampleBatch, k_top: int,
              target: SpectralMeasure | None = None,
              seed: int = 0) -> EstimationReport:
-    """Hill estimate with bootstrap interval, empirical spectral measure,
-    and distances to a declared target when one is given."""
+    """Hill estimate, empirical spectral measure, and distances to a
+    declared target when one is given. The bootstrap interval alpha_ci is
+    drawn on its first read, from the batch's norms, which the report
+    keeps (8n bytes) until it is dropped; a degenerate bootstrap raises
+    DegenerateTail on that read, not here."""
     check_top(batch.size, k_top)
     top = top_indices(batch.norms, k_top)
     return estimate_from_top(batch.norms, batch.dirs[:, top], target, seed)

@@ -150,7 +150,8 @@ def _estimate_transformed(s: Scenario, model, transform,
     """Sample, transform and estimate at the top fraction TOP_FRAC,
     canonicalizing at each stage boundary as a file pipeline does. Each
     stage's input goes once its output is made, so the estimate, which
-    builds the target's CDF table, holds one batch."""
+    builds the target's CDF table, holds one batch. The report keeps the
+    batch's norms for its alpha_ci, which no scenario reads."""
     return estimate(
         transform(model.sample(s.n, s.seed, s.workers).canonical()).canonical(),
         top_count(s.n, TOP_FRAC), target=target)
@@ -316,9 +317,11 @@ def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
               "mc_budget": process.mc_budget}
 
     target = expected_gain_reweight(model.sigma, process, alpha).normalized()
-    est = _estimate_transformed(
+    # the report, which holds the sample's norms, goes before the Monte
+    # Carlo moments and the alpha = 2 batch
+    ks = _estimate_transformed(
         s, model, lambda b: randomized_scale_apply(
-            b, process, substream(s.seed, GAIN_STREAM)), target)
+            b, process, substream(s.seed, GAIN_STREAM)), target).distances["ks"]
 
     # analytic moments against seeded Monte Carlo moments at 16 probes: the
     # same sampler with its analytic moment withheld
@@ -340,7 +343,7 @@ def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
     reading = qn_measure(scaled2, 2.0, r_small, ArcSet.full_circle()) * r_small ** 2
 
     return config, [
-        Check("exceedance_ks", est.distances["ks"], 0.06),
+        Check("exceedance_ks", ks, 0.06),
         Check("moment_rel_err", moment_err, 0.01),
         Check("moment_reading_alpha2", abs(reading - 2.0), 0.3),
         Check("moment_reading_value", reading),

@@ -8,6 +8,7 @@ from scipy import stats
 
 from regvar import estimation, measures
 from regvar.batch import SampleBatch
+from regvar.cli import cli_main
 from regvar.errors import (
     DegenerateTail,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from regvar.models import (
 )
 from regvar.radial import ParetoLaw
 from regvar.rng import BOOTSTRAP_STREAM, CHUNK, substream
+from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
 from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of, directions_of
 from regvar.transforms import TransformedModel
 
@@ -488,7 +490,60 @@ def test_estimation_report_schema():
     model = uniform_pareto(1.0)
     rep = estimate(model.sample(5_000, 1), 50)
     d = rep.to_dict()
-    assert set(d) == {"alpha_hat", "alpha_ci", "k_used", "spectral_hat",
-                      "distances"}
+    assert list(d) == ["alpha_hat", "alpha_ci", "k_used", "spectral_hat",
+                       "distances"]
     assert d["spectral_hat"]["kind"] == "empirical"
     assert len(d["alpha_ci"]) == 2
+
+
+def test_alpha_ci_is_drawn_once_on_first_read(monkeypatch):
+    b = uniform_pareto(1.5).sample(20_000, 3)
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return bootstrap_alpha_ci(*args)
+
+    monkeypatch.setattr(estimation, "bootstrap_alpha_ci", counted)
+    rep = estimate(b, 200, seed=11)
+    assert draws == []
+    assert rep.alpha_ci == bootstrap_alpha_ci(b.norms, 200, 11)
+    assert len(draws) == 1
+    assert rep.to_dict()["alpha_ci"] == list(rep.alpha_ci)
+    assert len(draws) == 1
+    # the report keeps the batch's norms, left out of its repr
+    assert rep.norms is b.norms and "norms" not in repr(rep)
+
+
+def test_degenerate_bootstrap_raises_on_first_read(monkeypatch, tmp_path,
+                                                   capsys):
+    monkeypatch.setattr(estimation, "_bootstrap_hill",
+                        lambda norms, k, rng, resamples: np.full(resamples, np.inf))
+    b = uniform_pareto(1.0).sample(1_000, 2)
+    rep = estimate(b, 10)
+    assert 0.0 < rep.alpha_hat < np.inf
+    with pytest.raises(DegenerateTail, match="every bootstrap resample"):
+        rep.alpha_ci
+    src, out = tmp_path / "x.csv", tmp_path / "rep.json"
+    src.write_text("x1,x2\n" + "".join(f"{1.0 + i},0.5\n" for i in range(20)))
+    assert cli_main(["estimate", "--input", str(src), "--top", "3",
+                     "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: every bootstrap resample has equal top order statistics\n")
+    assert not out.exists()
+
+
+def test_verify_scenarios_draw_no_bootstrap(monkeypatch):
+    # no check of any scenario reads an interval, so none may be drawn
+    def reports():
+        return [run_scenario(Scenario(name, n=20_000, seed=seed)).to_json(
+                    include_runtime=False)
+                for name in SCENARIO_NAMES for seed in (42, 7)]
+
+    want = reports()
+
+    def refused(*args):
+        raise AssertionError("a verify scenario drew a bootstrap interval")
+
+    monkeypatch.setattr(estimation, "bootstrap_alpha_ci", refused)
+    assert reports() == want

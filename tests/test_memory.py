@@ -148,6 +148,19 @@ def test_scenario_peak_is_two_batches_plus_chunks(n):
     assert not over, over
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_corollary2_peak_is_two_batches(n):
+    # an estimate's report keeps the sample's norms for its interval, so
+    # corollary2 drops it before the Monte Carlo moments and the alpha = 2
+    # batch; held through them, the peak passes two batches. A first run
+    # imports numpy.random and numpy.ma (1.8 MB traced), so a small one
+    # goes before the traced one.
+    run_scenario(Scenario("corollary2", n=1000, seed=3))
+    batch = n * (2 + 1 + 2) * 8
+    _, peak = traced_peak(run_scenario, Scenario("corollary2", n=n, seed=3))
+    assert peak <= 2 * batch, peak / batch
+
+
 @pytest.mark.parametrize("limit", [
     # the normalized targets of theorem2, theorem3 and corollary2
     lambda u: reweight(u, gain_from_spec(

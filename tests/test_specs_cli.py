@@ -1190,6 +1190,27 @@ def test_cli_lets_a_bug_propagate(monkeypatch):
                   "-o", "unused.csv"])
 
 
+@pytest.mark.parametrize("builder, argv", [
+    ("model_from_spec", ["sample", "--model", "{}", "-n", "3"]),
+    ("map_from_spec", ["transform", "--input", "x.csv", "--map", "{}"]),
+    ("any_gain_from_spec", ["transform", "--input", "x.csv", "--gain", "{}"]),
+    ("measure_from_spec", ["estimate", "--input", "x.csv", "--top", "1",
+                           "--target", "{}"]),
+    ("gain_from_spec", ["scan", "--model", '{"kind": "example3", "alpha": 1.0}',
+                        "--alpha", "1", "--r-grid", "1:2:3", "--gain", "{}"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+def test_spec_builder_bug_keeps_its_traceback(monkeypatch, builder, argv, exc):
+    # argparse turns a TypeError or ValueError of a flag's type into a usage
+    # error; a spec flag's action lets it through, as any bug is let through
+    def broken(spec):
+        raise exc("internal")
+
+    monkeypatch.setattr(regvar.cli, builder, broken)
+    with pytest.raises(exc, match="internal"):
+        cli_main([*argv, "-o", "unused.csv"])
+
+
 def test_cli_estimate_rejects_nan_row(tmp_path, capsys):
     src = tmp_path / "nan.csv"
     src.write_text("x1,x2\n1.0,2.0\nnan,1.5\n3.0,0.5\n4.0,1.0\n")
