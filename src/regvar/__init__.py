@@ -30,7 +30,6 @@ from .estimation import (
     empirical_spectral,
     estimate,
     hill_estimator,
-    qn_measure,
     tail_scan,
 )
 from .measures import (

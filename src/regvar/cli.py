@@ -2,15 +2,16 @@
 
 Exit codes: 0 success, 1 a failed scenario check, 2 a refusal: a bad
 command line, or a RegvarError or OSError, printed as one `error:` line.
-The parser builds every flag value, the --model, --map, --gain and
---target specs too (JSON inline, or else a file), before any input is
-read; a polar_independent model's alpha defaults to its radial law's.
-Any other exception is a bug: it shows its traceback and exits 1. Sample
-CSVs carry a x1,...,xd header and %.17g floats, which round-trip doubles
-exactly, so piping stages through files reproduces in-memory results bit
-for bit. A rejected CSV exits 2 naming its first rejected data line in
-file order: ragged, a cell that is not a number, or a zero, NaN, infinite
-or overflowing point. A report holding a NaN or infinite value exits 2.
+One parser action builds every flag value, JSON specs (inline, or else a
+file) too, before any input is read; it refuses a RegvarError as a bad
+command line. A polar_independent model's alpha defaults to its radial
+law's. Any other exception is a bug: it shows its traceback and exits 1.
+Sample CSVs carry a x1,...,xd header and %.17g floats, which round-trip
+doubles exactly, so piping stages through files reproduces in-memory
+results bit for bit. A rejected CSV exits 2 naming its first rejected
+data line in file order: ragged, a cell that is not a number, or a zero,
+NaN, infinite or overflowing point. A report holding a NaN or infinite
+value exits 2.
 
 The file steps parse once, then work block by block, and none holds a
 whole batch. `sample` writes each chunk as RegVarModel.chunks draws it.
@@ -341,42 +342,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_r_grid(raw: str) -> np.ndarray:
-    """argparse type of --r-grid start:stop:points: increasing log-spaced radii."""
-    try:
-        start, stop, points = raw.split(":")
-        return check_r_grid(np.geomspace(positive_float(start), positive_float(stop),
-                                         at_least(1)(points)))
-    except (ValueError, argparse.ArgumentTypeError) as e:  # InvalidParameter is one
-        raise argparse.ArgumentTypeError(f"{e}; expected start:stop:points") from e
-
-
-def _parse_arc(raw: str) -> ArcSet:
-    """argparse type of --arc a:b, the arc [a, b)."""
-    try:
-        a, b = raw.split(":")
-        return ArcSet([(float(a), float(b))])
-    except ValueError as e:  # InvalidParameter is one
-        raise argparse.ArgumentTypeError(f"{e}; expected a:b") from e
-
-
-class _Spec(argparse.Action):
-    """argparse action of a spec flag: stores the object build makes of
-    load_spec(raw). A RegvarError refuses the value as a usage error;
-    argparse lets any other exception of an action through, so a bug in a
-    builder keeps its traceback."""
-
-    def __init__(self, option_strings, dest, build, **kwargs):
-        super().__init__(option_strings, dest, **kwargs)
-        self.build = build
-
-    def __call__(self, parser, namespace, raw, option_string=None):
-        try:
-            setattr(namespace, self.dest, self.build(load_spec(raw)))
-        except RegvarError as e:
-            parser.error(f"argument {'/'.join(self.option_strings)}: {e}")
-
-
 def _cmd_scan(args) -> int:
     source = args.model if args.gain is None else TransformedModel(args.model, args.gain)
     arcs, grid = args.arc or [ArcSet.full_circle()], args.r_grid
@@ -397,36 +362,82 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def at_least(low: int):
-    """argparse type: an integer of at least low."""
+class _Flag(argparse.Action):
+    """argparse action of every flag with a value: stores, or appends when
+    append is set, what build makes of the raw text. A RegvarError refuses
+    it as a usage error; any other exception keeps its traceback."""
+
+    def __init__(self, option_strings, dest, build, append=False, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.build, self.append = build, append
+
+    def __call__(self, parser, namespace, raw, option_string=None):
+        try:
+            value = self.build(raw)
+        except RegvarError as e:
+            parser.error(f"argument {'/'.join(self.option_strings)}: {e}")
+        if self.append:
+            value = [*(getattr(namespace, self.dest) or []), value]
+        setattr(namespace, self.dest, value)
+
+
+def _spec(build):
+    """Builder of a spec flag: build applied to the loaded JSON spec."""
+    return lambda raw: build(load_spec(raw))
+
+
+def _at_least(low: int):
+    """Builder of an integer flag of at least low."""
     def integer(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+            raise InvalidParameter(f"must be an integer, got {raw!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise InvalidParameter(f"must be at least {low}, got {value}")
         return value
     return integer
 
 
-def positive_float(raw: str) -> float:
+def _number(raw: str, positive: bool = True) -> float:
+    """Builder of a number flag, positive and finite when positive is set."""
     try:
         value = float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+        raise InvalidParameter(f"must be a number, got {raw!r}") from None
+    if positive and not 0.0 < value < math.inf:
+        raise InvalidParameter(f"must be positive and finite, got {raw}")
     return value
 
 
-def count_or_fraction(raw: str) -> int | float:
-    """argparse type of --top: an integer count, or a fraction in (0, 1)."""
-    value = positive_float(raw)
+def _count_or_fraction(raw: str) -> int | float:
+    """Builder of --top: an integer count, or a fraction in (0, 1)."""
+    value = _number(raw)
     if value > 1 and not value.is_integer():
-        raise argparse.ArgumentTypeError(
+        raise InvalidParameter(
             f"must be an integer count or a fraction in (0, 1), got {raw}")
     return value if value < 1 else int(value)
+
+
+def _fields(form: str, build):
+    """Builder of a flag whose value is form's ':'-separated fields: build
+    applied to them. A refusal names form."""
+    def fields(raw: str):
+        parts, count = raw.split(":"), form.count(":") + 1
+        try:
+            if len(parts) != count:
+                raise InvalidParameter(f"must have {count} fields, got {raw!r}")
+            return build(*parts)
+        except RegvarError as e:
+            raise InvalidParameter(f"{e}; expected {form}") from e
+    return fields
+
+
+# --r-grid start:stop:points, increasing log-spaced radii; --arc a:b, the arc [a, b)
+_r_grid = _fields("start:stop:points", lambda start, stop, points: check_r_grid(
+    np.geomspace(_number(start), _number(stop), _at_least(1)(points))))
+_arc = _fields("a:b", lambda a, b: ArcSet([(_number(a, positive=False),
+                                            _number(b, positive=False))]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,59 +447,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a model spec")
-    p.add_argument("--model", action=_Spec, build=model_from_spec,
+    p.add_argument("--model", action=_Flag, build=_spec(model_from_spec),
                    required=True, help="model JSON (file or inline)")
-    p.add_argument("-n", type=at_least(0), required=True, help="sample size")
-    p.add_argument("--seed", type=at_least(0), default=42)
-    p.add_argument("--workers", type=at_least(1), default=1)
+    p.add_argument("-n", action=_Flag, build=_at_least(0), required=True,
+                   help="sample size")
+    p.add_argument("--seed", action=_Flag, build=_at_least(0), default=42)
+    p.add_argument("--workers", action=_Flag, build=_at_least(1), default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("transform", help="apply a sphere map or radial gain")
     p.add_argument("--input", required=True, help="input CSV")
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--map", action=_Spec, build=map_from_spec,
+    kind.add_argument("--map", action=_Flag, build=_spec(map_from_spec),
                       help="sphere-map JSON (file or inline)")
-    kind.add_argument("--gain", action=_Spec, build=any_gain_from_spec,
+    kind.add_argument("--gain", action=_Flag, build=_spec(any_gain_from_spec),
                       help="gain or random gain JSON (file or inline)")
-    p.add_argument("--gain-seed", type=at_least(0), default=0,
+    p.add_argument("--gain-seed", action=_Flag, build=_at_least(0), default=0,
                    help="seed for randomized gains")
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("estimate", help="tail index and spectral estimates")
     p.add_argument("--input", required=True, help="input CSV")
-    p.add_argument("--top", type=count_or_fraction, required=True,
+    p.add_argument("--top", action=_Flag, build=_count_or_fraction, required=True,
                    help="exceedance count k, or a fraction in (0, 1)")
-    p.add_argument("--target", action=_Spec, build=measure_from_spec,
+    p.add_argument("--target", action=_Flag, build=_spec(measure_from_spec),
                    help="declared target measure JSON")
-    p.add_argument("--seed", type=at_least(0), default=0, help="bootstrap seed")
+    p.add_argument("--seed", action=_Flag, build=_at_least(0), default=0,
+                   help="bootstrap seed")
     p.add_argument("-o", "--output", required=True, help="report JSON")
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("verify", help="run a named scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    p.add_argument("--n", type=at_least(1), default=DEFAULT_N)
-    p.add_argument("--seed", type=at_least(0), default=DEFAULT_SEED)
-    p.add_argument("--workers", type=at_least(1), default=1)
+    p.add_argument("--n", action=_Flag, build=_at_least(1), default=DEFAULT_N)
+    p.add_argument("--seed", action=_Flag, build=_at_least(0), default=DEFAULT_SEED)
+    p.add_argument("--workers", action=_Flag, build=_at_least(1), default=1)
     p.add_argument("-o", "--output", help="report JSON")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="scan normalized tails over an r grid")
-    p.add_argument("--model", action=_Spec, build=model_from_spec,
+    p.add_argument("--model", action=_Flag, build=_spec(model_from_spec),
                    required=True, help="model JSON (file or inline)")
-    p.add_argument("--gain", action=_Spec, build=gain_from_spec,
+    p.add_argument("--gain", action=_Flag, build=_spec(gain_from_spec),
                    help="optional gain JSON applied to the model")
-    p.add_argument("--alpha", type=positive_float, required=True,
+    p.add_argument("--alpha", action=_Flag, build=_number, required=True,
                    help="normalization exponent")
-    p.add_argument("--r-grid", type=_parse_r_grid, required=True,
+    p.add_argument("--r-grid", action=_Flag, build=_r_grid, required=True,
                    help="start:stop:points (log)")
-    p.add_argument("--arc", type=_parse_arc, action="append",
+    p.add_argument("--arc", action=_Flag, build=_arc, append=True,
                    help="evaluation arc a:b (repeatable; default full circle)")
-    p.add_argument("--n", type=at_least(0), default=200_000,
+    p.add_argument("--n", action=_Flag, build=_at_least(0), default=200_000,
                    help="sample size for the empirical fallback")
-    p.add_argument("--seed", type=at_least(0), default=42)
-    p.add_argument("--workers", type=at_least(1), default=1)
+    p.add_argument("--seed", action=_Flag, build=_at_least(0), default=42)
+    p.add_argument("--workers", action=_Flag, build=_at_least(1), default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV")
     p.set_defaults(fn=_cmd_scan)
     return parser

@@ -1,7 +1,7 @@
 """Estimators and tail diagnostics: empirical spectral measures, the Hill
-tail-index estimator with a bootstrap interval, exceedance functionals
-under the n^(1/alpha) norming, and grid scans of normalized tails that
-witness convergence, divergence or oscillation.
+tail-index estimator with a bootstrap interval, exceedance counts, and grid
+scans of normalized tails that witness convergence, divergence or
+oscillation.
 """
 
 from __future__ import annotations
@@ -100,22 +100,8 @@ def hill_estimator(batch_or_norms, k: int) -> float:
     return 1.0 / mean_log
 
 
-def qn_measure(batch: SampleBatch, model_alpha: float, r: float, sets) -> float:
-    """n times the empirical frequency of {direction in sets, norm > r b_n},
-    with b_n = n^(1/alpha)."""
-    model_alpha = positive_finite(model_alpha, "model_alpha")
-    r = positive_finite(r, "r")
-    n = batch.size
-    if n == 0:
-        raise EmptyInput("empty batch")
-    # b_n beyond the double range is infinite, and no norm exceeds it
-    with np.errstate(over="ignore"):
-        threshold = r * np.float64(n) ** (1.0 / model_alpha)
-    return float(_exceedance_counts(batch, [sets], np.array([threshold]))[0, 0])
-
-
-def _exceedance_counts(batch: SampleBatch, sets: list,
-                       radii: np.ndarray) -> np.ndarray:
+def exceedance_counts(batch: SampleBatch, sets: list,
+                      radii: np.ndarray) -> np.ndarray:
     """(len(radii), len(sets)) int64 counts of the points with direction in
     sets[j] and norm > radii[i], taken CHUNK points at a time; angles are
     computed only when some set is an ArcSet."""
@@ -165,7 +151,7 @@ def tail_scan(source, alpha: float, sets, r_grid) -> TailScan:
     if isinstance(source, SampleBatch):
         if source.size < 1000:
             raise InvalidParameter("empirical scans need at least 10^3 points")
-        counts = _exceedance_counts(source, sets, r_grid)
+        counts = exceedance_counts(source, sets, r_grid)
         for i, r in enumerate(r_grid):
             values[i] = r ** alpha * counts[i] / source.size
         mode = "empirical"

@@ -23,7 +23,7 @@ from .errors import InvalidParameter
 from .estimation import (
     empirical_spectral,
     estimate,
-    qn_measure,
+    exceedance_counts,
     tail_scan,
     top_count,
     top_indices,
@@ -31,10 +31,8 @@ from .estimation import (
 from .measures import (
     RandomGainProcess,
     SpectralMeasure,
-    SphereMap,
     distance_ks,
     expected_gain_reweight,
-    exponential_gain_process,
     matched_masses,
     moment_condition,
     pushforward,
@@ -309,12 +307,13 @@ def _run_theorem3(s: Scenario) -> tuple[dict, list[Check]]:
 
 def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
     gain_spec = {"kind": "exp_cosine", "amplitude": 0.5}
+    unit_spec = {"kind": "exp_cosine", "amplitude": 0.0}
     process = random_gain_from_spec(gain_spec)
     alpha = 1.0
     model_spec = _uniform_pareto_spec(alpha)
     model = model_from_spec(model_spec)
-    config = {"model": model_spec, "gain": gain_spec, "top_frac": TOP_FRAC,
-              "mc_budget": process.mc_budget}
+    config = {"model": model_spec, "gain": gain_spec, "unit_gain": unit_spec,
+              "top_frac": TOP_FRAC, "mc_budget": process.mc_budget}
 
     target = expected_gain_reweight(model.sigma, process, alpha).normalized()
     # the report, which holds the sample's norms, goes before the Monte
@@ -336,11 +335,13 @@ def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
     # of the mean: with an exponential gain and alpha = 2 the normalized
     # exceedance count concentrates at E[Z^2] = 2, not (E Z)^2 = 1
     model2 = model_from_spec(_uniform_pareto_spec(2.0))
-    unit_exp = exponential_gain_process(lambda t: np.ones_like(t))
     scaled2 = randomized_scale_apply(model2.sample(s.n, s.seed + 1, s.workers),
-                                     unit_exp, substream(s.seed + 1, GAIN_STREAM))
-    r_small = 0.045
-    reading = qn_measure(scaled2, 2.0, r_small, ArcSet.full_circle()) * r_small ** 2
+                                     random_gain_from_spec(unit_spec),
+                                     substream(s.seed + 1, GAIN_STREAM))
+    r_small = 0.045  # n times the frequency of norms above r_small n^(1/2)
+    count = exceedance_counts(scaled2, [ArcSet.full_circle()],
+                              np.array([r_small * np.float64(scaled2.size) ** 0.5]))
+    reading = float(count[0, 0]) * r_small ** 2
 
     return config, [
         Check("exceedance_ks", ks, 0.06),
@@ -356,11 +357,13 @@ def _run_corollary2(s: Scenario) -> tuple[dict, list[Check]]:
 
 def _run_example1(s: Scenario) -> tuple[dict, list[Check]]:
     model_spec = {"kind": "example1", "alpha": 1.0, "amplitude": 0.5}
+    map_spec = {"kind": "step", "breakpoints": [0.0, 5e-324, np.nextafter(np.pi, 4.0)],
+                "values": [0.0, np.pi / 2.0, 3.0 * np.pi / 2.0]}
     model = model_from_spec(model_spec)
     alpha = model.alpha
     r_grid = np.exp(TWO_PI * np.arange(17) / 16.0)
-    config = {"model": model_spec, "r_grid": [float(r) for r in r_grid],
-              "top_frac": TOP_FRAC}
+    config = {"model": model_spec, "map": map_spec,
+              "r_grid": [float(r) for r in r_grid], "top_frac": TOP_FRAC}
 
     side_vals = r_grid ** alpha * model.side_law(+1).tail(r_grid)
     osc_range = float(np.max(side_vals) - np.min(side_vals))
@@ -368,11 +371,9 @@ def _run_example1(s: Scenario) -> tuple[dict, list[Check]]:
     mix_vals = np.array([r ** alpha * model.exact_tail(r, full) for r in r_grid])
     mix_dev = float(np.max(np.abs(mix_vals - 1.0)))
 
-    # the sign map, which jumps at 0 and pi, fixes the one-atom spectral
-    # measure ...
-    sign_map = SphereMap(angle_fn=lambda t: np.where(
-        t == 0.0, 0.0, np.where(t <= np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)))
-    image = pushforward(model.spectral, sign_map)
+    # the sign map, which sends 0 to 0, (0, pi] to pi/2 and the rest to
+    # 3 pi/2, fixes the one-atom spectral measure ...
+    image = pushforward(model.spectral, map_from_spec(map_spec))
     fixed = distance_ks(image, model.spectral)
 
     # ... and sampled exceedance directions do pile up at that atom

@@ -46,13 +46,14 @@ def _require(cond: bool, msg: str):
 
 
 def _float(value, path: str) -> float:
-    """value as a finite float; anything else, NaN and infinities too,
-    raises SpecError naming its path."""
+    """value, a JSON number, as a finite float; anything else, booleans,
+    strings, NaN and infinities too, raises SpecError naming its path."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SpecError(f"spec field {path!r} must be a number, "
-                        f"got {value!r}") from e
+        x = float(value) if number else None
+    except OverflowError:  # an integer beyond the double range
+        x = None
+    _require(x is not None, f"spec field {path!r} must be a number, got {value!r}")
     _require(math.isfinite(x),
              f"spec field {path!r} must be a finite number, got {value!r}")
     return x

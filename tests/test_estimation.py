@@ -20,8 +20,8 @@ from regvar.estimation import (
     bootstrap_alpha_ci,
     empirical_spectral,
     estimate,
+    exceedance_counts,
     hill_estimator,
-    qn_measure,
     tail_scan,
     top_indices,
 )
@@ -282,36 +282,32 @@ picks_st = st.lists(st.integers(1, 15), min_size=4, max_size=4, unique=True)
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), picks=picks_st,
        r=st.floats(1e-3, 1e-2), alpha=st.floats(0.5, 4.0))
-def test_qn_equals_direct_count(seed, picks, r, alpha):
-    # qn_measure is the exact count: norms tie with the threshold, and
+def test_exceedance_counts_equal_direct_count(seed, picks, r, alpha):
+    # the counts are exact: norms tie with the radius r n^(1/alpha), and
     # lattice points sit on the arcs' endpoints
     for n in EDGE_SIZES:
-        b = tied_batch(n, seed, [r * n ** (1.0 / alpha)])
-        for arcs in lattice_arcs(picks):
-            want = float(direct_count(b, arcs, r * n ** (1.0 / alpha)))
-            assert qn_measure(b, alpha, r, arcs) == want
+        radius = r * n ** (1.0 / alpha)
+        b = tied_batch(n, seed, [radius])
+        sets = lattice_arcs(picks)
+        want = [[direct_count(b, arcs, radius) for arcs in sets]]
+        got = exceedance_counts(b, sets, np.array([radius]))
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
-def test_qn_replicate_mean_matches_limit():
-    # E[qn(2, full)] = n * P{norm > 2 n} = 1/2 for the unit Pareto model
+def test_exceedance_count_replicate_mean_matches_limit():
+    # E[count above 2 n] = n * P{norm > 2 n} = 1/2 for the unit Pareto model
     model = uniform_pareto(1.0)
-    vals = [qn_measure(model.sample(10_000, s), 1.0, 2.0, FULL)
+    vals = [exceedance_counts(model.sample(10_000, s), [FULL], np.array([2e4]))[0, 0]
             for s in range(100)]
     se = np.std(vals) / 10.0
     assert np.mean(vals) == pytest.approx(0.5, abs=max(3 * se, 0.21))
 
 
-def test_qn_empty_arc():
+def test_exceedance_counts_empty_arc():
     model = uniform_pareto(1.0)
     b = model.sample(5_000, 2)
     tiny = ArcSet([(1.0, 1.0 + 1e-9)])
-    assert qn_measure(b, 1.0, 5.0, tiny) == 0.0
-
-
-def test_qn_threshold_beyond_double_range_counts_nothing():
-    # b_n = n^(1/alpha) overflows at alpha = 0.01; no norm exceeds it
-    b = uniform_pareto(1.0).sample(10_000, 1)
-    assert qn_measure(b, 0.01, 1.0, FULL) == 0.0
+    assert exceedance_counts(b, [tiny], np.array([5e3])).tolist() == [[0]]
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +397,10 @@ def test_empirical_scan_of_caps_in_three_dimensions():
     want = np.array([[r ** 1.5 * direct_count(b, c, r) / n for c in caps]
                      for r in grid])
     assert scan.values.tobytes() == want.tobytes()
-    assert qn_measure(b, 2.0, 0.01, caps[1]) == \
-        float(direct_count(b, caps[1], 0.01 * n ** 0.5))
     with pytest.raises(DimensionMismatch):
         tail_scan(b, 1.0, [caps[0], FULL], grid)
     with pytest.raises(DimensionMismatch):
-        qn_measure(b, 1.0, 0.01, FULL)
+        exceedance_counts(b, [FULL], grid)
 
 
 @pytest.mark.parametrize("alpha, grid, name", [
@@ -425,16 +419,6 @@ def test_tail_scan_refuses_bad_alpha_or_grid(alpha, grid, name):
     for source in (model, model.sample(2_000, 1)):
         with pytest.raises(InvalidParameter, match=rf"^{name}\b"):
             tail_scan(source, alpha, [FULL], grid)
-
-
-@pytest.mark.parametrize("alpha, r, name", [
-    (1.0, np.nan, "r"), (1.0, -1.0, "r"), (1.0, 0.0, "r"), (1.0, np.inf, "r"),
-    (np.nan, 2.0, "model_alpha"), (0.0, 2.0, "model_alpha"),
-])
-def test_qn_refuses_bad_alpha_or_radius(alpha, r, name):
-    b = uniform_pareto(1.0).sample(2_000, 1)
-    with pytest.raises(InvalidParameter, match=rf"^{name}\b"):
-        qn_measure(b, alpha, r, FULL)
 
 
 def test_tail_scan_oscillation_diagnostic():

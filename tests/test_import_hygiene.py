@@ -17,10 +17,11 @@ one kind of model is a method of that model (gained_tail is one).
 
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
 refusal a user can meet carries a message and is a RegvarError: no module
-raises a class that errors.py does not define, save NotImplementedError
-and, in cli.py, argparse.ArgumentTypeError, the refusal of an argparse
-type. cli_main turns a RegvarError or an OSError into exit code 2 and
-nothing else, so a bug keeps its traceback. Every RegvarError subclass
+raises a class that errors.py does not define, save NotImplementedError.
+cli_main turns a RegvarError or an OSError into exit code 2 and nothing
+else, so a bug keeps its traceback. No flag in cli.py has an argparse
+type, which would turn a bug's TypeError or ValueError into a usage
+error: one action builds every flag value. Every RegvarError subclass
 that errors.py defines is raised or constructed by some other library
 module, so no error type outlives its last raiser.
 
@@ -31,8 +32,8 @@ the Scenario itself and no runner writes them by hand.
 A bad CSV line is named in one place: cli._bad_line is the only function
 that builds an f-string holding ", line ", so every reader error names the
 first rejected data line by the same rule. numpy is the one judge of CSV
-syntax: in cli.py only the command-line parsers and _cmd_scan call float,
-so the reader has no number grammar of its own.
+syntax: in cli.py only _number, the builder of a flag's number, and
+_cmd_scan call float, so the reader has no number grammar of its own.
 
 A spec is judged by the command-line parser alone: no _cmd_* function in
 cli.py calls load_spec or a *_from_spec builder, so every spec flag reaches
@@ -178,9 +179,7 @@ def test_not_implemented_error_is_bare(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_raise_is_a_regvar_error(path):
     """A raise names a class errors.py defines, or calls a function of its
-    module annotated to return one (cli._bad_line); a bare raise re-raises.
-    argparse shows a type's message as a usage error (exit 2) only when it
-    is an ArgumentTypeError, so cli.py's argparse types raise that."""
+    module annotated to return one (cli._bad_line); a bare raise re-raises."""
     errors = {node.name for node in ast.parse(
         (SRC / "errors.py").read_text(encoding="utf-8")).body
         if isinstance(node, ast.ClassDef)}
@@ -188,8 +187,6 @@ def test_every_raise_is_a_regvar_error(path):
     allowed = errors | {"NotImplementedError"} | {
         fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
         and fn.returns is not None and ast.unparse(fn.returns) in errors}
-    if path.name == "cli.py":
-        allowed.add("argparse.ArgumentTypeError")
     raised = [(node.lineno, ast.unparse(getattr(node.exc, "func", node.exc)))
               for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and node.exc is not None]
@@ -207,6 +204,15 @@ def test_cli_main_turns_only_regvar_and_os_errors_into_exit_2():
         for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)]
     # argparse's own exit, then the one rule
     assert caught == [["SystemExit"], ["RegvarError", "OSError"]]
+
+
+def test_no_flag_has_an_argparse_type():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    typed = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"
+             and any(kw.arg == "type" for kw in node.keywords)]
+    assert not typed, f"add_argument passes type= on lines {typed}"
 
 
 def test_every_error_type_is_raised_elsewhere():
@@ -271,7 +277,7 @@ def test_cli_reads_no_csv_cell_with_float():
     callers = {owner for owner, _ in _owners(
         tree, lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name) and node.func.id == "float")}
-    parsers = {"_parse_r_grid", "_parse_arc", "positive_float", "_cmd_scan"}
+    parsers = {"_number", "_cmd_scan"}
     assert callers <= parsers, \
         f"float called outside the command-line parsers: {callers - parsers}"
 

@@ -67,8 +67,9 @@ UNIFORM_PARETO = {
 
 
 def refused_spec(err: str, command: str, flag: str) -> str:
-    """What argparse's one error line says of a spec flag's value, after
-    its `argument --flag: ` prefix; the usage line comes first."""
+    """What argparse's one error line says of a flag's value, a spec's or
+    another's, after its `argument --flag: ` prefix; the usage line comes
+    first."""
     assert err.startswith(f"usage: regvar {command} ")
     prefix = f"regvar {command}: error: argument {flag}: "
     *_, line = err.splitlines()
@@ -935,6 +936,23 @@ def test_cli_names_the_flag_of_a_bad_integer(tmp_path, capsys, argv, flag, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, raw, message", [
+    ("--arc", "1:2:3", "must have 2 fields, got '1:2:3'; expected a:b"),
+    ("--arc", "x:1", "must be a number, got 'x'; expected a:b"),
+    ("--r-grid", "1:2", "must have 3 fields, got '1:2'; expected start:stop:points"),
+], ids=["arc-three-fields", "arc-not-a-number", "r-grid-two-fields"])
+def test_cli_scan_names_the_form_of_a_bad_field_flag(tmp_path, capsys, flag, raw,
+                                                     message):
+    # the fields are counted and converted by the builder, so no message of
+    # Python's unpacking or float() reaches the user
+    out = tmp_path / "scan.csv"
+    assert cli_main([*SCAN_ARGS, flag, raw, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert refused_spec(err, "scan", flag) == message
+    assert "unpack" not in err and "could not convert" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, raw", [
     ("--r-grid", "1:inf:3"), ("--r-grid", "nan:10:3"), ("--r-grid", "1:1e400:3"),
     ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "0"),
@@ -1198,12 +1216,16 @@ def test_cli_lets_a_bug_propagate(monkeypatch):
                            "--target", "{}"]),
     ("gain_from_spec", ["scan", "--model", '{"kind": "example3", "alpha": 1.0}',
                         "--alpha", "1", "--r-grid", "1:2:3", "--gain", "{}"]),
+    ("check_r_grid", ["scan", "--model", '{"kind": "example3", "alpha": 1.0}',
+                      "--alpha", "1", "--r-grid", "1:2:3"]),
+    ("ArcSet", ["scan", "--model", '{"kind": "example3", "alpha": 1.0}',
+                "--alpha", "1", "--r-grid", "1:2:3", "--arc", "0:1"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 @pytest.mark.parametrize("exc", [TypeError, ValueError])
 def test_spec_builder_bug_keeps_its_traceback(monkeypatch, builder, argv, exc):
-    # argparse turns a TypeError or ValueError of a flag's type into a usage
-    # error; a spec flag's action lets it through, as any bug is let through
-    def broken(spec):
+    # argparse would turn a TypeError or ValueError of a flag's type into a
+    # usage error; the flags' action lets it through, as any bug is let through
+    def broken(value):
         raise exc("internal")
 
     monkeypatch.setattr(regvar.cli, builder, broken)
@@ -1339,10 +1361,14 @@ def test_cli_names_missing_spec_field(tmp_path, capsys, flag, spec, field):
      "alpha", "'abc'"),
     (["sample", "--model", '{"kind": "example3", "alpha": [1.0]}', "-n", "10"],
      "alpha", "[1.0]"),
+    (["sample", "--model", '{"kind": "example3", "alpha": true}', "-n", "10"],
+     "alpha", "True"),
+    (["sample", "--model", '{"kind": "example3", "alpha": "2"}', "-n", "10"],
+     "alpha", "'2'"),
     (["estimate", "--top", "2", "--target",
       '{"kind": "discrete", "dim": 2, "atoms": [{"angle": "x", "weight": 1}]}'],
      "atoms[0].angle", "'x'"),
-], ids=["string", "list", "atom-angle"])
+], ids=["string", "list", "bool", "numeric-string", "atom-angle"])
 def test_cli_names_spec_field_of_wrong_type(tmp_path, capsys, args, field,
                                             value):
     src = tmp_path / "x.csv"
