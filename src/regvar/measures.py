@@ -349,7 +349,9 @@ class SpectralMeasure:
         if self.is_discrete:
             p = self.weights / self.total_mass
             idx = rng.choice(self.weights.size, size=n, p=p)
-            return self.coords[:, idx]
+            # np.take keeps the (d, n) result C-ordered; coords[:, idx] would
+            # be F-ordered, and from_polar would copy its points again
+            return np.take(self.coords, idx, axis=1)
         if self.density_spec and self.density_spec.get("name") == "uniform":
             return directions_of(TWO_PI * rng.random(n))
         # The normalized measure, and with it its CDF table, is built once.
@@ -448,14 +450,30 @@ class SphereMap(_SphereFunction):
     """
 
     def __init__(self, angle_fn=None, coords_fn=None, steps: StepAngles | None = None):
+        # the directions of a step map's wrapped values, one column a piece
+        self._step_dirs = None
         if angle_fn is None and steps is not None:
             angle_fn = steps.apply
+            self._step_dirs = directions_of(self._finish(steps.values, planar=True))
         super().__init__(angle_fn, coords_fn)
         self.steps = steps
 
     apply_angles = _SphereFunction._on_angles
-    apply_dirs = _SphereFunction._on_dirs
     _planar_dirs = staticmethod(directions_of)
+
+    def apply_dirs(self, dirs: np.ndarray):
+        """The images of a (d, n) array of unit vectors.
+
+        A planar step map looks each direction's piece up in its table of
+        piece directions, with the bits directions_of gives at the mapped
+        angle: one cos and sin per piece, not per point. np.take keeps the
+        result C-ordered, as directions_of's is.
+        """
+        if self._step_dirs is None or dirs.shape[0] != 2:
+            return self._on_dirs(dirs)
+        idx = np.searchsorted(self.steps.breaks, angles_of(dirs), "right")
+        idx -= 1
+        return np.take(self._step_dirs, idx, axis=1)
 
     @staticmethod
     def _finish(out, planar):

@@ -18,6 +18,7 @@ radial gain: any gain for independent polar parts, the companion for atoms.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -201,6 +202,20 @@ class PolarIndependentModel(RegVarModel):
 # smallest ray n whose minus-side angle 2 pi - 1/n rounds to 2 pi in double:
 # 1/n is half an ulp of 2 pi there and ties to even
 _MINUS_RAY_AT_ZERO = 2 ** 51
+# rays 1.._NEAR_RAYS of each side carry 1 - 1/(_NEAR_RAYS + 1) of the mass
+# at alpha = 1; the sampler looks their directions up
+_NEAR_RAYS = 1024
+
+
+@functools.cache
+def _near_ray_dirs() -> np.ndarray:
+    """Directions of rays 1.._NEAR_RAYS: column n - 1 holds the plus-side
+    ray n at angle 1/n, column _NEAR_RAYS + n - 1 the minus-side ray at
+    2 pi - 1/n. Built on first use and read-only, since callers share it."""
+    near = 1.0 / np.arange(1.0, _NEAR_RAYS + 1)
+    dirs = directions_of(np.concatenate([near, TWO_PI - near]))
+    dirs.flags.writeable = False
+    return dirs
 
 
 class Example1Model(RegVarModel):
@@ -232,15 +247,24 @@ class Example1Model(RegVarModel):
         ratio = self.plus_law.density_ratio(radii)
         u = rng.random(m)
         u += u
-        plus = u < ratio
-        del ratio, u  # before theta and the directions are built
-        # theta is 1 / ray on the plus side and 2 pi - 1 / ray on the other,
-        # built in one array
-        theta = np.floor(radii)
-        np.maximum(theta, 1.0, out=theta)
-        np.divide(1.0, theta, out=theta)
-        np.subtract(TWO_PI, theta, out=theta, where=~plus)
-        return SampleBatch.from_polar(radii, directions_of(theta))
+        minus = ~(u < ratio)
+        del ratio, u  # before the rays and the directions are built
+        ray = np.floor(radii)
+        np.maximum(ray, 1.0, out=ray)
+        # a ray beyond the table sits at 1 / ray on the plus side and at
+        # 2 pi - 1 / ray on the other
+        far = np.flatnonzero(ray > _NEAR_RAYS)
+        theta = 1.0 / ray[far]
+        np.subtract(TWO_PI, theta, out=theta, where=minus[far])
+        np.minimum(ray, _NEAR_RAYS, out=ray)
+        col = ray.astype(np.intp)
+        del ray
+        col -= 1
+        np.add(col, _NEAR_RAYS, out=col, where=minus)
+        dirs = np.take(_near_ray_dirs(), col, axis=1)
+        del col
+        dirs[:, far] = directions_of(theta)
+        return SampleBatch.from_polar(radii, dirs)
 
     def _side_tail_on(self, r: float, arcs: ArcSet, sign: int) -> float:
         """P{R_sign > r, ray angle in arcs} for one side of the mixture.
@@ -302,6 +326,10 @@ _SPECTRAL_ATOMS = 40
 def _atom_angle(k):
     """Angle of the k-th atom, pi - pi / 2^(k-1)."""
     return np.pi - np.pi * np.exp2(1.0 - np.asarray(k, dtype=float))
+
+
+# directions of atoms 1.._K_FLOAT_PI; column k - 1 holds atom k
+_ATOM_DIRS = directions_of(_atom_angle(np.arange(1, _K_FLOAT_PI + 1)))
 
 
 # B_2j / (2j)! for j = 1..12: the Euler-Maclaurin coefficients
@@ -387,7 +415,10 @@ class Example2Model(RegVarModel):
         coef = np.asarray(k, dtype=float) ** -self.nu
         v = rng.random(m)
         radii = np.maximum(1.0, (coef / (1.0 - v)) ** (1.0 / self.alpha))
-        return SampleBatch.from_polar(radii, directions_of(_atom_angle(k)))
+        # atoms from _K_FLOAT_PI on share the float pi and its direction
+        np.minimum(k, _K_FLOAT_PI, out=k)
+        k -= 1
+        return SampleBatch.from_polar(radii, np.take(_ATOM_DIRS, k, axis=1))
 
     def _scaled_tail(self, r: float, sets: ArcSet, b: float) -> float:
         """P{direction in sets, k^b R_k > r} for the atom index k.

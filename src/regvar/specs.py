@@ -259,7 +259,7 @@ def load_spec(text_or_path: str):
     any JSON value, which a builder refuses unless it is an object."""
     try:
         return json.loads(text_or_path)
-    except json.JSONDecodeError as inline:
+    except ValueError as inline:  # JSONDecodeError, or an integer too long
         try:
             with open(text_or_path, encoding="utf-8") as fh:
                 return json.load(fh)

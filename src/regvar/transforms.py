@@ -39,7 +39,8 @@ def _scale_by(batch: SampleBatch, vals: np.ndarray) -> SampleBatch:
     removed = int(batch.size - np.count_nonzero(keep))
     norms, dirs = batch.norms, batch.dirs
     if removed:
-        norms, dirs, vals = norms[keep], dirs[:, keep], vals[keep]
+        # np.compress keeps dirs C-ordered, where dirs[:, keep] would not be
+        norms, dirs, vals = norms[keep], np.compress(keep, dirs, axis=1), vals[keep]
     with np.errstate(over="ignore"):
         norms = norms * vals
     return SampleBatch.from_polar(norms, dirs,

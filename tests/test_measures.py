@@ -205,6 +205,26 @@ def test_pushforward_atoms_match_brute_force_grouping(f_breaks_values, data):
         assert abs(w - exact) <= (len(group) - 1) * np.finfo(float).eps * exact
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=TWO_PI), max_size=10),
+       st.data())
+def test_step_map_dirs_are_the_directions_of_the_mapped_angles(raw_breaks, data):
+    # breaks that are the exact angles of some directions, so that points
+    # fall on them; values anywhere, wrapped by the map
+    inner = angles_of(directions_of(np.array(raw_breaks)))
+    breaks = [0.0] + sorted(set(inner[inner > 0.0].tolist()))
+    value = st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                      st.sampled_from([-TWO_PI, TWO_PI, 3 * TWO_PI, -1e-300]))
+    values = data.draw(st.lists(value, min_size=len(breaks), max_size=len(breaks)))
+    points = data.draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                                max_size=40))
+    theta = np.concatenate([points, raw_breaks, [0.0, HALF_PI, np.pi, -HALF_PI]])
+    dirs = directions_of(theta)
+    for f in (step_map(breaks, values), quadrant_snap_map()):
+        got = f.apply_dirs(dirs)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == directions_of(f.apply_angles(angles_of(dirs))).tobytes()
+
+
 # ----------------------------------------------------------------------
 # reweight
 
@@ -475,6 +495,19 @@ def test_sample_directions_cached_table_matches_fresh_quantile(scale):
         drawn = m.sample_directions(np.random.default_rng(seed), 5000)
         fresh = m.normalized().quantile(np.random.default_rng(seed).random(5000))
         np.testing.assert_array_equal(drawn, directions_of(fresh))
+
+
+@pytest.mark.parametrize("coords", [
+    directions_of(np.array([0.3, 2.0, 4.5])),
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.8, 1.0]]),
+], ids=["d2", "d3"])
+def test_discrete_sample_directions_are_c_ordered_atom_columns(coords):
+    m = SpectralMeasure("discrete", coords.shape[0], coords=coords,
+                        weights=[0.2, 0.5, 0.3])
+    drawn = m.sample_directions(np.random.default_rng(4), 5000)
+    idx = np.random.default_rng(4).choice(3, size=5000, p=m.weights / m.total_mass)
+    np.testing.assert_array_equal(drawn, m.coords[:, idx])
+    assert drawn.flags.c_contiguous
 
 
 def test_sample_angles_cache_built_in_worker_threads():

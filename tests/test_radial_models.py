@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from regvar import specs
 from regvar.errors import (
     InvalidConstruction,
     InvalidParameter,
@@ -16,16 +17,20 @@ from regvar.measures import (
     constant_gain,
     expected_gain_reweight,
     exponential_gain_process,
+    indicator_gain,
     power_cusp_gain,
     reweight,
 )
 from regvar.models import (
+    _K_FLOAT_PI,
     _MINUS_RAY_AT_ZERO,
+    _NEAR_RAYS,
     Example1Model,
     Example2Gain,
     Example2Model,
     Example3Model,
     PolarIndependentModel,
+    _atom_angle,
     example2_moment,
     staircase,
 )
@@ -34,7 +39,9 @@ from regvar.radial import (
     OscillatingTailLaw,
     ParetoLaw,
 )
-from regvar.sphere import TWO_PI, ArcSet, angles_of
+from regvar.rng import CHUNK
+from regvar.sphere import TWO_PI, ArcSet, angles_of, directions_of
+from regvar.transforms import TransformedModel
 
 FULL = ArcSet.full_circle()
 
@@ -251,6 +258,43 @@ def test_oscillating_density_ratio_envelope(amplitude, excess, sign):
     assert np.all(np.abs(plus + minus - 1.0) <= 4.0 * ulp)
 
 
+def two_trig_ratio(law, r):
+    """OscillatingTailLaw.density_ratio in its sine-and-cosine form,
+    1 + s*a*(sin(ln r) - cos(ln r)/alpha): the reference for the one-sine
+    form."""
+    with np.errstate(invalid="ignore"):
+        t = np.log(r)
+        m = np.sin(t) - np.cos(t) / law.alpha
+    return 1.0 + law.sign * law.amplitude * m
+
+
+@example(amplitude=0.5, excess=0.0, sign=-1)
+@example(amplitude=1.0 - 1e-6, excess=0.0, sign=1)
+@example(amplitude=1e-6, excess=0.0, sign=-1)
+@example(amplitude=0.5, excess=1e4, sign=1)
+@given(**oscillating_laws)
+def test_oscillating_density_ratio_is_the_two_trig_form_to_rounding(
+        amplitude, excess, sign):
+    alpha = oscillating_alpha(amplitude, excess)
+    law = OscillatingTailLaw(alpha, amplitude, sign)
+    r = np.concatenate([np.geomspace(1.0, 1e300, 20_000),
+                        np.exp(np.random.default_rng(1).uniform(0.0, 709.0, 20_000))])
+    gap = np.abs(law.density_ratio(r) - two_trig_ratio(law, r))
+    assert np.all(gap <= 1e-15 * (1.0 + np.log(r)))
+    assert np.isnan(law.density_ratio(np.array([np.inf]))[0])
+
+
+@pytest.mark.parametrize("sign", [+1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("alpha", [1.0, at_bound(0.5)], ids=["alpha1", "bound"])
+def test_oscillating_sample_matches_a_two_trig_sampler(alpha, sign, monkeypatch):
+    law = OscillatingTailLaw(alpha, 0.5, sign)
+    drawn = [law.sample(np.random.default_rng(seed), 20_000) for seed in range(10)]
+    monkeypatch.setattr(OscillatingTailLaw, "density_ratio", two_trig_ratio)
+    for seed, got in enumerate(drawn):
+        want = law.sample(np.random.default_rng(seed), 20_000)
+        assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # polar independent
 
@@ -374,6 +418,45 @@ def test_overflowing_draws_raise(maker, n, workers):
         maker().sample(n, 1, workers=workers)
 
 
+# a spec of every model kind; polar_independent with atoms in d = 2 and 3
+# and with a density
+EVERY_MODEL_KIND = [
+    {"kind": "polar_independent",
+     "sigma": {"kind": "discrete", "atoms": [{"angle": 0.3, "weight": 0.4},
+                                             {"angle": 4.0, "weight": 0.6}]},
+     "radial": {"kind": "pareto", "alpha": 1.5}},
+    {"kind": "polar_independent",
+     "sigma": {"kind": "empirical", "dim": 3,
+               "atoms": [{"coords": [0.0, 0.0, 1.0], "weight": 0.5},
+                         {"coords": [0.6, 0.8, 0.0], "weight": 0.5}]},
+     "radial": {"kind": "atom_plus_pareto", "alpha": 1.0, "tail_coefficient": 0.5}},
+    {"kind": "polar_independent",
+     "sigma": {"kind": "density", "density": {"name": "cosine_bump", "amplitude": 0.5}},
+     "radial": {"kind": "oscillating", "alpha": 1.0, "amplitude": 0.5}},
+    {"kind": "example1", "alpha": 1.0},
+    {"kind": "example2", "alpha": 1.0, "nu": 0.5, "beta": 1.2},
+    {"kind": "example3", "alpha": 1.0},
+]
+
+
+def test_layout_guard_lists_every_model_kind():
+    assert {spec["kind"] for spec in EVERY_MODEL_KIND} == set(specs._KINDS["model"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker", [
+    *(lambda spec=spec: specs.model_from_spec(spec) for spec in EVERY_MODEL_KIND),
+    lambda: TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2)),
+    lambda: TransformedModel(Example3Model(1.0), indicator_gain(ArcSet([(0.0, 0.05)]))),
+], ids=[spec["kind"] for spec in EVERY_MODEL_KIND] + ["example2-gain", "example3-gain"])
+def test_layout_guard_every_chunk_is_c_ordered(maker, workers):
+    # from_polar copies an F-ordered (d, n) dirs' points once more, and the
+    # chunk keeps the F-ordered dirs
+    for chunk in maker().chunks(2 * CHUNK + 7, 3, workers):
+        for name in ("points", "norms", "dirs"):
+            assert getattr(chunk, name).flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sample_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError):
@@ -458,6 +541,32 @@ def test_example1_ray_geometry():
     ray = np.maximum(1.0, np.floor(b.norms))
     np.testing.assert_allclose(ang[plus], 1.0 / ray[plus], atol=0)
     np.testing.assert_allclose(ang[~plus], TWO_PI - 1.0 / ray[~plus], atol=0)
+
+
+def plain_example1_chunk(model, rng, m):
+    """Example1Model's chunk drawn plainly, as (norms, dirs, plus, ray): one
+    cos and sin per point, at angle 1/ray or 2 pi - 1/ray, and the
+    two-trig density ratio."""
+    radii = ParetoLaw(model.alpha).sample(rng, m)
+    plus = 2.0 * rng.random(m) < two_trig_ratio(model.plus_law, radii)
+    ray = np.maximum(1.0, np.floor(radii))
+    theta = np.where(plus, 1.0 / ray, TWO_PI - 1.0 / ray)
+    return radii, directions_of(theta), plus, ray
+
+
+@pytest.mark.parametrize("alpha, amplitude", [(1.0, 0.5), (0.3, 0.2)])
+def test_example1_chunks_match_a_plain_two_trig_sampler(alpha, amplitude):
+    model = Example1Model(alpha, amplitude)
+    kinds = set()
+    for seed in range(10):
+        got = model._sample_chunk(np.random.default_rng(seed), CHUNK)
+        norms, dirs, plus, ray = plain_example1_chunk(
+            model, np.random.default_rng(seed), CHUNK)
+        assert got.norms.tobytes() == norms.tobytes()
+        assert got.dirs.tobytes() == dirs.tobytes()
+        kinds |= set(zip(plus.tolist(), (ray > _NEAR_RAYS).tolist()))
+    # rays from the table and beyond it, on both sides
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def enumerated_side_tail(model, r, arcs, sign):
@@ -561,6 +670,36 @@ def test_example2_k_law():
     # P{K = 1} = 1/2: the first atom sits at angle 0
     frac = np.mean(angles_of(b.dirs) == 0.0)
     assert frac == pytest.approx(0.5, abs=0.004)
+
+
+class ScriptedRng:
+    """Hands out the given uniform draws in turn, as rng.random would."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, m):
+        out = self.draws.pop(0)
+        assert out.size == m
+        return out
+
+
+def test_example2_chunk_dirs_are_the_atom_directions():
+    # every atom up to 60, and the largest a double u gives, 2^53 - 1;
+    # the 2^52 - 1 and 2^53 - 1 atoms sit at the float pi like atom 55
+    k = np.arange(1.0, 61.0)
+    u = np.concatenate([1.0 - 1.0 / (k + 0.5), [1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(2).random(5000)])
+    v = np.random.default_rng(3).random(u.size)
+    atoms = np.maximum(1, np.ceil(1.0 / (1.0 - u)).astype(np.int64) - 1)
+    assert {54, _K_FLOAT_PI, 2 ** 52 - 1, 2 ** 53 - 1} <= set(atoms.tolist())
+    assert _atom_angle(_K_FLOAT_PI - 1) < np.pi
+    assert np.all(_atom_angle(np.array([_K_FLOAT_PI, 2.0 ** 52, 2.0 ** 53])) == np.pi)
+    m = Example2Model(1.0, 0.5, 1.2)
+    chunk = m._sample_chunk(ScriptedRng(u, v), u.size)
+    assert chunk.dirs.tobytes() == directions_of(_atom_angle(atoms)).tobytes()
+    radii = np.maximum(1.0, atoms ** -0.5 / (1.0 - v))
+    np.testing.assert_array_equal(chunk.norms, radii)
 
 
 def test_example2_normalized_tail_constant_in_r():

@@ -1196,6 +1196,18 @@ def test_load_spec_reads_any_json_inline_and_names_a_missing_file(tmp_path):
         load_spec('{"kind": 1')
 
 
+def test_cli_refuses_an_inline_integer_too_long_to_convert(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer beyond Python's int-string limit: a refusal, with exit 2
+    spec = '{"kind": "example3", "alpha": 1' + "0" * 5000 + "}"
+    out = tmp_path / "o.csv"
+    assert cli_main(["sample", "--model", spec, "-n", "3", "-o", str(out)]) == 2
+    message = refused_spec(capsys.readouterr().err, "sample", "--model")
+    assert message.startswith("cannot load spec from ")
+    assert "; nor is it inline JSON: Exceeds the limit (" in message
+    assert not out.exists()
+
+
 def test_cli_lets_a_bug_propagate(monkeypatch):
     # only a RegvarError or an OSError is a refusal: any other exception is
     # a bug, and leaves cli_main with its traceback rather than as exit 2
