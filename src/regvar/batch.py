@@ -15,6 +15,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def check_norms(norms: np.ndarray) -> np.ndarray:
+    """norms, once every one is positive and finite: DegeneratePoint for a
+    norm that is not positive, NonFiniteInput for a NaN or infinite one,
+    as an overflowed draw gives."""
+    if norms.size:
+        lo, hi = norms.min(), norms.max()  # a NaN propagates to both
+        if lo <= 0.0:
+            raise DegeneratePoint("norms must be positive")
+        if not (lo > 0.0 and hi < np.inf):
+            raise NonFiniteInput("a norm is NaN or infinite")
+    return norms
+
+
 class SampleBatch:
     """Ordered collection of nonzero points in R^d.
 
@@ -54,17 +67,10 @@ class SampleBatch:
     @classmethod
     def from_polar(cls, norms: np.ndarray, dirs: np.ndarray,
                    zero_count: int = 0) -> "SampleBatch":
-        """Build a batch from native (norm, direction) data. A norm that is
-        not positive raises DegeneratePoint; a NaN or infinite one, as an
-        overflowed draw gives, raises NonFiniteInput."""
-        norms = np.asarray(norms, dtype=float)
+        """Build a batch from native (norm, direction) data, whose norms
+        pass check_norms."""
+        norms = check_norms(np.asarray(norms, dtype=float))
         dirs = np.asarray(dirs, dtype=float)
-        if norms.size:
-            lo, hi = norms.min(), norms.max()  # a NaN propagates to both
-            if lo <= 0.0:
-                raise DegeneratePoint("norms must be positive")
-            if not (lo > 0.0 and hi < np.inf):
-                raise NonFiniteInput("a norm is NaN or infinite")
         return cls(dirs * norms, norms, dirs, zero_count=zero_count)
 
     @property

@@ -103,17 +103,29 @@ def hill_estimator(batch_or_norms, k: int) -> float:
 def exceedance_counts(batch: SampleBatch, sets: list,
                       radii: np.ndarray) -> np.ndarray:
     """(len(radii), len(sets)) int64 counts of the points with direction in
-    sets[j] and norm > radii[i], taken CHUNK points at a time; angles are
-    computed only when some set is an ArcSet."""
+    sets[j] and norm > radii[i].
+
+    The points are taken CHUNK at a time. A chunk's set memberships are
+    found once (angles only when some set is an ArcSet); then each radius
+    marks the chunk's norms above it in one chunk-sized buffer, and each
+    set counts its members among them in another. No array is as large as
+    radii times a chunk, so memory does not grow with the grid.
+    """
     counts = np.zeros((radii.size, len(sets)), dtype=np.int64)
     arcs = any(isinstance(b, ArcSet) for b in sets)
+    size = min(CHUNK, batch.size)
+    above, both = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for start in range(0, batch.size, CHUNK):
-        above = batch.norms[start:start + CHUNK] > radii[:, None]
+        norms = batch.norms[start:start + CHUNK]
         dirs = batch.dirs[:, start:start + CHUNK]
         theta = angles_of(dirs) if arcs else None
-        for j, b in enumerate(sets):
-            member = b.contains(theta if isinstance(b, ArcSet) else dirs)
-            counts[:, j] += np.count_nonzero(above & member, axis=1)
+        members = [b.contains(theta if isinstance(b, ArcSet) else dirs) for b in sets]
+        above_m, both_m = above[:norms.size], both[:norms.size]
+        for i, r in enumerate(radii):
+            np.greater(norms, r, out=above_m)
+            for j, member in enumerate(members):
+                counts[i, j] += np.count_nonzero(
+                    np.logical_and(above_m, member, out=both_m))
     return counts
 
 

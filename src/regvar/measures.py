@@ -344,14 +344,17 @@ class SpectralMeasure:
     # ------------------------------------------------------------------
     # sampling
 
+    def sample_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. atom indices of a discrete measure, drawn with the
+        normalized weights: columns of coords."""
+        return rng.choice(self.weights.size, size=n, p=self.weights / self.total_mass)
+
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(d, n) i.i.d. directions from the normalized measure."""
         if self.is_discrete:
-            p = self.weights / self.total_mass
-            idx = rng.choice(self.weights.size, size=n, p=p)
             # np.take keeps the (d, n) result C-ordered; coords[:, idx] would
             # be F-ordered, and from_polar would copy its points again
-            return np.take(self.coords, idx, axis=1)
+            return np.take(self.coords, self.sample_atoms(rng, n), axis=1)
         if self.density_spec and self.density_spec.get("name") == "uniform":
             return directions_of(TWO_PI * rng.random(n))
         # The normalized measure, and with it its CDF table, is built once.

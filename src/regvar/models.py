@@ -92,11 +92,19 @@ class RegVarModel:
     is allocated once, each after the last; a chunk that drops points (a
     zero gain) leaves the unused tail of the output, which closes up once
     every chunk is in.
+
+    A model whose directions come from a fixed table sets atom_dirs to
+    that (d, K) table, read-only, and draws its chunks as (norms, column)
+    pairs with _draw_atoms(rng, m), the same draws that its _sample_chunk
+    makes; the point with column c has direction atom_dirs[:, c]. A
+    transform can then work once per column, not once per point. atom_dirs
+    is None for every other model.
     """
 
     alpha: float
     dim: int = 2
     spectral: SpectralMeasure | None = None
+    atom_dirs: np.ndarray | None = None
 
     def _sample_chunk(self, rng: np.random.Generator, m: int) -> SampleBatch:
         raise NotImplementedError
@@ -150,7 +158,8 @@ class RegVarModel:
 
 class PolarIndependentModel(RegVarModel):
     """Direction ~ sigma and norm ~ radial law, drawn independently, so
-    exact_tail = sigma(B) * P{R > r}."""
+    exact_tail = sigma(B) * P{R > r}. A discrete sigma's atoms are the
+    model's atom_dirs; each chunk draws its directions before its norms."""
 
     def __init__(self, sigma: SpectralMeasure, alpha: float, radial: RadialLaw):
         if abs(sigma.total_mass - 1.0) > 1e-9:
@@ -164,6 +173,15 @@ class PolarIndependentModel(RegVarModel):
         coef = radial.tail_coefficient
         self.spectral = None if coef is None else (
             sigma if coef == 1.0 else sigma.scaled(coef))
+        if sigma.is_discrete:
+            self.atom_dirs = sigma.coords.view()
+            self.atom_dirs.flags.writeable = False
+
+    def _draw_atoms(self, rng, m):
+        # the draws of _sample_chunk: sample_directions takes a discrete
+        # sigma's directions at sample_atoms' columns
+        col = self.sigma.sample_atoms(rng, m)
+        return self.radial.sample(rng, m), col
 
     def _sample_chunk(self, rng, m):
         dirs = self.sigma.sample_directions(rng, m)
@@ -328,8 +346,10 @@ def _atom_angle(k):
     return np.pi - np.pi * np.exp2(1.0 - np.asarray(k, dtype=float))
 
 
-# directions of atoms 1.._K_FLOAT_PI; column k - 1 holds atom k
+# directions of atoms 1.._K_FLOAT_PI; column k - 1 holds atom k. Read-only,
+# since every Example2Model shares it as its atom_dirs
 _ATOM_DIRS = directions_of(_atom_angle(np.arange(1, _K_FLOAT_PI + 1)))
+_ATOM_DIRS.flags.writeable = False
 
 
 # B_2j / (2j)! for j = 1..12: the Euler-Maclaurin coefficients
@@ -387,8 +407,11 @@ class Example2Model(RegVarModel):
     atom: r^alpha P{direction in B, norm > r} equals that sum exactly for
     every r > 1. The companion unbounded gain (see Example2Gain) destroys
     this: the transformed normalized tail grows without bound. K is drawn
-    by its closed-form inverse CDF.
+    by its closed-form inverse CDF; atoms from 55 on share the float pi, so
+    atom_dirs has 55 columns and atom k draws column min(k, 55) - 1.
     """
+
+    atom_dirs = _ATOM_DIRS
 
     def __init__(self, alpha: float, nu: float, beta: float):
         self.alpha = positive_finite(alpha, "alpha")
@@ -409,16 +432,20 @@ class Example2Model(RegVarModel):
         weights = np.append(w[:-1], _qk_power_sum_from(_SPECTRAL_ATOMS + 1, -self.nu))
         return SpectralMeasure.discrete(_atom_angle(k), weights)
 
-    def _sample_chunk(self, rng, m):
+    def _draw_atoms(self, rng, m):
         u = rng.random(m)
         k = np.maximum(1, np.ceil(1.0 / (1.0 - u)).astype(np.int64) - 1)
         coef = np.asarray(k, dtype=float) ** -self.nu
         v = rng.random(m)
         radii = np.maximum(1.0, (coef / (1.0 - v)) ** (1.0 / self.alpha))
-        # atoms from _K_FLOAT_PI on share the float pi and its direction
         np.minimum(k, _K_FLOAT_PI, out=k)
         k -= 1
-        return SampleBatch.from_polar(radii, np.take(_ATOM_DIRS, k, axis=1))
+        return radii, k
+
+    def _sample_chunk(self, rng, m):
+        # np.take keeps the (d, m) directions C-ordered
+        norms, col = self._draw_atoms(rng, m)
+        return SampleBatch.from_polar(norms, np.take(_ATOM_DIRS, col, axis=1))
 
     def _scaled_tail(self, r: float, sets: ArcSet, b: float) -> float:
         """P{direction in sets, k^b R_k > r} for the atom index k.

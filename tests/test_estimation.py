@@ -294,6 +294,41 @@ def test_exceedance_counts_equal_direct_count(seed, picks, r, alpha):
         assert got.dtype == np.int64 and got.tolist() == want
 
 
+def direct_counts(batch, sets, radii):
+    """count_nonzero((norms > r) & member) for every radius and set."""
+    members = [b.contains(angles_of(batch.dirs) if isinstance(b, ArcSet) else batch.dirs)
+               for b in sets]
+    return [[np.count_nonzero((batch.norms > r) & member) for member in members]
+            for r in radii]
+
+
+def cap_batch(n, seed):
+    """n points in R^3, a quarter of them on the caps' centre directions,
+    with Pareto norms."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((3, n))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=0))
+    on = rng.random(n) < 0.25
+    dirs[:, on] = np.eye(3)[:, rng.integers(0, 3, np.count_nonzero(on))]
+    return SampleBatch.from_polar(1.0 + rng.pareto(1.0, n), dirs)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), picks=picks_st,
+       size=st.sampled_from([1, 200]), planar=st.booleans())
+def test_exceedance_counts_on_a_grid_equal_direct_counts(seed, picks, size, planar):
+    # every radius is a sample norm, so points tie with it
+    caps = [CapSet([((0.0, 0.0, 1.0), 0.5)]),
+            CapSet([((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.9)])]
+    for n in (CHUNK - 1, CHUNK + 1):
+        if planar:
+            b, sets = tied_batch(n, seed, [2.0, 7.5]), lattice_arcs(picks)
+        else:
+            b, sets = cap_batch(n, seed), caps
+        radii = np.random.default_rng(seed).choice(b.norms, size)
+        assert exceedance_counts(b, sets, radii).tolist() == direct_counts(b, sets, radii)
+
+
 def test_exceedance_count_replicate_mean_matches_limit():
     # E[count above 2 n] = n * P{norm > 2 n} = 1/2 for the unit Pareto model
     model = uniform_pareto(1.0)

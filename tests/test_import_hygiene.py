@@ -13,7 +13,10 @@ and scipy is an oracle of the tests only.
 
 A model answers for itself: outside models.py no module asks isinstance
 about a class it imports from regvar.models. A closed form that holds for
-one kind of model is a method of that model (gained_tail is one).
+one kind of model is a method of that model (gained_tail is one). A
+model's table of atom directions is read in one place: outside models.py
+only transforms.py reads atom_dirs or calls the atom draw _draw_atoms, so
+a gain evaluated once per atom is the one user of the table.
 
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
 refusal a user can meet carries a message and is a RegvarError: no module
@@ -295,3 +298,12 @@ def test_no_command_builds_a_spec():
     builders = [(owner, line) for owner, line in _owners(tree, _builds_a_spec)
                 if owner.startswith("_cmd_")]
     assert not builders, f"a command builds a spec, not the parser: {builders}"
+
+
+def test_only_transforms_reads_the_atom_table():
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("atom_dirs", "_draw_atoms")}
+    assert readers - {"models.py"} == {"transforms.py"}, \
+        f"the atom table read outside models.py and transforms.py: {readers}"

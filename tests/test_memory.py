@@ -19,15 +19,17 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from regvar.cli import cli_main, read_csv, write_csv
-from regvar.estimation import tail_scan
+from regvar.estimation import exceedance_counts, tail_scan
 from regvar.measures import (
     SpectralMeasure,
     expected_gain_reweight,
     power_cusp_gain,
     reweight,
+    step_gain,
 )
 from regvar.models import (
     Example1Model,
@@ -111,6 +113,27 @@ def test_gained_sample_never_holds_the_unscaled_sample(workers):
     assert peak <= 1.5 * nbytes(batch)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker", [
+    lambda: TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2)),
+    # removes the atom at 4.0, about 60% of the points
+    lambda: TransformedModel(PolarIndependentModel(
+        SpectralMeasure.discrete([0.3, 4.0], [0.4, 0.6]), 1.0, ParetoLaw(1.0)),
+        step_gain([0.0, 3.0], [2.0, 0.0])),
+], ids=["example2-gain", "discrete-step-gain"])
+def test_gained_atomic_sample_peak_is_output_plus_chunks_in_flight(maker, workers):
+    # the output is allocated for every point drawn before the gain removes
+    # any; a chunk drawn by atoms holds its norms, columns, directions and
+    # gains, then the kept points, less than two chunk batches in all. A
+    # first draw makes numpy's one-time allocations (0.7 MB traced), so a
+    # small one goes before the traced one.
+    model = maker()
+    model.sample(CHUNK, 3, workers)
+    batch, peak = traced_peak(model.sample, N, 3, workers)
+    assert batch.zero_count > 0
+    assert peak <= N * (2 + 1 + 2) * 8 + 2 * workers * CHUNK_BATCH
+
+
 def test_example2_gained_tail_peak_does_not_grow_with_r():
     # atoms 55 to r^(1/beta), about 1e10 of them at r = 1e12, sum as two
     # Hurwitz series rather than as an array
@@ -134,6 +157,17 @@ def test_tail_scan_peak_does_not_grow_with_n(n):
     scan, peak = traced_peak(tail_scan, batch, 1.0, quarters, grid)
     assert scan.mode == "empirical"
     assert peak <= 2 * CHUNK_BATCH
+
+
+@pytest.mark.parametrize("radii", [1, 200, 1000])
+def test_exceedance_counts_peak_does_not_grow_with_the_grid(radii):
+    # one radius at a time: no array of radii times a block of points
+    batch = uniform_pareto().sample(1 << 18, 3)
+    quarters = [ArcSet([(j * TWO_PI / 4, (j + 1) * TWO_PI / 4)]) for j in range(4)]
+    counts, peak = traced_peak(exceedance_counts, batch, quarters,
+                               np.geomspace(1.5, 1e4, radii))
+    assert counts.shape == (radii, 4)
+    assert peak <= CHUNK_BATCH
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,6 +22,7 @@ from regvar.measures import (
     indicator_gain,
     power_cusp_gain,
     reweight,
+    step_gain,
 )
 from regvar.models import (
     _K_FLOAT_PI,
@@ -448,13 +451,46 @@ def test_layout_guard_lists_every_model_kind():
     *(lambda spec=spec: specs.model_from_spec(spec) for spec in EVERY_MODEL_KIND),
     lambda: TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2)),
     lambda: TransformedModel(Example3Model(1.0), indicator_gain(ArcSet([(0.0, 0.05)]))),
-], ids=[spec["kind"] for spec in EVERY_MODEL_KIND] + ["example2-gain", "example3-gain"])
+    # atoms whose gain is zero drop out of a chunk drawn by columns
+    lambda: TransformedModel(specs.model_from_spec(EVERY_MODEL_KIND[0]),
+                             step_gain([0.0, 3.0], [2.0, 0.0])),
+], ids=[spec["kind"] for spec in EVERY_MODEL_KIND]
+    + ["example2-gain", "example3-gain", "discrete-polar-gain"])
 def test_layout_guard_every_chunk_is_c_ordered(maker, workers):
     # from_polar copies an F-ordered (d, n) dirs' points once more, and the
     # chunk keeps the F-ordered dirs
     for chunk in maker().chunks(2 * CHUNK + 7, 3, workers):
         for name in ("points", "norms", "dirs"):
             assert getattr(chunk, name).flags.c_contiguous, name
+
+
+# sha256 of points, norms and dirs of sample(CHUNK + 5, 11), as recorded
+# before these models drew (norms, column) pairs (numpy 2.4.6, x86-64)
+ATOMIC_DIGESTS = [
+    (lambda: Example2Model(1.0, 0.5, 1.2),
+     "90bc2d419381a2846bcf8ac6a1457e1fa200085936b8e09c680cbdb10c037b5c"),
+    (lambda: PolarIndependentModel(
+        SpectralMeasure.discrete([0.3, 2.0, 4.0], [0.2, 0.3, 0.5]), 1.5, ParetoLaw(1.5)),
+     "99309e8966e91acf727d516274875e22488a299158ec6ae1ed6ed51b8028d39f"),
+    (lambda: PolarIndependentModel(
+        SpectralMeasure.discrete(np.array([[0.0, 0.6, 1.0], [0.0, 0.8, 0.0],
+                                           [1.0, 0.0, 0.0]]), [0.5, 0.25, 0.25]),
+        1.0, AtomPlusParetoLaw(1.0, 0.5)),
+     "94782a5cfa771408c2835b393333a15cf7dd2c2cf68369e0a1a765965743add9"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker, want", ATOMIC_DIGESTS,
+                         ids=["example2", "discrete-d2", "discrete-d3"])
+def test_atomic_models_keep_their_sample_bits(maker, want, workers):
+    model = maker()
+    assert not model.atom_dirs.flags.writeable
+    batch = model.sample(CHUNK + 5, 11, workers)
+    digest = hashlib.sha256()
+    for array in (batch.points, batch.norms, batch.dirs):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == want
 
 
 @pytest.mark.parametrize("workers", [0, -3])

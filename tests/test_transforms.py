@@ -6,7 +6,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from regvar.batch import SampleBatch
-from regvar.errors import DimensionMismatch, MomentDivergence, NonFiniteInput
+from regvar.errors import (
+    DimensionMismatch,
+    InvalidGain,
+    MomentDivergence,
+    NonFiniteInput,
+)
 from regvar.measures import (
     RadialGain,
     RandomGainProcess,
@@ -23,12 +28,14 @@ from regvar.measures import (
     step_gain,
 )
 from regvar.models import (
+    Example1Model,
     Example2Gain,
     Example2Model,
     Example3Model,
     PolarIndependentModel,
 )
-from regvar.radial import ParetoLaw
+from regvar.radial import AtomPlusParetoLaw, ParetoLaw
+from regvar.rng import CHUNK
 from regvar.scenarios import _finite_r_identity_rel_err, _theorem2_closed_mass
 from regvar.specs import gain_from_spec
 from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of
@@ -342,6 +349,109 @@ def test_transformed_model_equals_scaled_base_sample(base, gain, workers):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert got.points.flags.c_contiguous and got.dirs.flags.c_contiguous
     assert (got.size, got.zero_count) == (want.size, want.zero_count)
+
+
+def discrete_polar_d2():
+    return PolarIndependentModel(
+        SpectralMeasure.discrete([0.3, 2.0, 4.0, 5.5], [0.2, 0.3, 0.4, 0.1]),
+        1.5, ParetoLaw(1.5))
+
+
+def discrete_polar_d3():
+    sigma = SpectralMeasure.discrete(
+        np.array([[0.0, 0.6, 1.0, 0.0], [0.0, 0.8, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0]]),
+        [0.4, 0.2, 0.3, 0.1])
+    return PolarIndependentModel(sigma, 1.0, AtomPlusParetoLaw(1.0, 0.5))
+
+
+def assert_same_batch(got, want):
+    for name in ("points", "norms", "dirs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.size, got.zero_count) == (want.size, want.zero_count)
+
+
+# atomic bases: the gain is read from a table of its values at the atoms
+ATOMIC_CASES = [
+    (lambda: Example2Model(1.0, 0.5, 1.2), lambda: Example2Gain(1.2)),
+    # nonzero on atoms 5 to 7 only
+    (lambda: Example2Model(1.0, 0.5, 1.2), lambda: step_gain([0.0, 2.9, 3.1],
+                                                             [0.0, 1.5, 0.0])),
+    (discrete_polar_d2, lambda: step_gain([0.0, 1.0, 5.0], [2.0, 0.0, 0.5])),
+    (discrete_polar_d2, lambda: indicator_gain(ArcSet([(0.0, 2.5)]))),
+    (discrete_polar_d2, lambda: gain_from_spec(
+        {"kind": "cosine", "base": 1.0, "amplitude": 0.75})),
+    (discrete_polar_d3, lambda: RadialGain(coords_fn=lambda x: 1.0 + x[1])),
+]
+ATOMIC_IDS = ["example2-own", "example2-step", "d2-step", "d2-indicator",
+              "d2-cosine", "d3-coordinate"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
+@pytest.mark.parametrize("base, gain", ATOMIC_CASES, ids=ATOMIC_IDS)
+def test_atomic_transformed_model_equals_scaled_base_sample(base, gain, n, workers):
+    base, gain = base(), gain()
+    model = TransformedModel(base, gain)
+    want = radial_scale_apply(base.sample(n, 9, workers), gain)
+    assert_same_batch(model.sample(n, 9, workers), want)
+
+
+@given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=6),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+def test_atomic_transformed_model_matches_per_point_gain(atoms, values, seed, workers):
+    # any atoms in the plane under a step gain that may be zero on some
+    angles = np.unique(atoms)
+    # atoms closer than the merge tolerance, across the seam too, are refused
+    assume(angles.size == 1 or min(np.min(np.diff(angles)),
+                                   angles[0] + TWO_PI - angles[-1]) > 1e-6)
+    weights = np.full(angles.size, 1.0 / angles.size)
+    base = PolarIndependentModel(SpectralMeasure.discrete(angles, weights),
+                                 1.0, ParetoLaw(1.0))
+    gain = step_gain([0.0, 1.5, 3.0, 4.5], values)
+    want = radial_scale_apply(base.sample(CHUNK + 3, seed, workers), gain)
+    assert_same_batch(TransformedModel(base, gain).sample(CHUNK + 3, seed, workers),
+                      want)
+
+
+def test_only_tabled_models_draw_by_atoms():
+    assert Example2Model(1.0, 0.5, 1.2).atom_dirs.shape == (2, 55)
+    assert discrete_polar_d3().atom_dirs.shape == (3, 4)
+    for model in (Example1Model(1.0, 0.5), Example3Model(1.0),
+                  PolarIndependentModel(SpectralMeasure.uniform(), 1.0, ParetoLaw(1.0)),
+                  TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2))):
+        assert model.atom_dirs is None
+
+
+@pytest.mark.parametrize("bad", [
+    RadialGain(angle_fn=lambda t: np.where(t > 5.0, -1.0, 1.0)),
+    RadialGain(angle_fn=lambda t: np.where(t > 5.0, np.nan, 1.0)),
+    RadialGain(angle_fn=lambda t: np.where(t > 5.0, 2.0, 1.0), declared_bound=1.0),
+], ids=["negative", "nan", "over-bound"])
+def test_gain_table_refuses_a_bad_atom_at_construction(bad):
+    # the atom at 5.5 is bad; a per-point scale meets it only where drawn
+    base = discrete_polar_d2()
+    with pytest.raises(InvalidGain):
+        TransformedModel(base, bad)
+    ok = TransformedModel(PolarIndependentModel(
+        SpectralMeasure.discrete([0.3, 2.0], [0.5, 0.5]), 1.5, ParetoLaw(1.5)), bad)
+    assert ok.sample(100, 1).size == 100
+
+
+def test_gain_table_refuses_a_planar_gain_on_atoms_in_space():
+    with pytest.raises(DimensionMismatch):
+        TransformedModel(discrete_polar_d3(), step_gain([0.0, 1.0], [1.0, 2.0]))
+
+
+def test_atomic_transformed_model_refuses_an_overflowed_norm_at_a_zero_gain():
+    # a base norm that overflows is refused as the untransformed sample
+    # refuses it, even where the gain would remove its point
+    base = PolarIndependentModel(SpectralMeasure.discrete([0.5], [1.0]), 0.01,
+                                 ParetoLaw(0.01))
+    with pytest.raises(NonFiniteInput):
+        base.sample(20_000, 1)
+    with pytest.raises(NonFiniteInput):
+        TransformedModel(base, constant_gain(0.0)).sample(20_000, 1)
 
 
 def test_transformed_model_density_exact_tail_quadrature():
