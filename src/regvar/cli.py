@@ -14,7 +14,8 @@ NaN, infinite or overflowing point. A report holding a NaN or infinite
 value exits 2.
 
 The file steps parse once, then work block by block, and none holds a
-whole batch. `sample` writes each chunk as RegVarModel.chunks draws it.
+whole batch. `sample` writes each chunk as RegVarModel.chunks draws it,
+forming the chunk's points from its norms and directions once.
 `transform` and `estimate` parse their input once with np.loadtxt, then
 take the (n, d) rows 65 536 at a time as SampleBatch blocks: `transform`
 maps and writes each block, and `estimate` keeps the n norms and the
@@ -114,18 +115,21 @@ def write_csv(path: str, dim: int, batches) -> tuple[int, int]:
 
     Batches are consumed one at a time, so a generator of blocks is never
     held whole, and the file appears at path only once the last is written
-    (_replacing). Rows are formatted a block at a time by g17.format_rows,
-    which emits the same bytes as formatting each value with f"{v:.17g}".
+    (_replacing). A batch's points are formed once, where a batch built
+    from_polar computes them, and its rows are then formatted a block at a
+    time by g17.format_rows, which emits the same bytes as formatting each
+    value with f"{v:.17g}".
     """
     size = zero_count = 0
     with _replacing(path, "wb") as fh:
         fh.write((",".join(f"x{i + 1}" for i in range(dim)) + "\n").encode("utf-8"))
         for batch in batches:
+            points = batch.points  # computed once, for a batch built from_polar
             for start in range(0, batch.size, _CSV_BLOCK_ROWS):
-                fh.write(format_rows(batch.points[:, start:start + _CSV_BLOCK_ROWS].T))
+                fh.write(format_rows(points[:, start:start + _CSV_BLOCK_ROWS].T))
             size += batch.size
             zero_count += batch.zero_count
-            del batch  # before the next batch is made
+            del batch, points  # before the next batch is made
     return size, zero_count
 
 

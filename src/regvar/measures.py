@@ -353,7 +353,7 @@ class SpectralMeasure:
         """(d, n) i.i.d. directions from the normalized measure."""
         if self.is_discrete:
             # np.take keeps the (d, n) result C-ordered; coords[:, idx] would
-            # be F-ordered, and from_polar would copy its points again
+            # be F-ordered, and so would the batch's dirs
             return np.take(self.coords, self.sample_atoms(rng, n), axis=1)
         if self.density_spec and self.density_spec.get("name") == "uniform":
             return directions_of(TWO_PI * rng.random(n))
@@ -647,11 +647,13 @@ def exponential_gain_process(mean_fn) -> RandomGainProcess:
     def sample(t, rng):
         # a broadcast view (the Monte Carlo moment's rows of probes) repeats
         # its values along the axes of stride 0: the mean is evaluated once
-        # per distinct angle and the draw broadcasts it, to the same bits
+        # per distinct angle and the draw broadcasts it, to the same bits.
+        # Scaling standard draws gives rng.exponential(scale=...)'s bits and
+        # generator state without its slow per-element broadcast path
         distinct = t[tuple(slice(0, 1) if step == 0 else slice(None)
                            for step in t.strides)]
-        return rng.exponential(
-            scale=np.broadcast_to(mean_fn(distinct), t.shape))
+        return rng.standard_exponential(t.shape) * np.broadcast_to(
+            mean_fn(distinct), t.shape)
 
     def moment(t, p):
         return np.asarray(mean_fn(t), dtype=float) ** p * math.gamma(1.0 + p)

@@ -91,7 +91,8 @@ class RegVarModel:
     not on the worker count. sample() copies the chunks into an output that
     is allocated once, each after the last; a chunk that drops points (a
     zero gain) leaves the unused tail of the output, which closes up once
-    every chunk is in.
+    every chunk is in. The output holds the chunks' norms and dirs, and
+    their points only where the chunks store them (SampleBatch).
 
     A model whose directions come from a fixed table sets atom_dirs to
     that (d, K) table, read-only, and draws its chunks as (norms, column)
@@ -131,19 +132,24 @@ class RegVarModel:
         return _drawn_ahead(draw, len(sizes), workers)
 
     def sample(self, n: int, seed: int, workers: int = 1) -> SampleBatch:
-        chunks = self.chunks(n, seed, workers)
-        points, dirs = np.empty((self.dim, n)), np.empty((self.dim, n))
-        norms = np.empty(n)
+        # a model builds every chunk the same way, so the first says whether
+        # the output stores points
+        points, norms, dirs = None, np.empty(n), np.empty((self.dim, n))
         size = zero_count = 0
-        for part in chunks:
+        for part in self.chunks(n, seed, workers):
             end = size + part.size
-            points[:, size:end] = part.points
+            if points is None and size == 0 and part.holds_points:
+                points = np.empty((self.dim, n))
+            if points is not None:
+                points[:, size:end] = part.points
             norms[size:end] = part.norms
             dirs[:, size:end] = part.dirs
             size, zero_count = end, zero_count + part.zero_count
             del part  # before the next chunk is drawn
         if size < n:
-            points, norms, dirs = (_leading(a, size) for a in (points, norms, dirs))
+            norms, dirs = _leading(norms, size), _leading(dirs, size)
+            if points is not None:
+                points = _leading(points, size)
         return SampleBatch(points, norms, dirs, zero_count=zero_count)
 
     def exact_tail(self, r: float, sets) -> float | None:
@@ -199,14 +205,18 @@ class PolarIndependentModel(RegVarModel):
             keep = sigma.atoms_in(sets) & (vals > 0.0)
             if not np.any(keep):
                 return 0.0
-            tails = self.radial.tail(float(r) / vals[keep])
-            return float(np.sum(sigma.weights[keep] * tails))
+            # a subnormal gain overflows r / h to inf, where the tail is 0
+            with np.errstate(over="ignore"):
+                levels = float(r) / vals[keep]
+            return float(np.sum(sigma.weights[keep] * self.radial.tail(levels)))
 
         def integrand(t):
             v = gain.at_angles(t)
             out = np.zeros_like(v)
             pos = v > 0
-            out[pos] = self.radial.tail(float(r) / v[pos])
+            with np.errstate(over="ignore"):
+                levels = float(r) / v[pos]
+            out[pos] = self.radial.tail(levels)
             return sigma.density_fn(t) * out
 
         # P{R > r / h} <= 1 is bounded: the gain's points are cuts

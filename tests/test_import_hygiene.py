@@ -16,7 +16,10 @@ about a class it imports from regvar.models. A closed form that holds for
 one kind of model is a method of that model (gained_tail is one). A
 model's table of atom directions is read in one place: outside models.py
 only transforms.py reads atom_dirs or calls the atom draw _draw_atoms, so
-a gain evaluated once per atom is the one user of the table.
+a gain evaluated once per atom is the one user of the table. A batch's
+stored points are read in one place too: outside batch.py no module reads
+SampleBatch._points, so every caller goes through the points property,
+which computes them for a batch that stores none.
 
 Every `raise NotImplementedError` is bare: it marks an abstract method. A
 refusal a user can meet carries a message and is a RegvarError: no module
@@ -307,3 +310,11 @@ def test_only_transforms_reads_the_atom_table():
                and node.attr in ("atom_dirs", "_draw_atoms")}
     assert readers - {"models.py"} == {"transforms.py"}, \
         f"the atom table read outside models.py and transforms.py: {readers}"
+
+
+def test_only_batch_reads_the_stored_points():
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "_points"}
+    assert readers == {"batch.py"}, \
+        f"a batch's stored points read outside batch.py: {readers}"

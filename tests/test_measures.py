@@ -336,6 +336,23 @@ def test_streamed_moment_equals_whole_array_mean(budget):
         np.testing.assert_array_equal(got, whole)
 
 
+@pytest.mark.parametrize("shape, scale", [
+    ((200_000,), lambda shape: 0.5 + np.arange(shape[0]) / shape[0]),
+    # corollary2's Monte Carlo moment: rows of 16 probes
+    ((20_000, 16), lambda shape: np.broadcast_to(
+        1.0 + 0.5 * np.cos(np.arange(16.0)), shape)),
+], ids=["array", "broadcast"])
+def test_exponential_gain_draws_are_numpys_exponential(shape, scale):
+    # scaled standard draws: the bits and generator state of
+    # rng.exponential(scale=...), without its per-element broadcast path
+    process = exponential_gain_process(lambda t: t)
+    ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+    got = process.sample_fn(scale(shape), ours)
+    want = numpys.exponential(scale=scale(shape))
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+    assert ours.random() == numpys.random()
+
+
 # ----------------------------------------------------------------------
 # cdf / quantile
 

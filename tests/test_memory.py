@@ -2,7 +2,9 @@
 CLI file pipeline.
 
 The samplers hold one copy of their output and only chunk-sized
-temporaries: they copy each chunk into an output allocated once. A verify
+temporaries: they copy each chunk into an output allocated once. A batch
+drawn in polar form stores its norms and directions alone, 3 floats per
+point in d = 2; example3's, built from points, stores 5. A verify
 scenario drops each stage's input once its output is made, so it holds at
 most a batch and the one being made from it, and the density CDF tables
 are built a block of cells at a time. The CLI steps hold no whole batch at
@@ -35,6 +37,7 @@ from regvar.models import (
     Example1Model,
     Example2Gain,
     Example2Model,
+    Example3Model,
     PolarIndependentModel,
 )
 from regvar.radial import OscillatingTailLaw, ParetoLaw
@@ -45,8 +48,11 @@ from regvar.sphere import TWO_PI, ArcSet
 from regvar.transforms import TransformedModel
 
 N = 1 << 20
-# points, norms and dirs of one d = 2 chunk, or of one block of CSV rows
+# points, norms and dirs of one d = 2 chunk built from points, or of one
+# block of CSV rows
 CHUNK_BATCH = CHUNK * (2 + 1 + 2) * 8
+# norms and dirs of one d = 2 chunk drawn in polar form
+POLAR_CHUNK = CHUNK * (1 + 2) * 8
 # g17.format_rows' working arrays for 16 384 rows at d = 2 (7.3 MB) fit in
 # this many chunk batches
 FORMAT_BATCHES = 3
@@ -74,7 +80,9 @@ def quiet_cli(argv):
 
 
 def nbytes(batch):
-    return batch.points.nbytes + batch.norms.nbytes + batch.dirs.nbytes
+    """The bytes batch stores: its points count only where they are stored."""
+    points = batch.points.nbytes if batch.holds_points else 0
+    return points + batch.norms.nbytes + batch.dirs.nbytes
 
 
 def uniform_pareto():
@@ -88,12 +96,24 @@ def oscillating_polar():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sample_peak_is_output_plus_chunks_in_flight(workers):
-    # the oscillating laws thin Pareto draws in place, so their samplers
-    # meet the uniform/Pareto bound too
+    # the output is norms and dirs alone; the oscillating laws thin Pareto
+    # draws in place, holding 2.5 polar chunks per worker at most, so their
+    # samplers meet the uniform/Pareto bound too
     for model in (uniform_pareto(), Example1Model(1.0, 0.5), oscillating_polar()):
         batch, peak = traced_peak(model.sample, N, 3, workers)
-        assert batch.size == N
-        assert peak <= nbytes(batch) + 2 * workers * CHUNK_BATCH, model
+        assert batch.size == N and not batch.holds_points
+        assert nbytes(batch) == N * (1 + 2) * 8
+        assert peak <= nbytes(batch) + 3 * workers * POLAR_CHUNK, model
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_points_built_sample_stores_five_floats_per_point(workers):
+    # example3 builds its chunks from points, so its output stores them too
+    model = Example3Model(1.0)
+    model.sample(CHUNK, 3, workers)
+    batch, peak = traced_peak(model.sample, N, 3, workers)
+    assert batch.holds_points and nbytes(batch) == N * (2 + 1 + 2) * 8
+    assert peak <= nbytes(batch) + 2 * workers * CHUNK_BATCH
 
 
 def test_read_csv_peak_is_output_plus_two_chunks(tmp_path):
@@ -122,16 +142,17 @@ def test_gained_sample_never_holds_the_unscaled_sample(workers):
         step_gain([0.0, 3.0], [2.0, 0.0])),
 ], ids=["example2-gain", "discrete-step-gain"])
 def test_gained_atomic_sample_peak_is_output_plus_chunks_in_flight(maker, workers):
-    # the output is allocated for every point drawn before the gain removes
-    # any; a chunk drawn by atoms holds its norms, columns, directions and
-    # gains, then the kept points, less than two chunk batches in all. A
-    # first draw makes numpy's one-time allocations (0.7 MB traced), so a
-    # small one goes before the traced one.
+    # the output's norms and dirs are allocated for every point drawn
+    # before the gain removes any; a chunk drawn by atoms holds its norms,
+    # columns, directions and gains, then the kept norms and directions,
+    # less than three polar chunks in all. A first draw makes numpy's
+    # one-time allocations (0.7 MB traced), so a small one goes before the
+    # traced one.
     model = maker()
     model.sample(CHUNK, 3, workers)
     batch, peak = traced_peak(model.sample, N, 3, workers)
-    assert batch.zero_count > 0
-    assert peak <= N * (2 + 1 + 2) * 8 + 2 * workers * CHUNK_BATCH
+    assert batch.zero_count > 0 and not batch.holds_points
+    assert peak <= N * (1 + 2) * 8 + 3 * workers * POLAR_CHUNK
 
 
 def test_example2_gained_tail_peak_does_not_grow_with_r():

@@ -335,6 +335,22 @@ def test_polar_independence_rank_correlation():
     assert abs(rho) < 0.01
 
 
+@pytest.mark.parametrize("sigma", [
+    SpectralMeasure.cosine_bump(0.5),
+    SpectralMeasure.discrete([0.3, 4.0], [0.4, 0.6]),
+], ids=["density", "atoms"])
+def test_polar_gained_tail_at_a_subnormal_gain_is_silent(sigma):
+    # r / h overflows to inf where h = 5e-324, and the tail there is 0;
+    # tier-1 turns a leaked overflow warning into an error
+    m = PolarIndependentModel(sigma, 1.0, ParetoLaw(1.0))
+    gain = step_gain([0.0, 3.0], [1.0, 5e-324])
+    tail = m.gained_tail(2.0, FULL, gain)
+    want = m.gained_tail(2.0, FULL, step_gain([0.0, 3.0], [1.0, 0.0]))
+    assert tail == pytest.approx(want, rel=1e-12)
+    assert tail == pytest.approx(0.5 * sigma.mass_on(ArcSet([(0.0, 3.0)])),
+                                 rel=1e-9)
+
+
 def test_polar_independent_d3():
     coords = np.eye(3)
     sigma = SpectralMeasure.discrete(coords, [0.5, 0.3, 0.2])
@@ -446,22 +462,55 @@ def test_layout_guard_lists_every_model_kind():
     assert {spec["kind"] for spec in EVERY_MODEL_KIND} == set(specs._KINDS["model"])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("maker", [
+# every model kind, and the gained samplers: example2 and example3 under
+# their gains, and atoms whose gain is zero drop out of a chunk drawn by
+# columns
+EVERY_SAMPLER = [
     *(lambda spec=spec: specs.model_from_spec(spec) for spec in EVERY_MODEL_KIND),
     lambda: TransformedModel(Example2Model(1.0, 0.5, 1.2), Example2Gain(1.2)),
     lambda: TransformedModel(Example3Model(1.0), indicator_gain(ArcSet([(0.0, 0.05)]))),
-    # atoms whose gain is zero drop out of a chunk drawn by columns
     lambda: TransformedModel(specs.model_from_spec(EVERY_MODEL_KIND[0]),
                              step_gain([0.0, 3.0], [2.0, 0.0])),
-], ids=[spec["kind"] for spec in EVERY_MODEL_KIND]
-    + ["example2-gain", "example3-gain", "discrete-polar-gain"])
+]
+SAMPLER_IDS = [spec["kind"] for spec in EVERY_MODEL_KIND] \
+    + ["example2-gain", "example3-gain", "discrete-polar-gain"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker", EVERY_SAMPLER, ids=SAMPLER_IDS)
 def test_layout_guard_every_chunk_is_c_ordered(maker, workers):
-    # from_polar copies an F-ordered (d, n) dirs' points once more, and the
-    # chunk keeps the F-ordered dirs
-    for chunk in maker().chunks(2 * CHUNK + 7, 3, workers):
+    # a chunk keeps an F-ordered (d, n) dirs as it is given, and its points
+    # would then be copied into C order on every read; the sample's
+    # computed points are checked too
+    model = maker()
+    for batch in (*model.chunks(2 * CHUNK + 7, 3, workers),
+                  model.sample(2 * CHUNK + 7, 3, workers)):
         for name in ("points", "norms", "dirs"):
-            assert getattr(chunk, name).flags.c_contiguous, name
+            assert getattr(batch, name).flags.c_contiguous, name
+        assert not batch.points.flags.writeable
+
+
+@settings(max_examples=4, deadline=None)
+@example(n=2 * CHUNK + 7, seed=3)
+@given(n=st.integers(0, 2 * CHUNK + 7), seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker", EVERY_SAMPLER, ids=SAMPLER_IDS)
+def test_sample_points_are_the_chunks_points(maker, workers, n, seed):
+    # a batch stores points exactly when it was built from them (example3's
+    # chunks alone; with no chunk, sample builds none); elsewhere they are
+    # dirs * norms, formed on read
+    model = maker()
+    chunks = list(model.chunks(n, seed, workers))
+    batch = model.sample(n, seed, workers)
+    points = batch.points
+    want = np.concatenate([c.points for c in chunks], axis=1) if chunks \
+        else np.empty((model.dim, 0))
+    assert points.tobytes() == want.tobytes() and points.shape == want.shape
+    assert points.flags.c_contiguous and not points.flags.writeable
+    assert all(c.holds_points == isinstance(model, Example3Model) for c in chunks)
+    assert batch.holds_points == (bool(chunks) and isinstance(model, Example3Model))
+    if not batch.holds_points:
+        assert points.tobytes() == (batch.dirs * batch.norms).tobytes()
 
 
 # sha256 of points, norms and dirs of sample(CHUNK + 5, 11), as recorded

@@ -9,6 +9,7 @@ from regvar.batch import SampleBatch
 from regvar.errors import (
     DimensionMismatch,
     InvalidGain,
+    InvalidParameter,
     MomentDivergence,
     NonFiniteInput,
 )
@@ -169,6 +170,40 @@ def test_batch_arrays_are_read_only_views():
     for array in (pts, norms, dirs):
         array[..., 0] = 7.0
     assert b.points[0, 0] == 7.0
+
+
+def test_polar_batch_stores_no_points():
+    norms = np.array([2.0, 0.5, 3.0])
+    dirs = np.array([[0.6, -1.0, 0.0], [0.8, 0.0, 1.0]])
+    b = SampleBatch.from_polar(norms, dirs)
+    assert not b.holds_points and (b.dim, b.size) == (2, 3)
+    # each read forms a fresh array, with the bits of dirs * norms
+    assert b.points is not b.points
+    assert b.points.tobytes() == (dirs * norms).tobytes()
+    assert SampleBatch.from_points(b.points).holds_points
+    # an F-ordered dirs gives C-ordered points
+    f_dirs = np.asfortranarray(dirs)
+    assert SampleBatch.from_polar(norms, f_dirs).points.flags.c_contiguous
+
+
+@pytest.mark.parametrize("norms, dirs", [
+    (np.array([2.0]), np.ones((2, 3))),            # broadcasts in dirs * norms
+    (np.array([2.0, 3.0]), np.ones((2, 3))),       # does not broadcast
+    (np.ones((1, 3)), np.ones((2, 3))),
+    (np.ones(3), np.ones(3)),
+], ids=["one-norm", "two-norms", "2d-norms", "1d-dirs"])
+def test_batch_refuses_norms_and_dirs_of_different_shapes(norms, dirs):
+    with pytest.raises(InvalidParameter, match="shapes"):
+        SampleBatch.from_polar(norms, dirs)
+    with pytest.raises(InvalidParameter):
+        SampleBatch(None, norms, dirs)
+
+
+def test_batch_refuses_points_that_do_not_match_dirs():
+    with pytest.raises(InvalidParameter, match="points"):
+        SampleBatch(np.ones((2, 2)), np.ones(3), np.ones((2, 3)))
+    with pytest.raises(InvalidParameter, match="points"):
+        SampleBatch.from_points(np.ones(3))
 
 
 # ----------------------------------------------------------------------
