@@ -47,6 +47,7 @@ from .estimation import (
     tail_scan,
     top_count,
     top_indices,
+    top_set,
 )
 from .g17 import format_rows
 from .measures import RandomGainProcess
@@ -307,16 +308,23 @@ def _cmd_transform(args) -> int:
 def _cmd_estimate(args) -> int:
     rows, start = read_csv(args.input)
     n = rows.shape[0]
+    k = args.top if isinstance(args.top, int) else top_count(n, args.top)
     norms = np.empty(n)
+    top = np.empty(0, dtype=np.intp)
     end = 0
     for block in blocks(args.input, rows, start):
-        norms[end:end + block.size] = block.norms
-        end += block.size
+        first, end = end, end + block.size
+        norms[first:end] = block.norms
         del block
-    k = args.top if isinstance(args.top, int) else top_count(n, args.top)
+        # a row in the top k of the rows read so far is in the top k of
+        # its block, so no selection copies more than a block's norms
+        if end > first:
+            pool = np.concatenate(
+                (top, first + top_set(norms[first:end], min(k, end - first))))
+            top = pool[top_set(norms[pool], min(k, pool.size))]
     check_top(n, k)
     # directions of the top k alone, the bits from_points gives them
-    top = top_indices(norms, k)
+    top = top[top_indices(norms[top], k)]
     top_dirs = rows[top].T / norms[top]
     del rows  # the parsed rows go before the bootstrap
     report = estimate_from_top(norms, top_dirs, target=args.target, seed=args.seed)

@@ -35,19 +35,25 @@ def top_count(n: int, frac: float) -> int:
     return max(1, int(round(frac * n)))
 
 
+def top_set(norms: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest norms in index order, 1 <= k <= norms.size:
+    the first k of argsort(-norms, kind="stable"), sorted.
+
+    A partition finds the k-th largest norm; every index above it and the
+    earliest indices equal to it make up the set.
+    """
+    threshold = np.partition(norms, norms.size - k)[norms.size - k]
+    keep = norms > threshold
+    keep[np.flatnonzero(norms == threshold)[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def top_indices(norms: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest norms, largest first; ties are resolved by
     original sample order, exactly as argsort(-norms, kind="stable")[:k].
-
-    A partition finds the k-th largest norm; every index above it and the
-    earliest indices equal to it make up the top k, and only those k rows
-    are sorted.
-    """
-    threshold = np.partition(norms, norms.size - k)[norms.size - k]
-    above = np.flatnonzero(norms > threshold)
-    tied = np.flatnonzero(norms == threshold)[:k - above.size]
-    top = np.concatenate((above, tied))
-    return top[np.lexsort((top, -norms[top]))]
+    Only the k indices of top_set are sorted."""
+    top = top_set(norms, k)
+    return top[np.argsort(-norms[top], kind="stable")]
 
 
 def _uniform_on(dirs: np.ndarray) -> SpectralMeasure:

@@ -6,14 +6,25 @@ pipeline also loads neither `fractions` nor `decimal`. These checks run in
 a new interpreter because the test process has already imported scipy,
 the tests' oracle (pytest's `filterwarnings` setting names
 `scipy.integrate.IntegrationWarning`).
+
+On glibc, importing regvar keeps freed heap pages in the process, so a
+stage that allocates what the last one freed faults no pages in afresh.
+The fault counts are read in a new interpreter too, where nothing else
+has touched the heap. Which C library gets the policy is checked in this
+process, with os.confstr and ctypes.CDLL replaced.
 """
 
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import regvar
 
@@ -131,3 +142,92 @@ from regvar.quadrature import _jacobi_rule
 print(json.dumps({"rules": _jacobi_rule.cache_info().currsize}))
 """, tmp_path)
     assert out["rules"] == 0
+
+
+# minor page faults of a call, read in the interpreter that makes it
+FAULTS = """
+import resource
+
+def faults(fn, *args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn(*args)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+"""
+
+on_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                              reason="the heap policy is set on glibc only")
+
+
+@on_glibc
+def test_second_verify_pass_faults_no_pages_in(tmp_path):
+    # about 18 500 faults (75 MB of first-touch pages) with glibc's defaults
+    out = _run_cold(FAULTS + """
+import json
+from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
+
+def suite():
+    for name in SCENARIO_NAMES:
+        run_scenario(Scenario(name, n=200_000))
+
+suite()
+print(json.dumps({"faults": faults(suite)}))
+""", tmp_path)
+    assert out["faults"] < 1_000
+
+
+@on_glibc
+def test_cli_sample_reuses_its_block_buffers(tmp_path):
+    # about 131 000 faults with glibc's defaults: each 16 384-row block
+    # formatted faulted its buffers in afresh
+    model = {"kind": "polar_independent", "alpha": 1.5,
+             "sigma": {"kind": "density", "dim": 2, "density": {"name": "uniform"}},
+             "radial": {"kind": "pareto", "alpha": 1.5}}
+    out = _run_cold(FAULTS + f"""
+import contextlib, io, json
+from regvar.cli import cli_main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    count = faults(cli_main, ["sample", "--model", {json.dumps(model)!r},
+                              "-n", "1048576", "--seed", "3", "-o", "x.csv"])
+print(json.dumps({{"faults": count}}))
+""", tmp_path)
+    assert out["faults"] < 20_000
+
+
+def _libc(result, calls):
+    """A stand-in for ctypes.CDLL whose mallopt records its calls."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+    return lambda name: SimpleNamespace(mallopt=mallopt)
+
+
+def _unrecognized(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [None, _unrecognized, lambda name: None],
+                         ids=["no-confstr", "unrecognized", "no-value"])
+def test_heap_policy_leaves_other_c_libraries_alone(monkeypatch, confstr):
+    calls = []
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", _libc(1, calls))
+    regvar._keep_freed_heap()
+    assert calls == []
+
+
+@pytest.mark.parametrize("result, calls_made", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]),
+    # a refused mmap threshold (32-bit glibc) leaves the trim threshold too
+    (0, [(-3, 32 << 20)]),
+])
+def test_heap_policy_sets_both_thresholds_or_neither(monkeypatch, result,
+                                                     calls_made):
+    calls = []
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", _libc(result, calls))
+    regvar._keep_freed_heap()
+    assert calls == calls_made

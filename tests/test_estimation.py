@@ -24,6 +24,7 @@ from regvar.estimation import (
     hill_estimator,
     tail_scan,
     top_indices,
+    top_set,
 )
 from regvar.measures import SpectralMeasure, arc_integral
 from regvar.models import (
@@ -35,6 +36,7 @@ from regvar.models import (
 from regvar.radial import ParetoLaw
 from regvar.rng import BOOTSTRAP_STREAM, CHUNK, substream
 from regvar.scenarios import SCENARIO_NAMES, Scenario, run_scenario
+from regvar.specs import report_json
 from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of, directions_of
 from regvar.transforms import TransformedModel
 
@@ -113,6 +115,28 @@ def test_top_indices_equal_stable_argsort_under_ties(values, data):
     k = data.draw(st.integers(1, norms.size))
     np.testing.assert_array_equal(top_indices(norms, k),
                                   np.argsort(-norms, kind="stable")[:k])
+    np.testing.assert_array_equal(top_set(norms, k),
+                                  np.sort(np.argsort(-norms, kind="stable")[:k]))
+
+
+@pytest.mark.parametrize("k", [50_500, 70_000, 100_000])
+def test_cli_estimate_takes_tied_rows_in_file_order_across_blocks(tmp_path, k):
+    # norms 1, 2 and 3 on the four axes over three 65 536-row blocks: the
+    # k-th largest norm is tied in every block, and the CLI, which selects
+    # block by block, keeps the same tied rows as estimate() of the batch
+    rng = np.random.default_rng(1)
+    n = 150_000
+    r, axis = rng.integers(1, 4, n).astype(float), rng.integers(0, 4, n)
+    rows = np.zeros((n, 2))
+    rows[np.arange(n), axis % 2] = np.where(axis < 2, r, -r)
+    src, out = tmp_path / "ties.csv", tmp_path / "report.json"
+    with open(src, "w") as fh:
+        fh.write("x1,x2\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    assert cli_main(["estimate", "--input", str(src), "--top", str(k),
+                     "-o", str(out)]) == 0
+    want = estimate(SampleBatch.from_points(rows.T), k, seed=0)
+    assert out.read_text() == report_json(want.to_dict())
 
 
 def test_empirical_spectral_empty_and_bounds():

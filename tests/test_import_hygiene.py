@@ -9,7 +9,9 @@ class and constant is read by some library module or re-exported by
 __init__.py, so no definition lives on for the tests alone.
 
 No module imports scipy, at any level: the runtime needs numpy alone,
-and scipy is an oracle of the tests only.
+and scipy is an oracle of the tests only. Only __init__.py, which holds
+the heap policy set on import, imports ctypes: the library calls no other
+foreign code.
 
 A model answers for itself: outside models.py no module asks isinstance
 about a class it imports from regvar.models. A closed form that holds for
@@ -99,21 +101,21 @@ def test_no_package_imports_inside_functions(path):
     assert not problems, f"{path.name}: " + "; ".join(problems)
 
 
+def _packages(path):
+    """(line, module) for every absolute import in the module at path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module or ""
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_scipy_only_through_module_level_import(path):
     """The strictest form of the rule: no import of scipy or a scipy
     submodule anywhere in the module."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    problems = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        problems += [f"line {node.lineno}: imports {name}" for name in names
-                     if name.split(".")[0] == "scipy"]
+    problems = [f"line {line}: imports {name}" for line, name in _packages(path)
+                if name.split(".")[0] == "scipy"]
     assert not problems, f"{path.name}: " + "; ".join(problems)
 
 
@@ -318,3 +320,10 @@ def test_only_batch_reads_the_stored_points():
                if isinstance(node, ast.Attribute) and node.attr == "_points"}
     assert readers == {"batch.py"}, \
         f"a batch's stored points read outside batch.py: {readers}"
+
+
+def test_only_the_heap_policy_imports_ctypes():
+    importers = {path.name for path in MODULES for _, name in _packages(path)
+                 if name.split(".")[0] == "ctypes"}
+    assert importers == {"__init__.py"}, \
+        f"ctypes imported outside the heap policy: {importers}"

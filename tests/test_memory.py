@@ -267,13 +267,12 @@ def test_cli_transform_peak_is_rows_plus_blocks(tmp_path, sample_csvs, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_cli_estimate_peak_is_rows_and_norms_plus_blocks(tmp_path, sample_csvs,
                                                          n):
-    # the peak is at top_indices, which holds a partitioned copy of the
-    # norms while the rows and the norms are still held: 32n bytes at
-    # d = 2, which the rows' 0.25 slack (4n) and two blocks cover up to
-    # n = 2^20. The rows go before the bootstrap, whose copies of the
-    # norms then fit in the same space.
+    # the rows and the norms, 24n bytes at d = 2, and two blocks: the top
+    # k is selected block by block, among the last top k and one block,
+    # so no selection copies all n norms. The rows go before the
+    # bootstrap, whose copies of the norms then fit in the same space.
     code, peak = traced_peak(quiet_cli, [
         "estimate", "--input", str(sample_csvs[n]), "--top", "0.01",
         "-o", str(tmp_path / "r.json")])
     assert code == 0
-    assert peak <= 1.25 * 16 * n + 8 * n + 2 * CHUNK_BATCH
+    assert peak <= 16 * n + 8 * n + 2 * CHUNK_BATCH

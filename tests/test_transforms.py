@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from regvar.batch import SampleBatch
 from regvar.errors import (
     DimensionMismatch,
+    EmptyMeasure,
     InvalidGain,
     InvalidParameter,
     MomentDivergence,
@@ -38,7 +39,7 @@ from regvar.models import (
 from regvar.radial import AtomPlusParetoLaw, ParetoLaw
 from regvar.rng import CHUNK
 from regvar.scenarios import _finite_r_identity_rel_err, _theorem2_closed_mass
-from regvar.specs import gain_from_spec
+from regvar.specs import gain_from_spec, model_from_spec
 from regvar.sphere import TWO_PI, ArcSet, CapSet, angles_of
 from regvar.transforms import (
     TransformedModel,
@@ -260,42 +261,62 @@ def test_limit_radial_constant_gains():
 
 @st.composite
 def identity_cases(draw):
-    """(model, gain, b, arc): a Pareto(alpha) base with uniform, cosine-bump
-    or discrete directions, a step gain with values in [0.1, b], an arc."""
-    alpha = draw(st.floats(min_value=0.5, max_value=3.0))
+    """(model, gain, arc), built from specs: a Pareto(alpha) base with
+    uniform, cosine-bump or discrete directions, a step gain of 1 to 7
+    pieces with values 0 or in [0.1, 5], and an arc."""
+    alpha = draw(st.floats(min_value=0.3, max_value=3.0))
     kind = draw(st.sampled_from(["uniform", "cosine_bump", "discrete"]))
-    if kind == "uniform":
-        sigma = SpectralMeasure.uniform()
-    elif kind == "cosine_bump":
-        sigma = SpectralMeasure.cosine_bump(draw(st.floats(-1.0, 1.0)))
+    if kind == "discrete":
+        # a spec gives each direction once: angles on a grid of 2^20 cells
+        cells = draw(st.lists(st.integers(0, (1 << 20) - 1), min_size=1,
+                              max_size=8, unique=True))
+        weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(cells),
+                                max_size=len(cells)))
+        sigma = {"kind": "discrete", "dim": 2,
+                 "atoms": [{"angle": c * TWO_PI / (1 << 20), "weight": w / sum(weights)}
+                           for c, w in zip(cells, weights)]}
     else:
-        angles = draw(st.lists(st.floats(0.0, TWO_PI - 1e-6), min_size=1,
-                               max_size=8))
-        weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(angles),
-                                max_size=len(angles)))
-        sigma = SpectralMeasure.discrete(angles, weights,
-                                         merge=True).normalized()
-    b = draw(st.floats(min_value=0.1, max_value=5.0))
+        density = {"name": kind}
+        if kind == "cosine_bump":
+            density["amplitude"] = draw(st.floats(-1.0, 1.0))
+        sigma = {"kind": "density", "dim": 2, "density": density}
     inner = draw(st.lists(st.floats(1e-9, TWO_PI - 1e-9), max_size=6,
                           unique=True))
     breaks = [0.0] + sorted(inner)
-    values = draw(st.lists(st.floats(0.1, b), min_size=len(breaks),
-                           max_size=len(breaks)))
+    values = draw(st.lists(st.just(0.0) | st.floats(0.1, 5.0),
+                           min_size=len(breaks), max_size=len(breaks)))
     lo, hi = sorted(draw(st.lists(st.floats(0.0, TWO_PI), min_size=2,
                                   max_size=2, unique=True)))
     # a subnormal arc mass has fewer than 53 bits: no relative bound holds
     assume(hi - lo > 1e-9)
-    model = PolarIndependentModel(sigma, alpha, ParetoLaw(alpha))
-    return model, step_gain(breaks, values), b, ArcSet([(lo, hi)])
+    model = model_from_spec({"kind": "polar_independent", "alpha": alpha,
+                             "sigma": sigma,
+                             "radial": {"kind": "pareto", "alpha": alpha}})
+    gain = gain_from_spec({"kind": "step", "breakpoints": breaks,
+                           "values": values})
+    return model, gain, ArcSet([(lo, hi)])
 
 
-@given(identity_cases(), st.floats(min_value=1.0, max_value=1e3))
+@given(identity_cases(), st.floats(min_value=1.0, max_value=100.0))
 def test_exact_tail_equals_reweighted_limit_from_gain_bound(case, factor):
-    # R >= 1 and h <= b: for r >= b, P{R h > r} = (h / r)^alpha exactly
-    model, gain, b, arc = case
-    r = b * factor
-    limit = reweight(model.sigma, gain, model.alpha).mass_on(arc)
+    # Theorem 2 at finite r: R >= 1, so for r >= sup h, P{R h > r} =
+    # (h / r)^alpha exactly and r^alpha P{h R > r, direction in B} is the
+    # reweighted mass of B
+    model, gain, arc = case
+    sup_h = gain.declared_bound
+    if sup_h == 0.0:
+        # no limit measure: atoms are all dropped, a density keeps no mass
+        with pytest.raises(EmptyMeasure):
+            reweight(model.sigma, gain, model.alpha).normalized()
+        return
+    r = sup_h * factor
     tail = TransformedModel(model, gain).exact_tail(r, arc)
+    try:
+        limit = reweight(model.sigma, gain, model.alpha).mass_on(arc)
+    except EmptyMeasure:
+        # every atom sits where the gain is 0: nothing passes any r
+        assert model.sigma.is_discrete and tail == 0.0
+        return
     assert tail * r ** model.alpha == pytest.approx(limit, rel=1e-12, abs=0.0)
 
 
